@@ -12,7 +12,8 @@ Module index
 
 :mod:`~repro.runtime.fleet`
     :class:`Device` / :class:`Fleet` — the device registry: per-device
-    systems, agents, RNG streams, state and accumulators; ``build_fleet``
+    systems, agents and RNG streams, with every device's state and
+    accumulators held as a row of fleet-owned columns; ``build_fleet``
     turns a JSON fleet spec (device groups x workloads x agents) into a
     registered fleet; :func:`device_rng` derives addressable per-device
     streams from one seed.

@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.policies.base import Observation
 from repro.runtime.fleet import Device, Fleet
+from repro.runtime.policy_cache import memoized_by_identity
 from repro.runtime.telemetry import snapshot
 from repro.sim.backends import get_backend, preferred_batch_backend
 from repro.sim.backends.base import SimulationTables
@@ -162,22 +163,34 @@ def _block_uniform_source(
     return FanInSource(generators, n_kinds=n_kinds, max_chunk=max_chunk)
 
 
+def _model_key(system, costs) -> tuple:
+    """Content key of a ``(system, costs)`` pair (loop-table cache)."""
+    from repro.runtime.policy_cache import costs_signature, system_signature
+
+    return system_signature(system), costs_signature(costs)
+
+
 class _VectorGroup:
     """One compiled batch: devices sharing a group signature.
 
     ``step_lanes`` is the resolved batch tier's bound stepper
     (``VectorBackend.step_lanes`` or ``JitBackend.step_lanes``) — the
-    two are byte-identical, so the choice affects speed only.
+    two are byte-identical, so the choice affects speed only.  The
+    devices' rows in the fleet's column set are cached here, valid for
+    the fleet version the group was built at.
     """
 
     def __init__(
         self,
+        fleet: Fleet,
         devices: list[Device],
         step_lanes,
         chunk_slices: int,
         uniform_source: str = "auto",
+        policy_signatures: dict | None = None,
     ):
         self.devices = devices
+        self._columns, self._rows = fleet.rows_of(devices)
         self._step_lanes = step_lanes
         self._chunk_slices = int(chunk_slices)
         self._uniform_source = uniform_source
@@ -197,12 +210,16 @@ class _VectorGroup:
         # index into the stack (1024 identical devices compile one row).
         from repro.runtime.policy_cache import policy_signature
 
+        if policy_signatures is None:
+            policy_signatures = {}
         unique: dict[str, int] = {}
         policies = []
         policy_of_lane = []
         for device in devices:
             policy = device.agent.stationary_policy(device.system)
-            signature = policy_signature(policy)
+            signature = memoized_by_identity(
+                policy_signatures, (policy,), policy_signature, policy
+            )
             if signature not in unique:
                 unique[signature] = len(policies)
                 policies.append(policy)
@@ -217,30 +234,30 @@ class _VectorGroup:
         # fixed by policy determinism; declaring the geometry lets the
         # source reject a desynchronizing request instead of serving it.
         n_kinds = 3 if self.compiled.fully_deterministic else 4
+        columns = self._columns
         for base in range(0, len(self.devices), FLEET_LANE_BLOCK):
-            block = self.devices[base : base + FLEET_LANE_BLOCK]
+            rows = self._rows[base : base + FLEET_LANE_BLOCK]
             source = self._sources.get(base)
             if source is None:
                 source = _block_uniform_source(
-                    (d.rng for d in block),
+                    (
+                        d.rng
+                        for d in self.devices[base : base + FLEET_LANE_BLOCK]
+                    ),
                     self._uniform_source,
                     n_kinds,
                     self._chunk_slices,
                 )
                 self._sources[base] = source
-            starts = (
-                np.asarray([d.state[0] for d in block], dtype=np.int64),
-                np.asarray([d.state[1] for d in block], dtype=np.int64),
-                np.asarray([d.state[2] for d in block], dtype=np.int64),
-            )
-            lengths = np.full(len(block), int(n_slices), dtype=np.int64)
+            start = columns.state[rows]
+            lengths = np.full(len(rows), int(n_slices), dtype=np.int64)
             try:
                 acc = self._step_lanes(
                     self.tables,
                     self.compiled,
-                    self.policy_of_lane[base : base + len(block)],
+                    self.policy_of_lane[base : base + len(rows)],
                     lengths,
-                    starts,
+                    (start[:, 0], start[:, 1], start[:, 2]),
                     source,
                     chunk_slices=self._chunk_slices,
                 )
@@ -252,16 +269,17 @@ class _VectorGroup:
                 sync = getattr(source, "sync", None)
                 if sync is not None:
                     sync()
-            for lane, device in enumerate(block):
-                device.totals += acc.totals[:, lane]
-                device.command_counts += acc.command_counts[lane]
-                device.provider_occupancy += acc.provider_occupancy[lane]
-                device.arrivals += int(acc.arrivals[lane])
-                device.serviced += int(acc.serviced[lane])
-                device.lost += int(acc.lost[lane])
-                device.loss_event_slices += int(acc.loss_events[lane])
-                device.state = tuple(int(v) for v in acc.final_state[lane])
-                device.slices += int(n_slices)
+            # Scatter: each lane's accumulators land on its device's
+            # row with the same elementwise adds a per-device loop
+            # would do, so every running total keeps its bits.
+            columns.totals[rows] += acc.totals.T
+            columns.command_counts[rows] += acc.command_counts
+            columns.provider_occupancy[rows] += acc.provider_occupancy
+            columns.state[rows] = acc.final_state
+            columns.slices[rows] += lengths
+            columns.counters[rows] += np.column_stack(
+                (acc.arrivals, acc.serviced, acc.lost, acc.loss_events)
+            )
 
 
 def _step_device_loop(
@@ -292,6 +310,9 @@ def _step_device_loop(
     )
     prev_arrivals = device.prev_arrivals
     base_slice = device.slices
+    command_counts = device.command_counts
+    provider_occupancy = device.provider_occupancy
+    arrivals = serviced = lost = loss_events = 0
 
     totals = np.zeros(len(device.metric_names))
     for t in range(int(n_slices)):
@@ -311,14 +332,14 @@ def _step_device_loop(
 
         joint = (s * n_sr + r) * n_sq + q
         totals += metric_stack[:, joint, a]
-        device.command_counts[a] += 1
-        device.provider_occupancy[s] += 1
+        command_counts[a] += 1
+        provider_occupancy[s] += 1
         if counts is None:
             at_risk = issuing[r] and q == capacity
         else:
             at_risk = prev_arrivals > 0 and q == capacity
         if at_risk:
-            device.loss_event_slices += 1
+            loss_events += 1
 
         s_next = sample_categorical(sp_cum[a, s], rng)
         if counts is None:
@@ -333,9 +354,9 @@ def _step_device_loop(
             served = 1
         q_next = min(pending - served, capacity)
 
-        device.arrivals += z
-        device.serviced += served
-        device.lost += max(pending - served - capacity, 0)
+        arrivals += z
+        serviced += served
+        lost += max(pending - served - capacity, 0)
         prev_arrivals = z
         s, r, q = s_next, r_next, q_next
 
@@ -343,6 +364,10 @@ def _step_device_loop(
     device.state = (s, r, q)
     device.prev_arrivals = prev_arrivals
     device.slices += int(n_slices)
+    device.arrivals += arrivals
+    device.serviced += serviced
+    device.lost += lost
+    device.loss_event_slices += loss_events
 
 
 class FleetController:
@@ -605,11 +630,10 @@ class FleetController:
     def _refresh_groups(self) -> None:
         if self._groups_version == self._fleet.version:
             return
-        from repro.runtime.policy_cache import (
-            costs_signature,
-            system_signature,
-        )
-
+        # Content signatures are memoized by object identity for this
+        # regroup: devices of one group share their model and policy
+        # objects, so each distinct one is hashed once.
+        group_keys: dict[tuple, tuple] = {}
         grouped: dict[tuple, list[Device]] = {}
         loop_devices: list[Device] = []
         for device in self._fleet:
@@ -622,15 +646,24 @@ class FleetController:
                     f"{'stream' if device.stream else 'model'}-driven) is not"
                 )
             if eligible:
-                grouped.setdefault(device.group_key(), []).append(device)
+                policy = device.agent.stationary_policy(device.system)
+                key = memoized_by_identity(
+                    group_keys,
+                    (device.system, device.costs, policy),
+                    device.group_key,
+                )
+                grouped.setdefault(key, []).append(device)
             else:
                 loop_devices.append(device)
+        policy_signatures: dict[tuple, tuple] = {}
         self._vector_groups = [
             _VectorGroup(
+                self._fleet,
                 devices,
                 self._batch_backend.step_lanes,
                 self._chunk_slices,
                 self._uniform_source,
+                policy_signatures,
             )
             for devices in grouped.values()
         ]
@@ -639,12 +672,16 @@ class FleetController:
         # device id — never stashed on the Device record, which must
         # stay free of incidental attributes so checkpoints pickle the
         # same bytes however the fleet was stepped (or sharded).
+        model_keys: dict[tuple, tuple] = {}
         compiled: dict[tuple, SimulationTables] = {}
         self._loop_tables = {}
         for device in loop_devices:
-            key = (
-                system_signature(device.system),
-                costs_signature(device.costs),
+            key = memoized_by_identity(
+                model_keys,
+                (device.system, device.costs),
+                _model_key,
+                device.system,
+                device.costs,
             )
             if key not in compiled:
                 compiled[key] = device.compile_tables()

@@ -7,6 +7,18 @@ registry of devices — heterogeneous by construction: different
 hardware models, different workloads, different agents, all stepped
 together by the :class:`~repro.runtime.controller.FleetController`.
 
+Per-device state is columnar.  The fleet keeps one column set per
+device layout (metric names, command count, provider-state count):
+one row per device holding its joint state, counters, metric totals
+and histograms.  A :class:`Device` is a handle on its row — its
+``state``, ``slices``, ``totals``, ... attributes read and write the
+row — so the controller scatters a whole batch into the columns with
+a few array adds and telemetry folds them with array reductions.  A
+device outside any fleet (freshly built, unpickled or removed) owns a
+private one-row column set until a fleet adopts it.  Pickling is
+unaffected: a device pickles as its plain field mapping, a fleet as
+its registry and version.
+
 Device randomness is per-device by design: ``device_rng(seed, index)``
 derives statistically independent PCG64 streams from a base seed with
 :class:`numpy.random.SeedSequence` spawn keys, so device ``i`` of a
@@ -27,7 +39,8 @@ groups cost one LP solve, not one per device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +72,14 @@ __all__ = [
 #: (same tolerance the vector backend compiles with).
 _DETERMINISTIC_TOL = 1e-12
 
+#: The request counters of a device row, in column order.
+COUNTER_COLUMNS = ("arrivals", "serviced", "lost", "loss_event_slices")
+
+#: The integer columns of a device row, in the order ``ColumnSet.ints``
+#: packs them: the joint state, slices, then the request counters.
+INT_COLUMNS = ("provider", "requester", "queue", "slices", *COUNTER_COLUMNS)
+_SLICES = INT_COLUMNS.index("slices")
+
 
 def device_rng(seed: int, index: int) -> np.random.Generator:
     """The canonical per-device generator: ``(seed, device index)``.
@@ -72,9 +93,163 @@ def device_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(sequence)
 
 
-@dataclass
+_FLOAT64 = np.dtype(np.float64)
+_INT64 = np.dtype(np.int64)
+
+
+def _dtype_like(values, kind: np.dtype) -> np.dtype:
+    """``values``' own dtype object when it equals ``kind``, else ``kind``.
+
+    Arrays unpickled together share one dtype object per kind, and
+    pickle memoizes dtypes by identity.  Keeping that object for the
+    columns a loaded device lands in makes a resumed fleet re-pickle
+    to the same bytes as the fleet it was saved from.
+    """
+    dtype = getattr(values, "dtype", kind)
+    return dtype if dtype == kind else kind
+
+
+class ColumnSet:
+    """One layout's per-device accumulators, one row per device.
+
+    A layout is ``(metric names, command count, provider-state
+    count)``: everything that fixes a row's widths.  ``ints`` packs
+    each device's joint state and integer counters
+    (:data:`INT_COLUMNS`; ``state``, ``slices`` and ``counters`` view
+    its blocks), ``totals`` its metric sums (one column per metric
+    name), ``command_counts`` and ``provider_occupancy`` its
+    histograms.  Rows ``[0, n)`` are live and ``handles[row]`` is a
+    weak reference to the device owning ``row``.  Releasing a row moves
+    the last live row into the hole, so the live rows stay one dense
+    block.  ``fleet`` is the owning :class:`Fleet`, or ``None`` for the
+    private set of a device no fleet holds.  Both back-references are
+    weak, so a fleet and its devices are freed as soon as the last
+    outside reference goes, without waiting for the cycle collector.
+    """
+
+    _NAMES = ("ints", "totals", "command_counts", "provider_occupancy")
+
+    def __init__(
+        self, layout: tuple, fleet=None, dtypes=(_FLOAT64, _INT64, _INT64)
+    ):
+        metric_names, n_commands, n_provider_states = layout
+        totals_dtype, counts_dtype, occupancy_dtype = dtypes
+        self.layout = layout
+        self._fleet = None if fleet is None else weakref.ref(fleet)
+        self.n = 0
+        self.handles: list[weakref.ref] = []
+        self.ints = np.zeros((1, len(INT_COLUMNS)), dtype=np.int64)
+        self.totals = np.zeros((1, len(metric_names)), dtype=totals_dtype)
+        self.command_counts = np.zeros((1, n_commands), dtype=counts_dtype)
+        self.provider_occupancy = np.zeros(
+            (1, n_provider_states), dtype=occupancy_dtype
+        )
+
+    @property
+    def metric_names(self) -> tuple:
+        """The metric names, in ``totals`` column order."""
+        return self.layout[0]
+
+    @property
+    def fleet(self) -> "Fleet | None":
+        """The fleet that owns this set, while it exists."""
+        return None if self._fleet is None else self._fleet()
+
+    @property
+    def state(self) -> np.ndarray:
+        """Every row's ``(provider, requester, queue)`` (a view)."""
+        return self.ints[:, :_SLICES]
+
+    @property
+    def slices(self) -> np.ndarray:
+        """Every row's slice count (a view)."""
+        return self.ints[:, _SLICES]
+
+    @property
+    def counters(self) -> np.ndarray:
+        """Every row's :data:`COUNTER_COLUMNS` (a view)."""
+        return self.ints[:, _SLICES + 1 :]
+
+    @property
+    def dtypes(self) -> tuple:
+        """The dtype objects of the float and histogram columns."""
+        return (
+            self.totals.dtype,
+            self.command_counts.dtype,
+            self.provider_occupancy.dtype,
+        )
+
+    def _arrays(self) -> tuple:
+        return (
+            self.ints,
+            self.totals,
+            self.command_counts,
+            self.provider_occupancy,
+        )
+
+    def acquire(self, device: "Device") -> int:
+        """Append a row for ``device`` and return its index.
+
+        The row's contents are unspecified; the caller writes them.
+        """
+        row = self.n
+        if row == self.ints.shape[0]:
+            for name, old in zip(self._NAMES, self._arrays()):
+                grown = np.zeros((2 * row,) + old.shape[1:], dtype=old.dtype)
+                grown[:row] = old
+                setattr(self, name, grown)
+        self.handles.append(weakref.ref(device))
+        self.n = row + 1
+        return row
+
+    def release(self, row: int) -> None:
+        """Drop ``row``, moving the last live row (and its handle) in."""
+        last = self.n - 1
+        if row != last:
+            for array in self._arrays():
+                array[row] = array[last]
+            handle = self.handles[row] = self.handles[last]
+            moved = handle()
+            if moved is not None:
+                moved._row = row
+        self.handles.pop()
+        self.n = last
+
+    def copy_row(self, row: int, source: "ColumnSet", source_row: int) -> None:
+        """Overwrite ``row`` with ``source``'s ``source_row``."""
+        self.ints[row] = source.ints[source_row]
+        self.totals[row] = source.totals[source_row]
+        self.command_counts[row] = source.command_counts[source_row]
+        self.provider_occupancy[row] = source.provider_occupancy[source_row]
+
+
+def _int_column(name: str, doc: str) -> property:
+    """A :class:`Device` property over one of its row's :data:`INT_COLUMNS`."""
+    index = INT_COLUMNS.index(name)
+
+    def get(device: "Device") -> int:
+        return int(device._cols.ints[device._row, index])
+
+    def put(device: "Device", value: int) -> None:
+        device._cols.ints[device._row, index] = value
+
+    return property(get, put, doc=doc)
+
+
+def _array_column(name: str, doc: str) -> property:
+    """A :class:`Device` property viewing its row of an array column."""
+
+    def get(device: "Device") -> np.ndarray:
+        return getattr(device._cols, name)[device._row]
+
+    def put(device: "Device", value) -> None:
+        getattr(device._cols, name)[device._row] = value
+
+    return property(get, put, doc=doc)
+
+
 class Device:
-    """One managed device: model, agent, stream, state, accumulators.
+    """One managed device: model, agent, stream, and a row of state.
 
     Attributes
     ----------
@@ -97,46 +272,201 @@ class Device:
         :class:`~repro.sim.trace_sim.NearestArrivalTracker`).
     state:
         Current ``(provider, requester, queue)`` indices.
+
+    ``state``, ``slices``, ``totals``, ``arrivals``, ``serviced``,
+    ``lost``, ``loss_event_slices``, ``command_counts`` and
+    ``provider_occupancy`` live in the owning fleet's column set and
+    are properties over this device's row.  The array-valued ones
+    return writable views of the row: ``device.totals += x`` updates
+    the row in place.  A view is valid until the fleet's membership
+    next changes (rows move then); read the attribute again after.
     """
 
-    device_id: str
-    system: PowerManagedSystem
-    costs: CostModel
-    agent: PolicyAgent
-    rng: np.random.Generator
-    stream: ArrivalStream | None = None
-    tracker: ArrivalTracker | None = None
-    state: tuple[int, int, int] = (0, 0, 0)
-    prev_arrivals: int = 0
-    slices: int = 0
-    metric_names: tuple[str, ...] = ()
-    totals: np.ndarray = field(default=None, repr=False)
-    arrivals: int = 0
-    serviced: int = 0
-    lost: int = 0
-    loss_event_slices: int = 0
-    command_counts: np.ndarray = field(default=None, repr=False)
-    provider_occupancy: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.metric_names == ():
-            self.metric_names = tuple(self.costs.metric_names)
-        if self.totals is None:
-            self.totals = np.zeros(len(self.metric_names))
-        if self.command_counts is None:
-            self.command_counts = np.zeros(
-                self.system.n_commands, dtype=np.int64
+    def __init__(
+        self,
+        device_id: str,
+        system: PowerManagedSystem,
+        costs: CostModel,
+        agent: PolicyAgent,
+        rng: np.random.Generator,
+        stream: ArrivalStream | None = None,
+        tracker: ArrivalTracker | None = None,
+        state: tuple[int, int, int] = (0, 0, 0),
+        prev_arrivals: int = 0,
+        slices: int = 0,
+        metric_names: tuple[str, ...] = (),
+        totals: np.ndarray | None = None,
+        arrivals: int = 0,
+        serviced: int = 0,
+        lost: int = 0,
+        loss_event_slices: int = 0,
+        command_counts: np.ndarray | None = None,
+        provider_occupancy: np.ndarray | None = None,
+    ):
+        self.device_id = device_id
+        self.system = system
+        self.costs = costs
+        self.agent = agent
+        self.rng = rng
+        self.stream = stream
+        self.tracker = tracker
+        self.prev_arrivals = prev_arrivals
+        self.metric_names = (
+            tuple(costs.metric_names) if metric_names == () else metric_names
+        )
+        if totals is None:
+            totals = np.zeros(len(self.metric_names))
+        if command_counts is None:
+            command_counts = np.zeros(system.n_commands, dtype=np.int64)
+        if provider_occupancy is None:
+            provider_occupancy = np.zeros(
+                system.provider.n_states, dtype=np.int64
             )
-        if self.provider_occupancy is None:
-            self.provider_occupancy = np.zeros(
-                self.system.provider.n_states, dtype=np.int64
-            )
-        if self.stream is not None:
-            if self.tracker is None:
-                self.tracker = NearestArrivalTracker(self.system.requester)
+        if stream is not None:
+            if tracker is None:
+                self.tracker = NearestArrivalTracker(system.requester)
             # Stream-driven devices observe an *inferred* SR state; the
             # tracker defines the initial one.
-            self.state = (self.state[0], self.tracker.reset(), self.state[2])
+            state = (state[0], self.tracker.reset(), state[2])
+        self._own_row(
+            (*state, slices, arrivals, serviced, lost, loss_event_slices),
+            totals,
+            command_counts,
+            provider_occupancy,
+        )
+
+    def _own_row(self, ints, totals, command_counts, provider_occupancy):
+        """Store the accumulators in a fresh private one-row column set."""
+        layout = (
+            tuple(self.metric_names),
+            len(command_counts),
+            len(provider_occupancy),
+        )
+        columns = ColumnSet(
+            layout,
+            dtypes=(
+                _dtype_like(totals, _FLOAT64),
+                _dtype_like(command_counts, _INT64),
+                _dtype_like(provider_occupancy, _INT64),
+            ),
+        )
+        row = columns.acquire(self)
+        columns.ints[row] = ints
+        columns.totals[row] = totals
+        columns.command_counts[row] = command_counts
+        columns.provider_occupancy[row] = provider_occupancy
+        self._cols, self._row = columns, row
+
+    def _move(self, columns: ColumnSet) -> None:
+        """Carry this device's row into ``columns``, freeing the old one."""
+        old, old_row = self._cols, self._row
+        row = columns.acquire(self)
+        columns.copy_row(row, old, old_row)
+        old.release(old_row)
+        self._cols, self._row = columns, row
+
+    # ------------------------------------------------------------------
+    # pickling: the plain field mapping, materialized from the row
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        # Row views pickle exactly like the standalone arrays they
+        # stand for (numpy serializes an array's shape, dtype and data,
+        # not its base), so nothing is copied here.
+        columns, row = self._cols, self._row
+        s, r, q, slices, arrivals, serviced, lost, loss_events = (
+            columns.ints[row].tolist()
+        )
+        return {
+            "device_id": self.device_id,
+            "system": self.system,
+            "costs": self.costs,
+            "agent": self.agent,
+            "rng": self.rng,
+            "stream": self.stream,
+            "tracker": self.tracker,
+            "state": (s, r, q),
+            "prev_arrivals": self.prev_arrivals,
+            "slices": slices,
+            "metric_names": self.metric_names,
+            "totals": columns.totals[row],
+            "arrivals": arrivals,
+            "serviced": serviced,
+            "lost": lost,
+            "loss_event_slices": loss_events,
+            "command_counts": columns.command_counts[row],
+            "provider_occupancy": columns.provider_occupancy[row],
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.device_id = state["device_id"]
+        self.system = state["system"]
+        self.costs = state["costs"]
+        self.agent = state["agent"]
+        self.rng = state["rng"]
+        self.stream = state["stream"]
+        self.tracker = state["tracker"]
+        self.prev_arrivals = state["prev_arrivals"]
+        self.metric_names = state["metric_names"]
+        self._own_row(
+            (
+                *state["state"],
+                state["slices"],
+                state["arrivals"],
+                state["serviced"],
+                state["lost"],
+                state["loss_event_slices"],
+            ),
+            state["totals"],
+            state["command_counts"],
+            state["provider_occupancy"],
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Device(device_id={self.device_id!r}, agent={self.agent!r}, "
+            f"state={self.state!r}, slices={self.slices})"
+        )
+
+    # ------------------------------------------------------------------
+    # row-backed accumulators
+    # ------------------------------------------------------------------
+    @property
+    def state(self) -> tuple[int, int, int]:
+        """Current ``(provider, requester, queue)`` indices."""
+        s, r, q = self._cols.state[self._row].tolist()
+        return s, r, q
+
+    @state.setter
+    def state(self, value) -> None:
+        self._cols.state[self._row] = value
+
+    slices = _int_column("slices", "Slices stepped so far.")
+    arrivals = _int_column("arrivals", "Requests that arrived so far.")
+    serviced = _int_column("serviced", "Requests serviced so far.")
+    lost = _int_column("lost", "Requests lost to a full queue so far.")
+    loss_event_slices = _int_column(
+        "loss_event_slices",
+        "Slices that began with a full queue and an arrival at risk.",
+    )
+    totals = _array_column(
+        "totals", "Per-metric sums (a view of the row, ``metric_names`` order)."
+    )
+    command_counts = _array_column(
+        "command_counts", "Slices each command was issued (a view of the row)."
+    )
+    provider_occupancy = _array_column(
+        "provider_occupancy",
+        "Slices spent in each provider state (a view of the row).",
+    )
+
+    def row_values(self) -> tuple[list, list]:
+        """This device's row as Python lists, read in one go.
+
+        ``(ints, totals)``: ``ints`` in :data:`INT_COLUMNS` order, then
+        the metric totals in ``metric_names`` order.
+        """
+        columns, row = self._cols, self._row
+        return columns.ints[row].tolist(), columns.totals[row].tolist()
 
     # ------------------------------------------------------------------
     # dispatch properties
@@ -181,11 +511,13 @@ class Device:
     @property
     def averages(self) -> dict[str, float]:
         """Per-slice metric averages accumulated so far."""
-        if self.slices == 0:
+        ints, totals = self.row_values()
+        slices = ints[_SLICES]
+        if slices == 0:
             return {name: 0.0 for name in self.metric_names}
         return {
-            name: float(self.totals[i]) / self.slices
-            for i, name in enumerate(self.metric_names)
+            name: total / slices
+            for name, total in zip(self.metric_names, totals)
         }
 
     def compile_tables(self) -> SimulationTables:
@@ -198,14 +530,51 @@ class Fleet:
 
     Insertion order is the canonical device order — telemetry
     aggregation, batching and checkpoints all preserve it, which keeps
-    every downstream artifact deterministic.
+    every downstream artifact deterministic.  The fleet owns one
+    :class:`ColumnSet` per device layout; every registered device's
+    accumulators are a row in one of them.
     """
 
     def __init__(self):
         self._devices: dict[str, Device] = {}
+        self._columns: dict[tuple, ColumnSet] = {}
+        # Live column sets in first-appearance order, rebuilt lazily
+        # after membership changes.
+        self._column_order: list[ColumnSet] | None = None
         #: Bumped on membership changes so the controller can invalidate
         #: its compiled group caches.
         self.version = 0
+
+    def __getstate__(self) -> dict:
+        # The registry and version only: each device pickles its own
+        # row, and the columns are rebuilt on load.
+        return {"_devices": self._devices, "version": self.version}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__()
+        for device in state["_devices"].values():
+            self._attach(device)
+        self.version = state["version"]
+
+    def _attach(self, device: Device) -> None:
+        """Move ``device``'s row into this fleet's columns and register it.
+
+        A device another fleet holds is deregistered there first: a
+        device belongs to one fleet at a time.
+        """
+        previous = device._cols.fleet
+        if previous is not None:
+            del previous._devices[device.device_id]
+            previous._column_order = None
+            previous.version += 1
+        layout = device._cols.layout
+        columns = self._columns.get(layout)
+        if columns is None:
+            columns = ColumnSet(layout, fleet=self, dtypes=device._cols.dtypes)
+            self._columns[layout] = columns
+        device._move(columns)
+        self._devices[device.device_id] = device
+        self._column_order = None
 
     # ------------------------------------------------------------------
     # registration
@@ -253,7 +622,7 @@ class Fleet:
             state=state,
         )
         agent.reset()
-        self._devices[device_id] = device
+        self._attach(device)
         self.version += 1
         return device
 
@@ -265,6 +634,8 @@ class Fleet:
         stream cursor and RNG stream exactly.  It is how fleet state
         moves between processes: shard workers adopt their partition,
         and gathered daemon fleets are reassembled device by device.
+        A device belongs to one fleet at a time: adopting a device
+        another fleet holds moves it, and that fleet deregisters it.
         """
         if not isinstance(device, Device):
             raise ValidationError(
@@ -272,16 +643,22 @@ class Fleet:
             )
         if device.device_id in self._devices:
             raise ValidationError(f"duplicate device id {device.device_id!r}")
-        self._devices[device.device_id] = device
+        self._attach(device)
         self.version += 1
         return device
 
     def remove_device(self, device_id: str) -> Device:
-        """Deregister and return a device (e.g. decommissioned hardware)."""
+        """Deregister and return a device (e.g. decommissioned hardware).
+
+        The device keeps its final values in a private row, so they
+        stay readable (and frozen) after the fleet reuses its row.
+        """
         try:
             device = self._devices.pop(str(device_id))
         except KeyError:
             raise ValidationError(f"unknown device id {device_id!r}") from None
+        device._move(ColumnSet(device._cols.layout, dtypes=device._cols.dtypes))
+        self._column_order = None
         self.version += 1
         return device
 
@@ -330,7 +707,56 @@ class Fleet:
     @property
     def total_slices(self) -> int:
         """Device-slices accumulated across the whole fleet."""
-        return sum(device.slices for device in self._devices.values())
+        return sum(
+            int(columns.slices[: columns.n].sum())
+            for columns in self._columns.values()
+        )
+
+    # ------------------------------------------------------------------
+    # columns
+    # ------------------------------------------------------------------
+    def column_sets(self) -> list[ColumnSet]:
+        """The non-empty column sets, in order of first appearance.
+
+        A set appears where its first device sits in the registry, so
+        walking the sets' metric names visits every metric in the order
+        a walk over the devices would first meet it.
+        """
+        if self._column_order is None:
+            live = sum(1 for columns in self._columns.values() if columns.n)
+            order: list[ColumnSet] = []
+            last = None
+            for device in self._devices.values():
+                columns = device._cols
+                if columns is last:
+                    continue
+                last = columns
+                if not any(seen is columns for seen in order):
+                    order.append(columns)
+                    if len(order) == live:
+                        break
+            self._column_order = order
+        return self._column_order
+
+    def rows_of(self, devices) -> tuple[ColumnSet, np.ndarray]:
+        """The column set ``devices`` share and their row indices.
+
+        The rows stay valid while the fleet's membership (its
+        :attr:`version`) does not change.
+        """
+        columns = devices[0]._cols
+        if columns.fleet is not self or any(
+            device._cols is not columns for device in devices
+        ):
+            raise ValidationError(
+                "devices must be registered in this fleet under one layout"
+            )
+        rows = np.fromiter(
+            (device._row for device in devices),
+            dtype=np.int64,
+            count=len(devices),
+        )
+        return columns, rows
 
 
 # ----------------------------------------------------------------------
@@ -475,7 +901,21 @@ def _group_policy(
     cache: PolicyCache,
     lp_backend: str,
 ):
-    """Solve (through the cache) the optimal policy for one group."""
+    """The stationary policy one group's agents share, if its kind has one.
+
+    ``optimal`` groups solve it through the cache and ``eager`` groups
+    build it; every device of the group then wraps the same policy
+    object.  Other agent kinds return ``None``.
+    """
+    kind = str(agent_spec.get("type", "optimal"))
+    if kind == "eager":
+        from repro.policies import eager_markov_policy
+
+        return eager_markov_policy(
+            system, agent_spec["active"], agent_spec["sleep"]
+        )
+    if kind != "optimal":
+        return None
     formulation = str(agent_spec.get("formulation", "average"))
     if formulation == "average":
         from repro.core.average_cost import AverageCostOptimizer
@@ -525,17 +965,11 @@ def _build_agent(
         ConstantAgent,
         StationaryPolicyAgent,
         TimeoutAgent,
-        eager_markov_policy,
     )
 
     kind = str(agent_spec.get("type", "optimal"))
-    if kind == "optimal":
+    if kind in ("optimal", "eager"):
         return StationaryPolicyAgent(system, group_policy)
-    if kind == "eager":
-        policy = eager_markov_policy(
-            system, agent_spec["active"], agent_spec["sleep"]
-        )
-        return StationaryPolicyAgent(system, policy)
     if kind == "constant":
         return ConstantAgent(
             system.chain.command_index(agent_spec.get("command", 0))
@@ -604,12 +1038,10 @@ def build_agent_from_spec(
     if not isinstance(agent_spec.get("type", "optimal"), str):
         raise ValidationError("agent spec 'type' must be a string")
     cache = cache or PolicyCache()
-    group_policy = None
-    if str(agent_spec.get("type", "optimal")) == "optimal":
-        group_policy = _group_policy(
-            agent_spec, system, costs, gamma, initial_distribution, cache,
-            lp_backend,
-        )
+    group_policy = _group_policy(
+        agent_spec, system, costs, gamma, initial_distribution, cache,
+        lp_backend,
+    )
     return _build_agent(
         agent_spec, system, costs, gamma, initial_distribution, cache,
         lp_backend, group_policy,
@@ -632,11 +1064,9 @@ def _build_group(
         group["system"], lp_backend
     )
     agent_spec = dict(group["agent"])
-    group_policy = None
-    if str(agent_spec.get("type", "optimal")) == "optimal":
-        group_policy = _group_policy(
-            agent_spec, system, costs, gamma, p0, cache, lp_backend
-        )
+    group_policy = _group_policy(
+        agent_spec, system, costs, gamma, p0, cache, lp_backend
+    )
     initial_state = group.get("initial_state")
     if initial_state is not None:
         initial_state = (

@@ -17,7 +17,8 @@ that content, so
 The module also owns the content-signature helpers
 (:func:`system_signature`, :func:`costs_signature`,
 :func:`policy_signature`) that the fleet runtime uses to group devices
-for batched stepping.
+for batched stepping, and :func:`memoized_by_identity`, which lets a
+pass over a fleet hash each distinct model once.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "CachedOptimizer",
     "PolicyCache",
     "costs_signature",
+    "memoized_by_identity",
     "policy_signature",
     "system_signature",
 ]
@@ -90,6 +92,21 @@ def costs_signature(costs) -> str:
 def policy_signature(policy) -> str:
     """Content digest of a Markov policy matrix."""
     return _hash_arrays([policy.matrix])
+
+
+def memoized_by_identity(memo: dict, objects: tuple, compute, *args):
+    """``compute(*args)``, once per distinct ``objects`` (by identity).
+
+    Devices of one group share their model and policy objects, so
+    keying a content signature on those objects' identities computes
+    it once per group instead of once per device.  The memo entry holds
+    ``objects``, so their ``id()`` keys stay valid while the memo lives.
+    """
+    key = tuple(id(obj) for obj in objects)
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (objects, compute(*args))
+    return entry[1]
 
 
 def _lp_signature(lp, backend: str) -> str:

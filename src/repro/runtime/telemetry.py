@@ -22,11 +22,14 @@ Sinks:
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
+import numpy as np
+
 from repro import faults
-from repro.runtime.fleet import Device, Fleet
+from repro.runtime.fleet import COUNTER_COLUMNS, Device, Fleet
 from repro.util.validation import ValidationError
 
 __all__ = [
@@ -85,49 +88,42 @@ SNAPSHOT_FIELDS = frozenset(
 
 def device_record(device: Device) -> dict:  # repro-lint: schema=DEVICE_RECORD_FIELDS
     """One device's telemetry sub-record."""
+    ints, _ = device.row_values()  # in INT_COLUMNS order
+    s, r, q, slices, arrivals, serviced, lost, loss_events = ints
     return {
         "id": device.device_id,
-        "slices": device.slices,
-        "state": list(device.state),
+        "slices": slices,
+        "state": [s, r, q],
         "averages": device.averages,
-        "arrivals": device.arrivals,
-        "serviced": device.serviced,
-        "lost": device.lost,
-        "loss_event_slices": device.loss_event_slices,
+        "arrivals": arrivals,
+        "serviced": serviced,
+        "lost": lost,
+        "loss_event_slices": loss_events,
         "agent": device.agent.describe(),
         "workload": device.stream.describe() if device.stream else "model",
     }
 
 
-#: Counter fields summed fleet-wide in every snapshot.
-_COUNTER_FIELDS = ("arrivals", "serviced", "lost", "loss_event_slices")
+def _fold_metrics(series: dict) -> dict:
+    """Fold per-device metric averages into fleet mean/min/max.
 
-
-def _aggregate(stats) -> tuple[dict, dict]:
-    """Fold per-device ``(averages, counter-tuple)`` pairs into fleet
-    aggregates.
-
-    One shared reduction for both snapshot producers — the in-process
+    The one reduction both snapshot producers share — the in-process
     :func:`snapshot` and the daemon-side :func:`snapshot_from_records`
-    — so a sharded run's fleet-level floats associate *exactly* like a
-    single-process run's (part of the service byte-identity contract).
+    — so for equal device states they emit byte-identical records.
+    ``series`` maps each metric name to the chunks (1-D float arrays)
+    holding the averages of the devices that register it.  The mean
+    is exactly rounded (``math.fsum``), so neither the chunking nor
+    the order of devices, nor the Python version, can change its bits.
     """
-    values: dict[str, list[float]] = {}
-    counters = {name: 0 for name in _COUNTER_FIELDS}
-    for averages, device_counters in stats:
-        for name, value in averages.items():
-            values.setdefault(name, []).append(value)
-        for name, value in zip(_COUNTER_FIELDS, device_counters):
-            counters[name] += value
-    metrics = {
-        name: {
-            "mean": sum(series) / len(series),
-            "min": min(series),
-            "max": max(series),
+    metrics = {}
+    for name, chunks in series.items():
+        values = np.concatenate(chunks)
+        metrics[name] = {
+            "mean": math.fsum(values.tolist()) / values.size,
+            "min": float(values.min()),
+            "max": float(values.max()),
         }
-        for name, series in values.items()
-    }
-    return metrics, counters
+    return metrics
 
 
 def snapshot(  # repro-lint: schema=SNAPSHOT_FIELDS
@@ -136,27 +132,30 @@ def snapshot(  # repro-lint: schema=SNAPSHOT_FIELDS
     """Aggregate the fleet's accumulators into one snapshot record.
 
     Per-metric aggregates are computed over the devices that register
-    the metric (heterogeneous fleets may not share cost models), in
-    insertion order; counters are fleet-wide sums.
+    the metric (heterogeneous fleets may not share cost models), metric
+    names in the order a walk over the devices first meets them;
+    counters are fleet-wide sums.  Everything is read straight from the
+    fleet's column sets.
     """
-    metrics, counters = _aggregate(
-        (
-            device.averages,
-            (
-                device.arrivals,
-                device.serviced,
-                device.lost,
-                device.loss_event_slices,
-            ),
+    series: dict[str, list] = {}
+    counters = np.zeros(len(COUNTER_COLUMNS), dtype=np.int64)
+    for columns in fleet.column_sets():
+        totals = columns.totals[: columns.n]
+        slices = columns.slices[: columns.n]
+        # A device that has not stepped yet averages 0.0.
+        averages = np.zeros_like(totals)
+        np.divide(
+            totals, slices[:, None], out=averages, where=slices[:, None] > 0
         )
-        for device in fleet
-    )
+        for m, name in enumerate(columns.metric_names):
+            series.setdefault(name, []).append(averages[:, m])
+        counters += columns.counters[: columns.n].sum(axis=0)
     record = {
         "tick": int(tick),
         "n_devices": len(fleet),
         "fleet_slices": fleet.total_slices,
-        "metrics": metrics,
-        "counters": counters,
+        "metrics": _fold_metrics(series),
+        "counters": dict(zip(COUNTER_COLUMNS, counters.tolist())),
     }
     if per_device:
         record["devices"] = [device_record(device) for device in fleet]
@@ -174,19 +173,19 @@ def snapshot_from_records(  # repro-lint: schema=SNAPSHOT_FIELDS
     reduction as :func:`snapshot` — so for equal device states the two
     producers emit byte-identical records.
     """
-    metrics, counters = _aggregate(
-        (
-            record["averages"],
-            tuple(record[name] for name in _COUNTER_FIELDS),
-        )
-        for record in records
-    )
+    values: dict[str, list[float]] = {}
+    for record in records:
+        for name, value in record["averages"].items():
+            values.setdefault(name, []).append(value)
+    series = {name: [np.asarray(v, dtype=float)] for name, v in values.items()}
     record = {
         "tick": int(tick),
         "n_devices": len(records),
         "fleet_slices": sum(int(r["slices"]) for r in records),
-        "metrics": metrics,
-        "counters": counters,
+        "metrics": _fold_metrics(series),
+        "counters": {
+            name: sum(r[name] for r in records) for name in COUNTER_COLUMNS
+        },
     }
     if per_device:
         record["devices"] = list(records)

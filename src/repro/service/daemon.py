@@ -24,7 +24,8 @@ re-partitioning, and across mid-run worker restarts:
 
 * device trajectories — per-device RNG streams and the pinned chunk
   length make stepping bitwise grouping-invariant;
-* fleet aggregates — one shared reduction, fed in one global order;
+* fleet aggregates — one shared, exactly rounded reduction, so the
+  order the shards report in cannot change a bit;
 * checkpoint pickles — devices are gathered back in registration
   order and re-attached to the *canonical* shared objects captured at
   registration (group-shared systems, costs, stationary agents, trace
@@ -130,7 +131,7 @@ class _WorkerGone(Exception):
         self.why = why
 
 
-def _normalize_dtypes(obj, seen: set) -> None:
+def _normalize_dtypes(obj, seen: dict) -> None:
     """Point every reachable ndarray at the cached builtin dtype object.
 
     Unpickling (numpy's dtype reduce passes ``copy=True``) gives each
@@ -140,11 +141,13 @@ def _normalize_dtypes(obj, seen: set) -> None:
     where the reference run serializes one total — different bytes
     for equal content.  Mutating ``arr.dtype`` in place is value-
     preserving (same itemsize, same byte order) and touches nothing
-    else in the graph.
+    else in the graph.  ``seen`` maps the id of every visited object to
+    the object: holding them stops an object freed mid-pass from
+    passing its id to a new one, which would then be skipped.
     """
     if id(obj) in seen:
         return
-    seen.add(id(obj))
+    seen[id(obj)] = obj
     if isinstance(obj, np.ndarray):
         obj.dtype = np.dtype(obj.dtype.str)
         return
@@ -874,7 +877,7 @@ class ShardSupervisor:
             for device in self._parked[index]["devices"].values():
                 by_id[device.device_id] = device
         fleet = Fleet()
-        seen: set = set()
+        seen: dict = {}
         for device_id in self._order:
             device = by_id[device_id]
             entry = self._canonical[device_id]
@@ -1040,9 +1043,13 @@ class FleetDaemon:
         if not self._supervisor.started:
             self._supervisor.start(Fleet())
         server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        # Bind under a hidden sibling name and rename into place once
+        # listening, so a client that sees the path can connect.
+        staging = self._socket_path.with_name(f".{self._socket_path.name}")
         try:
-            server.bind(str(self._socket_path))
+            server.bind(str(staging))
             server.listen(1)
+            os.replace(staging, self._socket_path)
             self._running = True
             while self._running:
                 client, _ = server.accept()
@@ -1057,8 +1064,9 @@ class FleetDaemon:
                     channel.close()
         finally:
             server.close()
-            if self._socket_path.exists():
-                self._socket_path.unlink()
+            for path in (staging, self._socket_path):
+                if path.exists():
+                    path.unlink()
             # Workers first: a telemetry sink that fails to close must
             # never leave worker processes stranded.
             try:

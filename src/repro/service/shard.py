@@ -41,7 +41,11 @@ from repro.faults.plan import FaultPlan
 from repro.runtime.checkpoint import checkpoint_payload
 from repro.runtime.controller import FLEET_CHUNK_SLICES, FleetController
 from repro.runtime.fleet import Device, Fleet
-from repro.runtime.policy_cache import costs_signature, system_signature
+from repro.runtime.policy_cache import (
+    costs_signature,
+    memoized_by_identity,
+    system_signature,
+)
 from repro.runtime.telemetry import device_record
 from repro.service.spool import SpoolSlot
 from repro.util.validation import ValidationError
@@ -106,27 +110,14 @@ class Partitioner:
         Devices of one group share their model objects, so the content
         hashes behind the signature are computed once per group rather
         than once per device — at 100k devices that is the difference
-        between a sub-second and a ten-second fleet deal.  The memo
-        entry pins the keyed objects, so the ``id()`` keys stay valid
-        for the partitioner's lifetime.
+        between a sub-second and a ten-second fleet deal.
         """
+        objects: tuple = (device.system, device.costs)
         if device.vector_eligible:
-            policy = device.agent.stationary_policy(device.system)
-            key = (
-                True,
-                id(device.system),
-                id(device.costs),
-                id(policy),
-            )
-            pins: tuple = (device.system, device.costs, policy)
-        else:
-            key = (False, id(device.system), id(device.costs))
-            pins = (device.system, device.costs)
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = (pins, shard_signature(device))
-            self._memo[key] = entry
-        return entry[1]
+            objects += (device.agent.stationary_policy(device.system),)
+        return memoized_by_identity(
+            self._memo, objects, shard_signature, device
+        )
 
     def assign(self, device: Device) -> int:
         """Deal one device; returns its shard index."""

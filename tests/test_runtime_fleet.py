@@ -25,6 +25,8 @@ from repro.policies import (
     eager_markov_policy,
 )
 from repro.runtime import (
+    FLEET_CHUNK_SLICES,
+    Device,
     Fleet,
     FleetController,
     JsonLinesTelemetry,
@@ -32,11 +34,14 @@ from repro.runtime import (
     MMPP2Stream,
     PeriodicBurstStream,
     build_fleet,
+    device_record,
     device_rng,
     load_checkpoint,
     snapshot,
+    snapshot_from_records,
 )
 from repro.runtime.streams import CallableStream
+from repro.sim.backends import get_backend
 from repro.util.validation import ValidationError
 
 
@@ -113,11 +118,14 @@ class TestFleetRegistry:
         )
         device.slices = 123  # accumulated state an adopt must not touch
         fleet = Fleet()
-        version = fleet.version
+        version, staged = fleet.version, staging.version
         assert fleet.adopt_device(device) is device
         assert fleet.device("d-0") is device
         assert device.slices == 123
         assert fleet.version > version
+        # A device belongs to one fleet: adopting moves it out.
+        assert "d-0" not in staging and staging.version > staged
+        assert snapshot(staging, 0)["n_devices"] == 0
         with pytest.raises(ValidationError, match="duplicate"):
             fleet.adopt_device(device)
         with pytest.raises(ValidationError, match="takes a Device"):
@@ -712,3 +720,238 @@ class TestBuildFleet:
         }
         with pytest.raises(ValidationError, match="infeasible"):
             build_fleet(raw)
+
+
+# ----------------------------------------------------------------------
+# columnar state: row bookkeeping and the exactly-rounded fold
+# ----------------------------------------------------------------------
+@pytest.fixture
+def recipes(example_bundle, disk_bundle, eager_policy):
+    """Device kinds by name: both layouts, vector and loop paths."""
+    disk_policy = eager_markov_policy(
+        disk_bundle.system, "go_active", "go_idle"
+    )
+    disk = disk_bundle.system.chain
+
+    def build(fleet, device_id, kind, index):
+        rng = device_rng(31, index)
+        stream = None
+        if kind == "ex-vec":
+            bundle = example_bundle
+            agent = StationaryPolicyAgent(bundle.system, eager_policy)
+        elif kind == "disk-vec":
+            bundle = disk_bundle
+            agent = StationaryPolicyAgent(bundle.system, disk_policy)
+        elif kind == "ex-loop":
+            bundle = example_bundle
+            agent = TimeoutAgent(4, 0, 1)
+        elif kind == "ex-stream":
+            bundle = example_bundle
+            agent = TimeoutAgent(3, 0, 1)
+            stream = MMPP2Stream(0.9, 0.8, rng)
+        else:  # "disk-loop"
+            bundle = disk_bundle
+            agent = TimeoutAgent(
+                6,
+                disk.command_index("go_active"),
+                disk.command_index("go_standby"),
+            )
+        return fleet.add_device(
+            device_id,
+            bundle.system,
+            bundle.costs,
+            agent,
+            rng=rng,
+            stream=stream,
+        )
+
+    return build
+
+
+class TestColumnarState:
+    """Fleet-owned columns: row bookkeeping never leaks into a device."""
+
+    SLICES = 40
+
+    def test_churn_matches_single_device_twins(self, recipes, disk_bundle):
+        """Ticks interleaved with every membership change and a pickle
+        round trip: each device ends bit-equal to a twin stepped alone,
+        and a removed device's values stay frozen after its row is
+        reused."""
+        import pickle
+
+        twins: dict = {}
+
+        def twin(device_id, kind, index):
+            solo = Fleet()
+            recipes(solo, device_id, kind, index)
+            twins[device_id] = FleetController(solo, slices_per_tick=self.SLICES)
+
+        def add(fleet, device_id, kind, index):
+            twin(device_id, kind, index)
+            return recipes(fleet, device_id, kind, index)
+
+        def tick(controller, members):
+            controller.step_tick()
+            for device_id in members:
+                twins[device_id].step_tick()
+
+        fleet = Fleet()
+        for i, kind in enumerate(
+            ["ex-vec", "disk-vec", "ex-loop", "disk-vec", "ex-stream",
+             "ex-vec", "disk-loop", "disk-vec"]
+        ):
+            add(fleet, f"d-{i}", kind, i)
+        controller = FleetController(fleet, slices_per_tick=self.SLICES)
+        tick(controller, fleet.device_ids)
+
+        # Remove a vector disk from the middle of its column set, then
+        # register another disk: the freed row is refilled at once.
+        columns, (row,) = fleet.rows_of([fleet.device("d-1")])
+        removed = fleet.remove_device("d-1")
+        frozen = _device_fingerprint(removed)
+        add(fleet, "n-0", "disk-vec", 20)
+        assert row < columns.n and columns.handles[row]() is not removed
+        tick(controller, fleet.device_ids)
+
+        # A live policy push on a loop device, mirrored on its twin.
+        for target in (fleet, twins["d-2"].fleet):
+            target.replace_agent("d-2", TimeoutAgent(2, 0, 1))
+        # Adopt from a staging fleet that has stepped on its own.
+        staging = Fleet()
+        for device_id, kind, index in (
+            ("s-0", "disk-vec", 30), ("s-1", "ex-loop", 31)
+        ):
+            add(staging, device_id, kind, index)
+        tick(FleetController(staging, slices_per_tick=self.SLICES),
+             staging.device_ids)
+        for device_id in ("s-0", "s-1"):
+            fleet.adopt_device(staging.device(device_id))
+        assert len(staging) == 0
+        tick(controller, fleet.device_ids)
+
+        # A pickle round trip, then more churn on the restored fleet.
+        fleet = pickle.loads(pickle.dumps(fleet, protocol=4))
+        controller = FleetController(fleet, slices_per_tick=self.SLICES)
+        tick(controller, fleet.device_ids)
+        fleet.remove_device("d-6")
+        add(fleet, "n-1", "ex-vec", 21)
+        tick(controller, fleet.device_ids)
+
+        assert _device_fingerprint(removed) == frozen
+        assert frozen == _device_fingerprint(twins["d-1"].fleet.device("d-1"))
+        for device in fleet:
+            solo = twins[device.device_id].fleet.device(device.device_id)
+            assert _device_fingerprint(device) == _device_fingerprint(solo), (
+                device.device_id
+            )
+            columns, (row,) = fleet.rows_of([device])
+            assert columns.handles[row]() is device
+        assert fleet.total_slices == sum(device.slices for device in fleet)
+
+    def test_tick_lands_single_run_results_on_rows(self, recipes):
+        """One tick puts exactly what a single-run simulation of each
+        device produces into its row: kernel lanes for vector devices,
+        the reference loop for the rest."""
+        kinds = ["disk-vec", "ex-vec", "disk-loop", "ex-loop", "disk-vec"]
+        fleet, reference = Fleet(), Fleet()
+        for i, kind in enumerate(kinds):
+            recipes(fleet, f"d-{i}", kind, i)
+            recipes(reference, f"d-{i}", kind, i)
+        FleetController(fleet, slices_per_tick=self.SLICES).run(1)
+        for i, kind in enumerate(kinds):
+            device, twin = fleet.device(f"d-{i}"), reference.device(f"d-{i}")
+            backend = get_backend("vector" if kind.endswith("vec") else "loop")
+            result = backend.simulate(
+                twin.system, twin.costs, twin.agent, self.SLICES, twin.rng,
+                chunk_slices=FLEET_CHUNK_SLICES,
+            )
+            assert device.state == result.final_state
+            assert device.totals.tolist() == [
+                result.totals[name] for name in device.metric_names
+            ]
+            assert device.command_counts.tolist() == (
+                result.command_counts.tolist()
+            )
+            assert device.provider_occupancy.tolist() == (
+                result.provider_occupancy.tolist()
+            )
+            assert (
+                device.slices, device.arrivals, device.serviced,
+                device.lost, device.loss_event_slices,
+            ) == (
+                self.SLICES, result.arrivals, result.serviced,
+                result.lost, result.loss_event_slices,
+            )
+
+    def test_device_pickles_as_its_field_mapping(self, recipes):
+        fleet = Fleet()
+        device = recipes(fleet, "d-0", "disk-vec", 0)
+        FleetController(fleet, slices_per_tick=self.SLICES).run(2)
+        state = device.__getstate__()
+        assert list(state) == [
+            "device_id", "system", "costs", "agent", "rng", "stream",
+            "tracker", "state", "prev_arrivals", "slices", "metric_names",
+            "totals", "arrivals", "serviced", "lost", "loss_event_slices",
+            "command_counts", "provider_occupancy",
+        ]
+        assert type(state["state"]) is tuple and type(state["slices"]) is int
+        # A field mapping alone (what an existing checkpoint holds)
+        # restores an equal, detached device.
+        restored = Device.__new__(Device)
+        restored.__setstate__(dict(state))
+        assert _device_fingerprint(restored) == _device_fingerprint(device)
+        restored.slices = 0
+        assert device.slices == 2 * self.SLICES
+
+
+class TestExactFold:
+    """Fleet means are exactly rounded and order-independent."""
+
+    def _fleet(self, example_bundle, eager_policy, averages):
+        fleet = Fleet()
+        for i, value in enumerate(averages):
+            device = _stationary_device(
+                example_bundle, eager_policy, fleet, f"d-{i}", 0, i
+            )
+            device.slices = 1
+            device.totals[:] = value
+        return fleet
+
+    def test_mean_of_tenths_is_exact(self, example_bundle, eager_policy):
+        fleet = self._fleet(example_bundle, eager_policy, [0.1] * 10)
+        for record in (
+            snapshot(fleet, 0),
+            snapshot_from_records(0, [device_record(d) for d in fleet]),
+        ):
+            for stats in record["metrics"].values():
+                assert stats == {"mean": 0.1, "min": 0.1, "max": 0.1}
+
+    def test_fold_ignores_device_order(self, example_bundle, eager_policy):
+        values = np.random.default_rng(3).lognormal(size=50).tolist()
+        order = np.random.default_rng(4).permutation(50).tolist()
+        forward = self._fleet(example_bundle, eager_policy, values)
+        shuffled = self._fleet(
+            example_bundle, eager_policy, [values[i] for i in order]
+        )
+        records = [device_record(d) for d in forward]
+        expected = snapshot(forward, 0)["metrics"]
+        assert snapshot(shuffled, 0)["metrics"] == expected
+        assert (
+            snapshot_from_records(0, [records[i] for i in order])["metrics"]
+            == expected
+        )
+
+    def test_both_producers_agree_on_mixed_fleet(self, recipes):
+        fleet = Fleet()
+        for i, kind in enumerate(
+            ["ex-vec", "disk-vec", "ex-stream", "disk-loop", "ex-vec"]
+        ):
+            recipes(fleet, f"d-{i}", kind, i)
+        FleetController(fleet, slices_per_tick=90).run(2)
+        fleet.remove_device("d-0")
+        direct = snapshot(fleet, 2, per_device=True)
+        folded = snapshot_from_records(
+            2, [device_record(d) for d in fleet], per_device=True
+        )
+        assert json.dumps(direct) == json.dumps(folded)
