@@ -3,12 +3,8 @@
 The headline acceptance check for the :mod:`repro.runtime` subsystem:
 a fleet of **1024** stationary disk devices stepped by the controller's
 grouped batch path must sustain **>= 10x** the device-slices/second of
-the same fleet forced through the per-device reference loop.  When
-numba is installed the same fleet is also stepped on the jit tier,
-which must at least match the vector tier (the per-device RNG fan-in
-is backend-independent and bounds the ceiling well below the raw
-kernel speedup).  A **100,000-device** fleet-scale smoke runs on the
-preferred batch tier (jit when available, vector otherwise) to keep
+the same fleet forced through the per-device reference loop.  A
+**100,000-device** fleet-scale smoke runs one ``auto`` tick to keep
 the controller honest at the paper-fleet scale; the same scale doubles
 as the RNG fan-in comparison — the serial per-device
 :class:`~repro.sim.rng.FanInSource` against the vectorized
@@ -50,7 +46,6 @@ from repro.runtime import (
     MMPP2Stream,
     device_rng,
 )
-from repro.sim import jit_available
 from repro.sim.rng import FanInSource
 from repro.sim.rng_batched import BatchedPCG64Source, batched_available
 from repro.systems import disk_drive, example_system
@@ -60,8 +55,6 @@ N_DEVICES = 1024
 SPEEDUP_TARGET = 10.0
 #: Fleet-scale smoke: one controller tick over 10^5 devices.
 N_DEVICES_SMOKE = 100_000
-#: jit acceptance on the fleet path: no worse than the vector tier.
-JIT_SPEEDUP_TARGET = 1.0
 #: RNG fan-in comparison: one 10^5-lane block spans ~7 LANE_BAND bands,
 #: so the batched source's process pool engages.
 N_LANES_RNG = N_DEVICES_SMOKE
@@ -174,11 +167,6 @@ def _rng_fan_in_rates(n_lanes: int, chunk: int, seed: int = 7):
     return fanin_rate, batched_rate, bool((block == reference).all())
 
 
-def _warm_jit(bundle):
-    """Trigger one-time ``@njit`` compilation off the clock."""
-    _run(_stationary_fleet(bundle, 8), "jit", 1, 32)
-
-
 def _checkpoint_roundtrip_exact(tmp_path, ticks: int = 6) -> bool:
     """Does resume reproduce an uninterrupted run's telemetry exactly?"""
     split = ticks // 2
@@ -238,34 +226,6 @@ def bench_fleet_speedup_1024dev(benchmark):
     )
 
 
-def bench_fleet_jit_1024dev(benchmark):
-    """Acceptance: the jit tier is no slower than the vector tier."""
-    import pytest
-
-    if not jit_available():
-        pytest.skip("numba not installed; the jit tier has no compiled path")
-    bundle = disk_drive.build()
-    _warm_jit(bundle)
-    vector_seconds, vector_rate, _ = _run(
-        _stationary_fleet(bundle, N_DEVICES), "vector", 1, 500
-    )
-    jit_seconds, jit_rate, _ = benchmark.pedantic(
-        lambda: _run(_stationary_fleet(bundle, N_DEVICES), "jit", 1, 500),
-        rounds=1,
-        iterations=1,
-    )
-    speedup = jit_rate / vector_rate
-    benchmark.extra_info.update(
-        vector_device_slices_per_sec=round(vector_rate),
-        jit_device_slices_per_sec=round(jit_rate),
-        speedup=round(speedup, 2),
-    )
-    assert speedup >= JIT_SPEEDUP_TARGET, (
-        f"jit fleet stepping regressed below the vector tier "
-        f"({jit_rate:,.0f} vs {vector_rate:,.0f} device-slices/s)"
-    )
-
-
 def bench_fleet_batched_vs_fanin_100000lane(benchmark):
     """Vectorized batched fan-in vs the serial per-device fan-in.
 
@@ -312,17 +272,12 @@ def collect(quick: bool = False) -> dict:
     import tempfile
 
     bundle = disk_drive.build()
-    with_jit = jit_available()
-    if with_jit:
-        _warm_jit(bundle)
     # Loop throughput is rate-stable, so it is sampled on a shorter
-    # campaign; the batch tiers get fleet-scale ones.
+    # campaign; the vector backend gets a fleet-scale one.
     scenarios = [
         ("loop", 1, 10 if quick else 50),
         ("vector", 1, 100 if quick else 500),
     ]
-    if with_jit:
-        scenarios.append(("jit", 1, 100 if quick else 500))
     records = []
     by_backend = {}
     for backend, ticks, slices_per_tick in scenarios:
@@ -339,10 +294,7 @@ def collect(quick: bool = False) -> dict:
                 "device_slices_per_sec": round(rate),
             }
         )
-    # Fleet-scale smoke on the preferred batch tier: 10^5 devices in
-    # one controller tick (the scale ISSUE headline).  Named without a
-    # backend prefix so the no-numba and numba CI legs compare against
-    # the same baseline metric.
+    # Fleet-scale smoke: 10^5 devices in one controller tick.
     smoke_slices = 8 if quick else 16
     smoke_fleet = _stationary_fleet(bundle, N_DEVICES_SMOKE, seed=1)
     seconds, rate, resolved = _run(smoke_fleet, "auto", 1, smoke_slices)
@@ -391,8 +343,6 @@ def collect(quick: bool = False) -> dict:
         "benchmarks": records,
         "speedup_vector_vs_loop": speedup,
         "speedup_target": SPEEDUP_TARGET,
-        "jit_available": with_jit,
-        "jit_speedup_target": JIT_SPEEDUP_TARGET,
         "batched_available": batched_available(),
         "batched_speedup_target": BATCHED_SPEEDUP_TARGET,
         "batched_gate_active": (
@@ -403,10 +353,6 @@ def collect(quick: bool = False) -> dict:
         "rng_blocks_identical": rng_identical,
         "checkpoint_resume_exact": exact,
     }
-    if with_jit:
-        document["speedup_jit_vs_vector"] = round(
-            by_backend["jit"] / by_backend["vector"], 2
-        )
     if batched_rate is not None:
         document["speedup_batched_vs_fanin"] = round(
             batched_rate / fanin_rate, 2
@@ -430,11 +376,6 @@ def main(argv=None) -> int:
     if quick:
         return 0
     if document["speedup_vector_vs_loop"] < SPEEDUP_TARGET:
-        return 1
-    if (
-        "speedup_jit_vs_vector" in document
-        and document["speedup_jit_vs_vector"] < JIT_SPEEDUP_TARGET
-    ):
         return 1
     if (
         document["batched_gate_active"]

@@ -1,18 +1,10 @@
-"""Loop-vs-vector-vs-jit simulation throughput across systems/batches.
+"""Loop-vs-vector simulation throughput across systems/batches.
 
-Records slices/second for the reference loop backend, the NumPy vector
-backend and (when numba is installed) the compiled jit backend on the
-8-state running example and the 66-state disk model, across replication
-counts, plus two headline acceptance checks:
-
-* the vector backend must deliver **>= 10x** the loop's throughput on a
-  stationary-policy run of 10^6 total slices split over 32 replications;
-* the jit backend must deliver **>= 5x** the vector backend's
-  throughput on the same 10^6 x 32 scenario (skipped without numba —
-  the interpreted fallback is a correctness surface, not a perf tier).
-
-The jit rows are measured after a warm-up batch so one-time ``@njit``
-compilation never pollutes the steady-state rate.
+Records slices/second for the reference loop backend and the NumPy
+vector backend on the 8-state running example and the 66-state disk
+model, across replication counts, plus the headline acceptance check:
+the vector backend must deliver **>= 10x** the loop's throughput on a
+stationary-policy run of 10^6 total slices split over 32 replications.
 
 Run under pytest-benchmark::
 
@@ -31,15 +23,13 @@ import sys
 import time
 
 from repro.policies import StationaryPolicyAgent, eager_markov_policy
-from repro.sim import jit_available, simulate_many
+from repro.sim import simulate_many
 from repro.systems import disk_drive, example_system
 
 #: Headline scenario: 10^6 total slices over 32 replications.
 TOTAL_SLICES = 1_000_000
 N_REPLICATIONS = 32
 SPEEDUP_TARGET = 10.0
-#: jit acceptance: compiled stepper vs the NumPy vector backend.
-JIT_SPEEDUP_TARGET = 5.0
 
 #: (name, builder, active command, sleep command) per benchmark system.
 SYSTEMS = (
@@ -68,11 +58,6 @@ def _run(bundle, agent, total_slices, n_replications, backend, seed=0):
     )
     seconds = time.perf_counter() - start
     return seconds, per_lane * n_replications / seconds
-
-
-def _warm_jit(bundle, agent):
-    """Trigger one-time ``@njit`` compilation off the clock."""
-    _run(bundle, agent, 2_000, 4, "jit")
 
 
 # ----------------------------------------------------------------------
@@ -125,52 +110,17 @@ def bench_backend_speedup_1m_32rep(benchmark):
     )
 
 
-def bench_jit_speedup_1m_32rep(benchmark):
-    """Acceptance check: jit >= 5x vector at 10^6 slices x 32 reps."""
-    import pytest
-
-    if not jit_available():
-        pytest.skip("numba not installed; the jit tier has no compiled path")
-    bundle = disk_drive.build()
-    agent = _stationary_agent(bundle, "go_active", "go_idle")
-    _warm_jit(bundle, agent)
-    vector_seconds, vector_rate = _run(
-        bundle, agent, TOTAL_SLICES, N_REPLICATIONS, "vector"
-    )
-    jit_seconds, jit_rate = benchmark.pedantic(
-        lambda: _run(bundle, agent, TOTAL_SLICES, N_REPLICATIONS, "jit"),
-        rounds=1,
-        iterations=1,
-    )
-    speedup = jit_rate / vector_rate
-    benchmark.extra_info.update(
-        vector_slices_per_sec=round(vector_rate),
-        jit_slices_per_sec=round(jit_rate),
-        speedup=round(speedup, 2),
-    )
-    assert speedup >= JIT_SPEEDUP_TARGET, (
-        f"jit backend only {speedup:.1f}x faster than vector "
-        f"({jit_rate:,.0f} vs {vector_rate:,.0f} slices/s); "
-        f"target {JIT_SPEEDUP_TARGET}x"
-    )
-
-
 # ----------------------------------------------------------------------
 # standalone JSON mode
 # ----------------------------------------------------------------------
 def collect(quick: bool = False) -> dict:
     """Run the full matrix and return the benchmark JSON document."""
     total = 100_000 if quick else TOTAL_SLICES
-    with_jit = jit_available()
     backends = [("loop", (1,)), ("vector", (1, 8, 32, 128))]
-    if with_jit:
-        backends.append(("jit", (1, 8, 32, 128)))
     records = []
     for name, builder, active, sleep in SYSTEMS:
         bundle = builder()
         agent = _stationary_agent(bundle, active, sleep)
-        if with_jit:
-            _warm_jit(bundle, agent)
         for backend, rep_counts in backends:
             for n_replications in rep_counts:
                 seconds, rate = _run(
@@ -196,23 +146,11 @@ def collect(quick: bool = False) -> dict:
         )
         for name, *_ in SYSTEMS
     }
-    document = {
+    return {
         "benchmarks": records,
         "speedup_32rep_vs_loop": speedup,
         "speedup_target": SPEEDUP_TARGET,
-        "jit_available": with_jit,
-        "jit_speedup_target": JIT_SPEEDUP_TARGET,
     }
-    if with_jit:
-        document["speedup_jit_vs_vector_32rep"] = {
-            name: round(
-                by_name[f"jit_{name}_32rep"]["slices_per_sec"]
-                / by_name[f"vector_{name}_32rep"]["slices_per_sec"],
-                2,
-            )
-            for name, *_ in SYSTEMS
-        }
-    return document
 
 
 def main(argv=None) -> int:
@@ -226,11 +164,6 @@ def main(argv=None) -> int:
     if quick:
         return 0
     target_met = document["speedup_32rep_vs_loop"]["disk66"] >= SPEEDUP_TARGET
-    if "speedup_jit_vs_vector_32rep" in document:
-        target_met = target_met and (
-            document["speedup_jit_vs_vector_32rep"]["disk66"]
-            >= JIT_SPEEDUP_TARGET
-        )
     return 0 if target_met else 1
 
 

@@ -1,8 +1,8 @@
 """``repro.lint`` — determinism & backend-parity static analysis.
 
-This repo's reproducibility guarantees — bitwise-identical
-loop/vector/jit stepping, explicit RNG threading, content-addressed
-policy caching, byte-exact checkpoint/resume — are promised in module
+This repo's reproducibility guarantees — bitwise-identical batch
+stepping, explicit RNG threading, content-addressed policy caching,
+byte-exact checkpoint/resume — are promised in module
 docstrings and enforced by runtime tests.  This package checks them
 *structurally*, before anything executes: an AST-based rule battery
 (:mod:`~repro.lint.registry`) walks every source file and fails on the
@@ -13,8 +13,6 @@ Rule families (``python -m repro.lint --list-rules`` for details):
 =========  ==========================================================
 ``RNG00x``  explicit RNG threading (no legacy ``np.random``, no
             ambient/time-based seeding, generators passed in)
-``KRN00x``  ``@njit`` kernel purity (host-drawn uniforms, no global
-            state, whitelisted ops only) along the kernel call graph
 ``HSH00x``  hash stability (no unordered iteration or unsorted JSON
             feeding content digests)
 ``FLT001``  float-determinism (no reductions over unordered iterables
@@ -35,7 +33,6 @@ from __future__ import annotations
 from repro.lint import (  # noqa: F401  (registration side effect)
     rules_float,
     rules_hash,
-    rules_kernel,
     rules_rng,
     rules_schema,
 )

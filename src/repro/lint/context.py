@@ -169,14 +169,6 @@ class FileContext:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
 
-    def module_functions(self) -> dict[str, ast.FunctionDef | ast.AsyncFunctionDef]:
-        """Top-level function definitions by name (kernel call graphs)."""
-        return {
-            node.name: node
-            for node in self.tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-
     def package_root(self) -> Path | None:
         """Directory *containing* the linted file's top-level package.
 

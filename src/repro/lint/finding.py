@@ -28,7 +28,7 @@ class Finding:
     line / col:
         1-indexed line and 0-indexed column of the offending node.
     rule_id:
-        Stable machine id (``RNG001``, ``KRN002``, ...) — the key that
+        Stable machine id (``RNG001``, ``HSH002``, ...) — the key that
         suppression comments and the JSON output match on.
     severity:
         ``"error"`` findings fail the lint run; ``"warning"`` findings

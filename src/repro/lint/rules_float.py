@@ -3,7 +3,7 @@
 Floating-point addition is not associative: summing the same values in
 a different order produces different last-bit results.  Files whose
 module docstring promises bitwise / byte-identical behaviour (the
-loop/vector/jit backends, telemetry, checkpointing) therefore must not
+loop/vector backends, telemetry, checkpointing) therefore must not
 accumulate floats over iterables whose order is not pinned.  Scoping
 to contract-declaring files keeps ordinary statistics code (where
 last-bit drift is irrelevant) out of scope.
@@ -37,7 +37,7 @@ class UnorderedFloatReductionRule(Rule):
         "file declaring the bitwise contract"
     )
     contract = (
-        "loop/vector/jit byte-parity: float accumulation order is "
+        "loop/vector byte-parity: float accumulation order is "
         "pinned, so totals are bitwise-reproducible"
     )
 

@@ -18,8 +18,7 @@ contract machine-checked:
   from ambient state the caller cannot control.
 
 :class:`~repro.sim.rng.UniformSource` implementations
-(:class:`~repro.sim.rng.GeneratorSource`,
-:class:`~repro.sim.rng.FanInSource`,
+(:class:`~repro.sim.rng.FanInSource`,
 :class:`~repro.sim.rng_batched.BatchedPCG64Source`) are sanctioned
 generator carriers: they hold caller-supplied generators and re-expose
 the draw surface, so the same threading discipline applies to them —

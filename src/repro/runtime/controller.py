@@ -8,15 +8,13 @@ signature are packed into one batch of the joint-state chunk kernel —
 their distinct policies stacked into a single
 :class:`~repro.sim.backends.vector.CompiledPolicyBatch` — so a
 thousand stationary devices advance in a handful of fused calls per
-chunk instead of a thousand Python loops.  The kernel itself is the
-resolved batch tier: :mod:`~repro.sim.backends.vector` or, when numba
-is installed, the byte-identical compiled stepper of
-:mod:`~repro.sim.backends.jit` (what lifts the grouped path to
-100k+-device ticks; groups that large are sharded into
-:data:`FLEET_LANE_BLOCK`-lane blocks to bound buffer sizes).  Devices
-the kernel cannot express (stateful heuristics, adaptive agents,
-stream-driven workloads) fall back to a resumable per-device loop with
-the reference semantics of :class:`~repro.sim.backends.loop.LoopBackend`.
+chunk instead of a thousand Python loops.  The kernel is
+:mod:`~repro.sim.backends.vector`'s lane stepper; groups of 100k+
+devices are sharded into :data:`FLEET_LANE_BLOCK`-lane blocks to bound
+buffer sizes.  Devices the kernel cannot express (stateful heuristics,
+adaptive agents, stream-driven workloads) fall back to a resumable
+per-device loop with the reference semantics of
+:class:`~repro.sim.backends.loop.LoopBackend`.
 
 Determinism is per-device, not per-run: each device owns its generator
 and the batch draws every lane's uniforms from its own stream through
@@ -39,7 +37,6 @@ determinism note on :class:`~repro.runtime.policy_cache.PolicyCache`.)
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 
@@ -47,7 +44,7 @@ from repro.policies.base import Observation
 from repro.runtime.fleet import Device, Fleet
 from repro.runtime.policy_cache import memoized_by_identity
 from repro.runtime.telemetry import snapshot
-from repro.sim.backends import get_backend, preferred_batch_backend
+from repro.sim.backends import BACKEND_CHOICES, BACKENDS
 from repro.sim.backends.base import SimulationTables
 from repro.sim.backends.vector import CompiledPolicyBatch
 from repro.sim.rng import FanInSource, sample_categorical
@@ -78,9 +75,6 @@ FLEET_CHUNK_SLICES = 256
 #: never what it consumes or how its sums associate.
 FLEET_LANE_BLOCK = 16_384
 
-#: Accepted ``backend`` values for the controller.
-CONTROLLER_BACKENDS = ("auto", "loop", "vector", "jit")
-
 #: Accepted ``uniform_source`` values for the controller.  ``"auto"``
 #: picks the vectorized batched producer for any lane block whose
 #: streams it can carry byte-identically and falls back to the serial
@@ -91,39 +85,18 @@ UNIFORM_SOURCES = ("auto", "fanin", "batched")
 
 def resolve_backend_name(backend: str) -> str:
     """What :attr:`FleetController.resolved_backend` would report for
-    ``backend`` on this machine, without building a controller.
+    ``backend``, without building a controller.
 
     The service daemon stamps telemetry records it aggregates from
     shard workers; resolving centrally (instead of asking a worker)
     keeps the stamp available even while shards are restarting.
     """
-    if backend not in CONTROLLER_BACKENDS:
+    if backend not in BACKEND_CHOICES:
         raise ValidationError(
             f"unknown controller backend {backend!r}; "
-            f"choose from {CONTROLLER_BACKENDS}"
+            f"choose from {BACKEND_CHOICES}"
         )
-    if backend == "loop":
-        return "loop"
-    if backend == "auto":
-        return preferred_batch_backend().name
-    return get_backend(backend).name
-
-
-class _FanInUniforms(FanInSource):
-    """Deprecated alias of :class:`~repro.sim.rng.FanInSource`.
-
-    The fan-in shim graduated into the first-class
-    :class:`~repro.sim.rng.UniformSource` API; this name survives one
-    release for code that constructed the private shim directly.
-    """
-
-    def __init__(self, generators):
-        warnings.warn(
-            "_FanInUniforms is deprecated; use repro.sim.rng.FanInSource",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(generators)
+    return "loop" if backend == "loop" else "vector"
 
 
 def _block_uniform_source(
@@ -173,9 +146,8 @@ def _model_key(system, costs) -> tuple:
 class _VectorGroup:
     """One compiled batch: devices sharing a group signature.
 
-    ``step_lanes`` is the resolved batch tier's bound stepper
-    (``VectorBackend.step_lanes`` or ``JitBackend.step_lanes``) — the
-    two are byte-identical, so the choice affects speed only.  The
+    Each lane block steps through the vector backend's
+    :meth:`~repro.sim.backends.vector.VectorBackend.step_lanes`.  The
     devices' rows in the fleet's column set are cached here, valid for
     the fleet version the group was built at.
     """
@@ -184,14 +156,12 @@ class _VectorGroup:
         self,
         fleet: Fleet,
         devices: list[Device],
-        step_lanes,
         chunk_slices: int,
         uniform_source: str = "auto",
         policy_signatures: dict | None = None,
     ):
         self.devices = devices
         self._columns, self._rows = fleet.rows_of(devices)
-        self._step_lanes = step_lanes
         self._chunk_slices = int(chunk_slices)
         self._uniform_source = uniform_source
         # One UniformSource per lane block, built lazily on the first
@@ -252,7 +222,7 @@ class _VectorGroup:
             start = columns.state[rows]
             lengths = np.full(len(rows), int(n_slices), dtype=np.int64)
             try:
-                acc = self._step_lanes(
+                acc = BACKENDS["vector"].step_lanes(
                     self.tables,
                     self.compiled,
                     self.policy_of_lane[base : base + len(rows)],
@@ -382,14 +352,10 @@ class FleetController:
     slices_per_tick:
         Slices every device advances per :meth:`step_tick`.
     backend:
-        ``"auto"`` (group vector-eligible devices through the
-        preferred batch tier — jit when numba imports, else vector —
-        and loop the rest), ``"loop"`` (everything through the
-        per-device loop — the benchmark baseline), ``"vector"``, or
-        ``"jit"`` (require every device to be vector-eligible;
-        ``"jit"`` additionally requires numba and fails with an
-        actionable message without it).  Vector and jit results are
-        byte-identical.
+        ``"auto"`` (group vector-eligible devices through the vector
+        backend and loop the rest), ``"loop"`` (everything through the
+        per-device loop — the benchmark baseline), or ``"vector"``
+        (require every device to be vector-eligible).
     chunk_slices:
         Pinned chunk length for the grouped batches (default
         :data:`FLEET_CHUNK_SLICES`).  Devices stepped under *the same
@@ -469,11 +435,7 @@ class FleetController:
             raise ValidationError(
                 f"slices_per_tick must be > 0, got {slices_per_tick}"
             )
-        if backend not in CONTROLLER_BACKENDS:
-            raise ValidationError(
-                f"unknown controller backend {backend!r}; "
-                f"choose from {CONTROLLER_BACKENDS}"
-            )
+        resolved_backend = resolve_backend_name(backend)
         telemetry_every = int(telemetry_every)
         if telemetry_every <= 0:
             raise ValidationError(
@@ -509,15 +471,7 @@ class FleetController:
         self._fleet = fleet
         self._slices_per_tick = slices_per_tick
         self._backend = backend
-        # Resolve the batch tier up front: a "jit" request on a machine
-        # without numba should fail at construction with the actionable
-        # registry message, not on the first tick.
-        if backend == "loop":
-            self._batch_backend = None
-        elif backend == "auto":
-            self._batch_backend = preferred_batch_backend()
-        else:
-            self._batch_backend = get_backend(backend)
+        self._resolved_backend = resolved_backend
         self._chunk_slices = chunk_slices
         self._uniform_source = uniform_source
         self._record_timing = bool(record_timing)
@@ -553,21 +507,18 @@ class FleetController:
 
     @property
     def backend(self) -> str:
-        """The requested stepping mode (``auto``/``loop``/``vector``/``jit``)."""
+        """The requested stepping mode (``auto``/``loop``/``vector``)."""
         return self._backend
 
     @property
     def resolved_backend(self) -> str:
-        """The batch tier the grouped hot path actually runs on.
+        """The backend the grouped hot path runs on.
 
-        ``"loop"`` when the controller loops everything, else the
-        resolved batch backend's registry name (``"vector"`` or
-        ``"jit"`` — what ``"auto"`` picked).  Stamped on every
-        telemetry snapshot so regressions can be attributed.
+        ``"loop"`` when the controller loops everything, else
+        ``"vector"``.  Stamped on every telemetry snapshot so
+        regressions can be attributed.
         """
-        if self._batch_backend is None:
-            return "loop"
-        return self._batch_backend.name
+        return self._resolved_backend
 
     @property
     def chunk_slices(self) -> int:
@@ -614,8 +565,8 @@ class FleetController:
         """A telemetry snapshot of the current fleet state.
 
         Stamped with :attr:`resolved_backend` — a pure function of the
-        controller's configuration and environment, so the snapshot
-        stays byte-identical across checkpoint/resume on one machine.
+        controller's configuration, so the snapshot stays
+        byte-identical across checkpoint/resume.
         """
         if per_device is None:
             per_device = self._telemetry_per_device
@@ -660,7 +611,6 @@ class FleetController:
             _VectorGroup(
                 self._fleet,
                 devices,
-                self._batch_backend.step_lanes,
                 self._chunk_slices,
                 self._uniform_source,
                 policy_signatures,
@@ -784,7 +734,7 @@ class FleetController:
         controller = cls(
             payload["fleet"],
             slices_per_tick=payload["slices_per_tick"],
-            backend=backend or payload["backend"],
+            backend=payload["backend"] if backend is None else backend,
             telemetry=telemetry,
             telemetry_every=(
                 payload["telemetry_every"]
@@ -798,7 +748,9 @@ class FleetController:
             ),
             chunk_slices=payload.get("chunk_slices"),
             uniform_source=(
-                uniform_source or payload.get("uniform_source", "auto")
+                payload.get("uniform_source", "auto")
+                if uniform_source is None
+                else uniform_source
             ),
             record_timing=record_timing,
             policy_cache=policy_cache,

@@ -363,7 +363,7 @@ class ShardSupervisor:
 
     @property
     def resolved_backend(self) -> str:
-        """The batch tier shards actually step on (telemetry stamp)."""
+        """The backend shards actually step on (telemetry stamp)."""
         return self._resolved_backend
 
     @property

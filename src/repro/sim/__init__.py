@@ -21,14 +21,10 @@ modes, behind pluggable backends (:mod:`repro.sim.backends`):
 from repro.sim.backends import (
     BACKEND_CHOICES,
     BACKENDS,
-    OPTIONAL_BACKEND_NAMES,
     LoopBackend,
     SimulationBackend,
     VectorBackend,
-    available_backends,
     get_backend,
-    jit_available,
-    preferred_batch_backend,
     resolve_backend,
 )
 from repro.sim.engine import (
@@ -67,13 +63,9 @@ __all__ = [
     "sample_categorical_batch",
     "BACKENDS",
     "BACKEND_CHOICES",
-    "OPTIONAL_BACKEND_NAMES",
     "SimulationBackend",
     "LoopBackend",
     "VectorBackend",
-    "available_backends",
     "get_backend",
-    "jit_available",
-    "preferred_batch_backend",
     "resolve_backend",
 ]

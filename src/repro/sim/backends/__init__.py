@@ -9,22 +9,14 @@ Backends are registered by name; callers normally go through
   a time.  Single runs of heuristic *and* stationary agents default
   here so existing seeded results stay bit-identical.
 * ``"vector"`` — compiled batch stepping for stationary Markov
-  policies.  ``auto`` selects the batch tier whenever a run is batched
-  (many replications, many policies, or many sessions) and every agent
-  is provably stationary; with a single lane the compiled stepper has
-  no batch to amortize over and the loop is faster.
-* ``"jit"`` — the numba-compiled chunk kernel
-  (:mod:`repro.sim.backends.jit`), byte-identical to ``"vector"`` and
-  roughly an order of magnitude faster.  Optional: it needs the
-  ``[jit]`` extra (``pip install repro-dpm[jit]``); ``auto`` prefers
-  it when numba imports and falls back to ``"vector"`` cleanly when it
-  does not.
+  policies.  ``auto`` selects it whenever a run is batched (many
+  replications, many policies, or many sessions) and every agent is
+  provably stationary; with a single lane the compiled stepper has no
+  batch to amortize over and the loop is faster.
 
-:func:`available_backends` reports which names are importable right
-now, and :func:`get_backend` raises an actionable
-:class:`~repro.util.validation.ValidationError` (listing what *is*
-available and how to install the rest) instead of a raw ImportError
-when an optional backend is requested on an environment that lacks it.
+:func:`get_backend` raises a
+:class:`~repro.util.validation.ValidationError` listing the accepted
+names for anything else.
 """
 
 from __future__ import annotations
@@ -39,55 +31,14 @@ from repro.sim.backends.loop import LoopBackend
 from repro.sim.backends.vector import CompiledPolicyBatch, VectorBackend
 from repro.util.validation import ValidationError
 
-#: Registry of always-available backend name -> singleton instance.
+#: Registry of backend name -> singleton instance.
 BACKENDS: dict[str, SimulationBackend] = {
     LoopBackend.name: LoopBackend(),
     VectorBackend.name: VectorBackend(),
 }
 
-#: Optional backends resolved lazily (importing numba is not free and
-#: must not be a hard requirement of ``import repro.sim``).
-OPTIONAL_BACKEND_NAMES = ("jit",)
-
-#: Names accepted by the ``backend=`` parameters and the CLI flag.
-#: Optional backends are always *accepted* — requesting one that is
-#: not importable fails with an actionable message at resolution time.
-BACKEND_CHOICES = ("auto", *BACKENDS, *OPTIONAL_BACKEND_NAMES)
-
-#: Cached JitBackend singleton (created on first successful lookup).
-_JIT_BACKEND: SimulationBackend | None = None
-
-
-def _jit_module():
-    """Import :mod:`repro.sim.backends.jit` (tolerates missing numba)."""
-    from repro.sim.backends import jit
-
-    return jit
-
-
-def jit_available() -> bool:
-    """True when the numba-compiled jit backend can actually run."""
-    return bool(_jit_module().NUMBA_AVAILABLE)
-
-
-def available_backends() -> dict[str, str | None]:
-    """Importability of every known backend.
-
-    Returns
-    -------
-    dict[str, str | None]
-        ``{name: None}`` for backends ready to use, ``{name: reason}``
-        for optional backends that cannot run in this environment.
-        Iteration order is the dispatch order ``auto`` considers.
-    """
-    report: dict[str, str | None] = {name: None for name in BACKENDS}
-    jit = _jit_module()
-    report["jit"] = None if jit.NUMBA_AVAILABLE else jit.UNAVAILABLE_REASON
-    return report
-
-
-def _usable_backend_names() -> list[str]:
-    return [name for name, reason in available_backends().items() if reason is None]
+#: Names accepted by every ``backend=`` parameter and CLI flag.
+BACKEND_CHOICES = ("auto", *BACKENDS)
 
 
 def get_backend(name: str) -> SimulationBackend:
@@ -96,35 +47,13 @@ def get_backend(name: str) -> SimulationBackend:
     Raises
     ------
     ValidationError
-        For unknown names, and for optional backends whose dependency
-        is missing — the message lists what is importable right now.
+        For unknown names; the message lists :data:`BACKEND_CHOICES`.
     """
-    global _JIT_BACKEND
     if name in BACKENDS:
         return BACKENDS[name]
-    if name == "jit":
-        jit = _jit_module()
-        if not jit.NUMBA_AVAILABLE:
-            raise ValidationError(
-                f"simulation backend 'jit' is unavailable: "
-                f"{jit.UNAVAILABLE_REASON}; available backends: "
-                f"{', '.join(_usable_backend_names())} (results are "
-                f"byte-identical across vector and jit)"
-            )
-        if _JIT_BACKEND is None:
-            _JIT_BACKEND = jit.JitBackend()
-        return _JIT_BACKEND
     raise ValidationError(
-        f"unknown simulation backend {name!r}; "
-        f"choose from {sorted((*BACKENDS, *OPTIONAL_BACKEND_NAMES))} or 'auto'"
+        f"unknown simulation backend {name!r}; choose from {BACKEND_CHOICES}"
     )
-
-
-def preferred_batch_backend() -> SimulationBackend:
-    """The batch tier ``auto`` resolves to: jit if importable, else vector."""
-    if jit_available():
-        return get_backend("jit")
-    return BACKENDS[VectorBackend.name]
 
 
 def resolve_backend(
@@ -135,7 +64,7 @@ def resolve_backend(
     Parameters
     ----------
     backend:
-        ``"auto"``, ``"loop"``, ``"vector"`` or ``"jit"``.
+        ``"auto"``, ``"loop"`` or ``"vector"``.
     agents:
         The agent(s) the run will simulate (a single agent or a
         sequence).
@@ -148,7 +77,7 @@ def resolve_backend(
         agents = [agents]
     if backend == "auto":
         if int(batch_size) > 1 and all(is_vectorizable(a) for a in agents):
-            return preferred_batch_backend()
+            return BACKENDS[VectorBackend.name]
         return BACKENDS[LoopBackend.name]
     chosen = get_backend(backend)
     for agent in agents:
@@ -163,16 +92,12 @@ def resolve_backend(
 __all__ = [
     "BACKENDS",
     "BACKEND_CHOICES",
-    "OPTIONAL_BACKEND_NAMES",
     "CompiledPolicyBatch",
     "LoopBackend",
     "SimulationBackend",
     "SimulationTables",
     "VectorBackend",
-    "available_backends",
     "get_backend",
     "is_vectorizable",
-    "jit_available",
-    "preferred_batch_backend",
     "resolve_backend",
 ]

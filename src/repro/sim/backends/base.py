@@ -146,7 +146,7 @@ class SimulationBackend(abc.ABC):
     ) -> SimulationResult:
         """Run one simulation of ``n_slices`` slices.
 
-        ``chunk_slices`` pins the batch tier's chunk length; backends
+        ``chunk_slices`` pins the vector backend's chunk length; backends
         without a chunked stepper accept and ignore it.
         """
 
@@ -210,7 +210,7 @@ class SimulationBackend(abc.ABC):
     ) -> dict[str, SampleStats]:
         """Estimate discounted totals via geometric-length sessions.
 
-        ``chunk_slices`` pins the batch tier's chunk length; backends
+        ``chunk_slices`` pins the vector backend's chunk length; backends
         without a chunked stepper accept and ignore it.
         """
 

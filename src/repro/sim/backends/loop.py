@@ -59,12 +59,7 @@ class LoopBackend(SimulationBackend):
         tables: SimulationTables | None = None,
         chunk_slices: int | None = None,
     ) -> SimulationResult:
-        del chunk_slices  # batch-tier knob; the per-slice loop has none
-        # Interface parity with the batch tiers' UniformSource support:
-        # a GeneratorSource unwraps to its single generator (the loop
-        # draws scalars and hands the rng to agents, so it needs the
-        # real Generator, not just the block protocol).
-        rng = getattr(rng, "generator", rng)
+        del chunk_slices  # batch-backend knob; the per-slice loop has none
         if tables is None:
             tables = SimulationTables.compile(system, costs)
         s, r, q = resolve_initial_state(system, initial_state)
@@ -161,7 +156,7 @@ class LoopBackend(SimulationBackend):
         max_session_slices: int | None = None,
         chunk_slices: int | None = None,
     ) -> dict[str, SampleStats]:
-        # chunk_slices is a batch-tier knob; the per-slice loop has no
+        # chunk_slices is a batch-backend knob; the per-slice loop has no
         # chunking to pin, so it is accepted for interface parity only.
         del chunk_slices
         rng = getattr(rng, "generator", rng)

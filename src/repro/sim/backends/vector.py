@@ -72,9 +72,8 @@ def resolve_chunk(
 ) -> int:
     """Slices the next chunk should step.
 
-    The shared chunk-sizing rule for every batch backend (vector and
-    jit step identical chunks so their uniform blocks — and therefore
-    their RNG streams and float-summation trees — coincide):
+    The chunk length fixes the uniform block each draw requests, and
+    therefore the RNG streams and float-summation trees:
 
     * ``chunk_slices`` pinned: exactly that many slices, capped by the
       longest remaining lane.  This is the power-user/fleet mode —
@@ -339,7 +338,7 @@ class VectorBackend(SimulationBackend):
         }
 
     # ------------------------------------------------------------------
-    # the stepping entry point (overridden by the jit tier)
+    # the stepping entry point
     # ------------------------------------------------------------------
     def step_lanes(
         self,
@@ -353,9 +352,9 @@ class VectorBackend(SimulationBackend):
     ) -> "_LaneAccumulators":
         """Advance every lane; see :func:`_step_lanes` for the contract.
 
-        Routing the batch APIs through this method is what lets
-        :class:`~repro.sim.backends.jit.JitBackend` reuse them wholesale
-        — it overrides only this hook with the compiled kernel.
+        The batch APIs and the fleet controller's grouped path all step
+        through this method, so it is the one place to observe (or
+        wrap) every kernel call.
         """
         return _step_lanes(
             tables,

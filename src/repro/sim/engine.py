@@ -16,16 +16,12 @@ CLI pipeline, benchmarks) routes through:
 * :func:`simulate_sessions` — geometric-session estimates of the
   discounted totals (paper Section IV).  For stationary policies the
   sessions are packed into the batch dimension and stepped by the
-  batch tier.
+  vector backend.
 
-Every function accepts ``backend`` in ``{"auto", "loop", "vector",
-"jit"}``; requesting ``"vector"``/``"jit"`` for an agent that is not
-provably stationary raises
-:class:`~repro.util.validation.ValidationError`, and requesting
-``"jit"`` without numba installed fails with a message listing the
-importable backends.  ``"auto"`` prefers the jit tier for batched
-stationary runs when numba imports and falls back to ``"vector"``
-(byte-identical results) when it does not.
+Every function accepts ``backend`` in ``{"auto", "loop", "vector"}``;
+requesting ``"vector"`` for an agent that is not provably stationary
+raises :class:`~repro.util.validation.ValidationError`.  ``"auto"``
+sends batched stationary runs to ``"vector"``.
 
 The batch entry points also expose ``chunk_slices``: the number of
 slices stepped per uniform-block draw.  ``None`` (default) keeps the
@@ -48,9 +44,9 @@ from repro.core.policy import MarkovPolicy
 from repro.core.system import PowerManagedSystem
 from repro.policies.base import PolicyAgent
 from repro.sim.backends import (
+    BACKENDS,
     get_backend,
     is_vectorizable,
-    preferred_batch_backend,
     resolve_backend,
 )
 from repro.sim.backends.base import resolve_initial_state
@@ -120,9 +116,9 @@ def simulate(
         defaults to all components in their first state, empty queue.
     backend:
         ``"auto"`` (the reference loop for single runs), ``"loop"``,
-        ``"vector"``, or ``"jit"`` (stationary policies only).
+        or ``"vector"`` (stationary policies only).
     chunk_slices:
-        Pin the batch tier's chunk length (see :func:`simulate_many`);
+        Pin the vector backend's chunk length (see :func:`simulate_many`);
         ignored by the loop backend.
     """
     n_slices = _check_n_slices(n_slices)
@@ -165,13 +161,12 @@ def simulate_many(
         uniforms each run consumes (the estimates stay exchangeable,
         the trajectories do not).
     backend:
-        ``"auto"`` (batch what can be proven stationary, when the run
-        is actually batched, through the preferred batch tier — jit if
-        numba imports, else vector), ``"loop"`` (everything through
-        the reference loop), or ``"vector"``/``"jit"`` (require every
-        agent to be stationary).
+        ``"auto"`` (batch what can be proven stationary through the
+        vector backend, when the run is actually batched), ``"loop"``
+        (everything through the reference loop), or ``"vector"``
+        (require every agent to be stationary).
     chunk_slices:
-        Pin the batch tier's chunk length (slices per uniform-block
+        Pin the vector backend's chunk length (slices per uniform-block
         draw) instead of the lane-count-scaled heuristic.  Integer
         trajectories and counters are chunk-invariant; float metric
         totals are bitwise-reproducible only for a *fixed* pin (see
@@ -192,11 +187,10 @@ def simulate_many(
     if not resolved:
         return []
 
-    batch_backend = None
-    if backend in ("vector", "jit"):
-        batch_backend = get_backend(backend)
+    vector = BACKENDS["vector"]
+    if backend == "vector":
         for agent in resolved:
-            if not batch_backend.supports(agent):
+            if not vector.supports(agent):
                 raise ValidationError(
                     f"backend {backend!r} does not support "
                     f"{agent.describe()}; use backend='loop'"
@@ -212,8 +206,6 @@ def simulate_many(
         # loop, consistent with resolve_backend() and simulate().
         if len(vector_idx) * n_replications <= 1:
             vector_idx = []
-        if vector_idx:
-            batch_backend = preferred_batch_backend()
     else:
         get_backend(backend)  # raises with the canonical message
         vector_idx = []
@@ -229,7 +221,7 @@ def simulate_many(
         policies = [
             resolved[i].stationary_policy(system) for i in vector_idx
         ]
-        batched = batch_backend.simulate_batch(
+        batched = vector.simulate_batch(
             system,
             costs,
             policies,
@@ -319,9 +311,9 @@ def simulate_sessions(
         Optional cap on a single session's length (guards runaway
         budgets when ``gamma`` is very close to one).
     backend:
-        ``"auto"``, ``"loop"``, ``"vector"``, or ``"jit"``.
+        ``"auto"``, ``"loop"``, or ``"vector"``.
     chunk_slices:
-        Pin the batch tier's chunk length (see :func:`simulate_many`);
+        Pin the vector backend's chunk length (see :func:`simulate_many`);
         ignored by the loop backend.
     """
     gamma = check_probability(gamma, "gamma")

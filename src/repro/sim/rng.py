@@ -10,17 +10,14 @@ first-class form of the ``random(shape)`` contract the batch kernels
 consume.  A source produces ``(chunk, kinds, lanes)`` uniform blocks;
 *which stream* each lane draws from is the source's business:
 
-* :class:`GeneratorSource` — every lane shares one generator (the
-  single-stream semantics of passing a bare ``Generator``);
+* a plain :class:`numpy.random.Generator` — every lane shares one
+  stream (it satisfies the protocol structurally);
 * :class:`FanInSource` — lane ``l`` draws from its own device
   generator, serially (the reference fleet fan-in, with shape
-  validation and an optional process pool);
+  validation);
 * :class:`~repro.sim.rng_batched.BatchedPCG64Source` — the vectorized
   PCG64 implementation, byte-identical to :class:`FanInSource` for
   PCG64 streams at a fraction of the per-device overhead.
-
-A plain :class:`numpy.random.Generator` satisfies the protocol
-structurally, so existing call sites keep working unchanged.
 
 The module also owns the shared categorical-sampling semantics: a
 distribution is compiled once into a normalized cumulative row
@@ -46,7 +43,6 @@ from repro.util.validation import ValidationError
 
 __all__ = [
     "FanInSource",
-    "GeneratorSource",
     "UniformSource",
     "categorical_cumsum",
     "child_rngs",
@@ -61,10 +57,11 @@ __all__ = [
 class UniformSource(Protocol):
     """Anything that can fill a ``(chunk, kinds, lanes)`` uniform block.
 
-    The batch kernels (:func:`repro.sim.backends.vector.step_lanes` and
-    the jit rendition) are generic over this protocol: they request one
-    float64 block of uniforms in ``[0, 1)`` per chunk and never touch
-    generator state directly.  Implementations define the stream
+    The batch kernel
+    (:meth:`repro.sim.backends.vector.VectorBackend.step_lanes`) is
+    generic over this protocol: it requests one float64 block of
+    uniforms in ``[0, 1)`` per chunk and never touches generator state
+    directly.  Implementations define the stream
     topology — one shared stream, one private stream per lane, or a
     vectorized stack of per-lane streams — and own the consistency of
     any backing :class:`numpy.random.Generator` objects.
@@ -121,42 +118,6 @@ def _validate_block_shape(
     return chunk, kinds, lanes
 
 
-class GeneratorSource:
-    """A :class:`UniformSource` over one shared generator.
-
-    Wraps the classic single-stream semantics (every lane draws from
-    the same ``Generator``) in the protocol's explicit form.  The
-    wrapped generator stays authoritative: draws go straight through,
-    so interleaving direct generator use with source use is safe.
-    """
-
-    def __init__(self, generator: np.random.Generator):
-        self._generator = generator
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The wrapped generator (authoritative stream state)."""
-        return self._generator
-
-    def random(self, shape) -> np.ndarray:
-        """Draw ``shape`` uniforms from the shared stream."""
-        return self._generator.random(shape)
-
-
-def _fan_in_band(generators, chunk: int, n_kinds: int):
-    """Pool-worker task: serial fan-in over one band of generators.
-
-    Receives pickled generator copies, draws each lane's block, and
-    returns the block *plus the advanced generators* so the parent can
-    restore stream state — the band round-trips bitwise because
-    generator pickling is exact.
-    """
-    out = np.empty((chunk, n_kinds, len(generators)))
-    for lane, generator in enumerate(generators):
-        out[:, :, lane] = generator.random((chunk, n_kinds))
-    return out, generators
-
-
 class FanInSource:
     """Per-lane fan-in: lane ``l`` draws from its own device generator.
 
@@ -182,12 +143,6 @@ class FanInSource:
     max_chunk:
         Declared chunk cap (the controller's pinned ``chunk_slices``);
         oversized requests are rejected the same way.
-    processes:
-        Fan the serial loop out across a process pool in bands (device
-        streams are independent, so banding is bitwise neutral).  Only
-        worth it for very large lane counts on multi-core machines —
-        each call ships generator state both ways.  ``None`` (default)
-        keeps the in-process loop.
     """
 
     def __init__(
@@ -195,19 +150,10 @@ class FanInSource:
         generators,
         n_kinds: int | None = None,
         max_chunk: int | None = None,
-        processes: int | None = None,
     ):
         self._generators = list(generators)
         self._n_kinds = None if n_kinds is None else int(n_kinds)
         self._max_chunk = None if max_chunk is None else int(max_chunk)
-        if processes is not None:
-            processes = int(processes)
-            if processes <= 0:
-                raise ValidationError(
-                    f"processes must be > 0, got {processes}"
-                )
-        self._processes = processes
-        self._executor = None
 
     @property
     def generators(self) -> list:
@@ -219,70 +165,15 @@ class FanInSource:
         """Number of lanes served."""
         return len(self._generators)
 
-    def _pool(self):
-        if self._executor is None:
-            import concurrent.futures
-            import multiprocessing
-
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self._processes, mp_context=context
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the worker pool, if one was started."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "FanInSource":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def random(self, shape) -> np.ndarray:
         """Fill a ``(chunk, kinds, lanes)`` block, one lane per stream."""
-        chunk, n_kinds, n_lanes = _validate_block_shape(
+        chunk, n_kinds, _ = _validate_block_shape(
             shape, len(self._generators), self._n_kinds, self._max_chunk,
             type(self).__name__,
         )
-        if self._processes is not None and n_lanes > self._processes:
-            return self._random_pooled(chunk, n_kinds, n_lanes)
         out = np.empty(shape)
         for lane, generator in enumerate(self._generators):
             out[:, :, lane] = generator.random((chunk, n_kinds))
-        return out
-
-    def _random_pooled(
-        self, chunk: int, n_kinds: int, n_lanes: int
-    ) -> np.ndarray:
-        """Banded pool fan-in; restores advanced generator state."""
-        band = -(-n_lanes // self._processes)  # ceil division
-        bounds = [
-            (lo, min(lo + band, n_lanes)) for lo in range(0, n_lanes, band)
-        ]
-        futures = [
-            self._pool().submit(
-                _fan_in_band, self._generators[lo:hi], chunk, n_kinds
-            )
-            for lo, hi in bounds
-        ]
-        out = np.empty((chunk, n_kinds, n_lanes))
-        for (lo, hi), future in zip(bounds, futures):
-            block, advanced = future.result()
-            out[:, :, lo:hi] = block
-            # The parent's generator objects stay canonical: copy the
-            # advanced bit-generator state back instead of swapping in
-            # the pickled copies (devices hold references to ours).
-            for lane, worker_generator in zip(range(lo, hi), advanced):
-                self._generators[lane].bit_generator.state = (
-                    worker_generator.bit_generator.state
-                )
         return out
 
 

@@ -5,10 +5,9 @@ Subcommands:
 * ``optimize SPEC.json [--trace TRACE.txt]`` — run the Fig. 7 pipeline
   on a system spec (extracting the workload model from the trace when
   one is given) and print the optimal policy and verification summary;
-  ``--backend {auto,loop,vector,jit}`` picks the simulation backend
-  (``jit`` needs the optional numba extra; ``repro-dpm backends``
-  shows what is importable), ``--chunk-slices`` pins the batch tier's
-  chunk length, and ``--lp-backend`` the LP solver;
+  ``--backend {auto,loop,vector}`` picks the simulation backend,
+  ``--chunk-slices`` pins the vector backend's chunk length, and
+  ``--lp-backend`` the LP solver;
 * ``pareto SPEC.json --constraint penalty --bounds 0.1,0.2,0.5`` —
   sweep a constraint through the incremental sweep engine (bound
   dedupe, feasibility bracketing, warm-started re-solves) and print the
@@ -26,7 +25,7 @@ Subcommands:
   workloads x agents; ``--telemetry`` streams JSON-lines snapshots,
   ``--checkpoint`` saves resumable state each run and ``--resume``
   continues a saved campaign; ``--backend`` picks grouped batch
-  stepping (``auto``/``vector``/``jit``) vs the per-device loop and
+  stepping (``auto``/``vector``) vs the per-device loop and
   ``--timing`` stamps telemetry with per-tick wall-clock;
 * ``serve SPEC.json --socket /tmp/fleet.sock --shards 4`` — run the
   sharded fleet daemon (:mod:`repro.service`): the fleet is dealt
@@ -52,12 +51,11 @@ Subcommands:
 * ``extract TRACE.txt --resolution 0.001 --memory 2`` — run just the
   SR extractor and print the fitted model;
 * ``lint [PATHS...]`` — run the :mod:`repro.lint` determinism &
-  backend-parity static analyzer (RNG threading, ``@njit`` kernel
-  purity, hash stability, float determinism, telemetry/checkpoint
-  schema drift); ``--json`` emits the machine-readable report,
-  ``--select`` runs a rule subset and ``--list-rules`` documents the
-  battery.  Exit code 0 means clean, 1 means findings, 2 means the
-  run itself failed.
+  backend-parity static analyzer (RNG threading, hash stability,
+  float determinism, telemetry/checkpoint schema drift); ``--json``
+  emits the machine-readable report, ``--select`` runs a rule subset
+  and ``--list-rules`` documents the battery.  Exit code 0 means
+  clean, 1 means findings, 2 means the run itself failed.
 """
 
 from __future__ import annotations
@@ -71,8 +69,8 @@ import numpy as np
 from repro.core.pareto import simulate_curve
 from repro.experiments import available_experiments, run_experiment
 from repro.lint.cli import add_lint_arguments, run_lint
-from repro.runtime.controller import CONTROLLER_BACKENDS, UNIFORM_SOURCES
-from repro.sim.backends import BACKEND_CHOICES, available_backends
+from repro.runtime.controller import UNIFORM_SOURCES
+from repro.sim.backends import BACKEND_CHOICES
 from repro.sim.rng import make_rng
 from repro.tool.pipeline import run_pipeline, sweep_tradeoff
 from repro.tool.spec import load_spec
@@ -116,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="pin the batch tier's chunk length (slices per uniform "
+        help="pin the vector backend's chunk length (slices per uniform "
         "draw); float totals are bitwise-reproducible only for a fixed "
         "pin (default: lane-count-scaled heuristic)",
     )
@@ -190,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="pin the batch tier's chunk length for --simulate "
+        help="pin the vector backend's chunk length for --simulate "
         "(default: lane-count-scaled heuristic)",
     )
     p_pareto.add_argument(
@@ -245,10 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_fleet.add_argument(
         "--backend",
-        default="auto",
-        choices=CONTROLLER_BACKENDS,
-        help="fleet stepping mode: grouped batches (auto/vector/jit; "
-        "jit needs the numba extra) or the per-device reference loop",
+        default=None,
+        choices=BACKEND_CHOICES,
+        help="fleet stepping mode: grouped batches (auto/vector) or the "
+        "per-device reference loop (default: auto; on --resume, the "
+        "checkpoint's value)",
     )
     p_fleet.add_argument(
         "--chunk-slices",
@@ -261,12 +260,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_fleet.add_argument(
         "--uniform-source",
-        default="auto",
+        default=None,
         choices=UNIFORM_SOURCES,
         help="per-lane uniform producer for grouped batches: auto "
         "(vectorized batched PCG64 where byte-identical, serial "
         "fan-in otherwise), fanin, or batched (require the "
-        "vectorized path); affects speed only, never results",
+        "vectorized path); affects speed only, never results "
+        "(default: auto; on --resume, the checkpoint's value)",
     )
     p_fleet.add_argument(
         "--timing",
@@ -341,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--backend",
-        default="auto",
-        choices=CONTROLLER_BACKENDS,
+        default=None,
+        choices=BACKEND_CHOICES,
         help="per-shard fleet stepping mode (as for the fleet command)",
     )
     p_serve.add_argument(
@@ -354,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--uniform-source",
-        default="auto",
+        default=None,
         choices=UNIFORM_SOURCES,
         help="per-lane uniform producer for grouped batches "
         "(as for the fleet command)",
@@ -553,11 +553,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "path", help="checkpoint path (on the daemon's filesystem)"
     )
     ctl_sub.add_parser("shutdown", help="stop the daemon")
-
-    sub.add_parser(
-        "backends",
-        help="list simulation backends and whether each is importable",
-    )
 
     p_lint = sub.add_parser(
         "lint",
@@ -826,15 +821,6 @@ def _cmd_experiment(args) -> int:
     return exit_code
 
 
-def _cmd_backends(args) -> int:
-    """Print every known simulation backend and its importability."""
-    rows = []
-    for name, reason in available_backends().items():
-        rows.append((name, "available" if reason is None else f"unavailable: {reason}"))
-    print(format_table(["backend", "status"], rows, title="simulation backends"))
-    return 0
-
-
 def _cmd_fleet(args) -> int:
     import json as _json
 
@@ -856,12 +842,8 @@ def _cmd_fleet(args) -> int:
                 telemetry=telemetry,
                 telemetry_every=args.telemetry_every,
                 telemetry_per_device=args.per_device or None,
-                backend=args.backend if args.backend != "auto" else None,
-                uniform_source=(
-                    args.uniform_source
-                    if args.uniform_source != "auto"
-                    else None
-                ),
+                backend=args.backend,
+                uniform_source=args.uniform_source,
                 record_timing=args.timing,
             )
             cache = None
@@ -889,12 +871,12 @@ def _cmd_fleet(args) -> int:
             controller = FleetController(
                 fleet,
                 slices_per_tick=slices_per_tick,
-                backend=args.backend,
+                backend=args.backend or "auto",
                 telemetry=telemetry,
                 telemetry_every=args.telemetry_every,
                 telemetry_per_device=args.per_device,
                 chunk_slices=args.chunk_slices,
-                uniform_source=args.uniform_source,
+                uniform_source=args.uniform_source or "auto",
                 record_timing=args.timing,
                 policy_cache=cache,
             )
@@ -988,21 +970,22 @@ def _cmd_serve(args) -> int:
     tick = 0
     next_group_index = 0
     slices_per_tick = args.slices_per_tick or 1000
-    backend = args.backend
+    backend = args.backend or "auto"
     chunk_slices = args.chunk_slices
-    uniform_source = args.uniform_source
+    uniform_source = args.uniform_source or "auto"
     per_device = args.per_device
     if args.resume:
         payload = load_checkpoint(args.resume)
         fleet = payload["fleet"]
         tick = payload["tick"]
         slices_per_tick = payload["slices_per_tick"]
-        backend = payload["backend"]
         chunk_slices = payload["chunk_slices"]
-        # Speed knob, not a determinism pin: an explicit flag wins over
-        # the checkpoint's saved producer (pre-knob checkpoints resume
-        # as "auto").
-        if uniform_source == "auto":
+        # Speed knobs, not determinism pins: a flag the user gives wins
+        # over the checkpoint's saved value (pre-knob checkpoints
+        # resume with uniform_source "auto").
+        if args.backend is None:
+            backend = payload["backend"]
+        if args.uniform_source is None:
             uniform_source = payload.get("uniform_source", "auto")
         # Like `fleet --resume`: the flag can force per-device snapshots
         # on, but when absent the checkpoint's setting carries over so a
@@ -1301,7 +1284,6 @@ def main(argv=None) -> int:
         "fleet-ctl": _cmd_fleet_ctl,
         "fit": _cmd_fit,
         "extract": _cmd_extract,
-        "backends": _cmd_backends,
         "lint": run_lint,
     }
     try:

@@ -242,10 +242,10 @@ def run_pipeline(
         ``"discounted"`` (paper Eq. 9) or ``"average"`` (paper Eq. 7).
     sim_backend:
         Simulation backend for the Markov verification run
-        (``"auto"``, ``"loop"``, ``"vector"`` or ``"jit"``, see
+        (``"auto"``, ``"loop"`` or ``"vector"``, see
         :mod:`repro.sim.backends`).
     chunk_slices:
-        Pin the batch tier's chunk length for the verification run
+        Pin the vector backend's chunk length for the verification run
         (see :func:`repro.sim.engine.simulate_many`); ignored by the
         loop backend.
     """

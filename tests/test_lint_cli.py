@@ -57,7 +57,7 @@ class TestExitCodes:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RNG001", "KRN001", "HSH001", "FLT001", "SCH001"):
+        for rule_id in ("RNG001", "HSH001", "FLT001", "SCH001"):
             assert rule_id in out
 
 

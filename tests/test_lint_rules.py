@@ -337,149 +337,6 @@ class TestUnthreadedGenerator:
 
 
 # ----------------------------------------------------------------------
-# KRN001/KRN002/KRN003 — @njit kernel purity
-# ----------------------------------------------------------------------
-class TestKernelPurity:
-    def test_in_kernel_generator_construction_fires(self):
-        matching = assert_fires(
-            """\
-            import numpy as np
-            from numba import njit
-
-            @njit(cache=True)
-            def kernel(out):
-                rng = np.random.default_rng(0)
-                for i in range(out.shape[0]):
-                    out[i] = rng.random()
-            """,
-            "KRN001",
-            line=6,
-        )
-        assert "random state" in matching[0].message
-
-    def test_kernel_draw_method_fires(self):
-        assert_fires(
-            """\
-            from numba import njit
-
-            @njit
-            def kernel(rng, out):
-                out[0] = rng.random()
-            """,
-            "KRN001",
-            line=5,
-        )
-
-    def test_global_declaration_fires(self):
-        assert_fires(
-            """\
-            from numba import njit
-
-            _CALLS = 0
-
-            @njit
-            def kernel(x):
-                global _CALLS
-                _CALLS += 1
-                return x + _CALLS
-            """,
-            "KRN002",
-            line=7,
-        )
-
-    def test_non_whitelisted_numpy_op_fires(self):
-        assert_fires(
-            """\
-            import numpy as np
-            from numba import njit
-
-            @njit
-            def kernel(values):
-                return np.unique(values)
-            """,
-            "KRN003",
-            line=6,
-        )
-
-    def test_object_construct_fires(self):
-        assert_fires(
-            """\
-            from numba import njit
-
-            @njit
-            def kernel(x):
-                table = {"a": x}
-                return table["a"]
-            """,
-            "KRN003",
-            line=5,
-        )
-
-    def test_call_graph_reaches_helper(self):
-        matching = assert_fires(
-            """\
-            import numpy as np
-            from numba import njit
-
-            def helper(values):
-                return np.unique(values)
-
-            @njit
-            def kernel(values):
-                return helper(values)
-            """,
-            "KRN003",
-            line=5,
-        )
-        assert "reached from @njit kernel kernel()" in matching[0].message
-
-    def test_fallback_shim_name_detected(self):
-        # the jit module's ``_numba_njit`` degradation shim counts
-        assert_fires(
-            """\
-            from numba import njit as _numba_njit
-
-            @_numba_njit(cache=True, nogil=True)
-            def kernel(x):
-                out = {1, 2}
-                return x in out
-            """,
-            "KRN003",
-        )
-
-    def test_clean_scalar_kernel(self):
-        assert_clean(
-            """\
-            import numpy as np
-            from numba import njit
-
-            @njit(cache=True, nogil=True)
-            def kernel(flat, value):
-                lo = 0
-                hi = flat.shape[0]
-                while lo < hi:
-                    mid = (lo + hi) >> 1
-                    if flat[mid] <= value:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                buffer = np.zeros(4)
-                return lo + buffer.shape[0]
-            """
-        )
-
-    def test_non_kernel_function_unconstrained(self):
-        assert_clean(
-            """\
-            import numpy as np
-
-            def host(values):
-                return np.unique(values)
-            """
-        )
-
-
-# ----------------------------------------------------------------------
 # HSH001/HSH002 — hash stability
 # ----------------------------------------------------------------------
 class TestHashStability:
@@ -794,11 +651,11 @@ class TestSuppressions:
             """\
             import numpy as np
 
-            np.random.seed(0)  # repro-lint: disable=RNG001,KRN001
+            np.random.seed(0)  # repro-lint: disable=RNG001,HSH001
             """
         )
         assert rule_ids(findings) == [UNUSED_SUPPRESSION_ID]
-        assert "KRN001" in findings[0].message
+        assert "HSH001" in findings[0].message
 
 
 # ----------------------------------------------------------------------

@@ -51,17 +51,3 @@ def test_planted_legacy_seed_is_caught():
     line = planted.count("\n")  # the seed call is the final line
     findings = lint_source("rng.py", planted)
     assert [(f.rule_id, f.line) for f in findings] == [("RNG001", line)]
-
-
-def test_planted_in_kernel_generator_is_caught():
-    source = (SRC / "repro" / "sim" / "backends" / "jit.py").read_text()
-    planted = source + (
-        "\n\n@_numba_njit(cache=True, nogil=True)\n"
-        "def _planted_kernel(out):\n"
-        "    rng = np.random.default_rng(0)\n"
-        "    out[0] = rng.random()\n"
-    )
-    findings = lint_source("jit.py", planted)
-    krn = [f for f in findings if f.rule_id == "KRN001"]
-    assert len(krn) == 2  # construction + draw
-    assert krn[0].line == planted.count("\n") - 1

@@ -488,6 +488,37 @@ class TestTelemetry:
         assert len(synced) == 3
 
 
+class TestTimingTelemetry:
+    """The opt-in wall-clock stamp and the backend stamp."""
+
+    def _controller(self, example_bundle, eager_policy, **kwargs):
+        fleet = Fleet()
+        for i in range(3):
+            _stationary_device(
+                example_bundle, eager_policy, fleet, f"dev-{i}", 0, i
+            )
+        return FleetController(fleet, slices_per_tick=100, **kwargs)
+
+    def test_timing_off_by_default(self, example_bundle, eager_policy):
+        controller = self._controller(example_bundle, eager_policy)
+        record = controller.step_tick()
+        assert "timing" not in record
+        assert controller.last_timing is None
+
+    def test_timing_opt_in(self, example_bundle, eager_policy):
+        controller = self._controller(example_bundle, eager_policy, record_timing=True)
+        record = controller.step_tick()
+        timing = record["timing"]
+        assert set(timing) == {"tick_seconds", "step_seconds", "solve_seconds"}
+        assert timing["tick_seconds"] >= timing["step_seconds"] >= 0.0
+        assert timing["solve_seconds"] == 0.0  # no policy cache attached
+        assert controller.last_timing == timing
+
+    def test_snapshot_always_stamps_backend(self, example_bundle, eager_policy):
+        controller = self._controller(example_bundle, eager_policy)
+        assert controller.snapshot()["backend"] == controller.resolved_backend
+
+
 def _mixed_fleet(example_bundle, eager_policy):
     """All three stepping paths: vector group, loop, stream-driven."""
     fleet = Fleet()

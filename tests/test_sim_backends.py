@@ -5,7 +5,8 @@ Three layers of guarantees:
 1. **Golden byte-for-byte**: the loop path must reproduce the exact
    pre-refactor engine output for fixed seeds (hex-encoded floats
    captured from the seed revision) — heuristic agents, stationary
-   agents, randomized policies, and session mode.
+   agents, randomized policies, and session mode — and one seeded
+   vector batch (plus one vector session run) is pinned the same way.
 2. **Common random numbers**: on an always-issuing workload with a
    fully randomized policy, the loop and vector backends consume
    uniforms in the same order, so a single-lane vector run reproduces
@@ -15,6 +16,8 @@ Three layers of guarantees:
    closed-form policy evaluation and with loop replications within
    Monte-Carlo tolerance.
 """
+
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -43,6 +46,7 @@ from repro.sim import (
     simulate_replications,
     simulate_sessions,
 )
+from repro.sim.rng import child_rngs
 from repro.systems import disk_drive, example_system
 from repro.util.validation import ValidationError
 
@@ -203,6 +207,41 @@ def _randomized_policy(system, seed=0):
     return MarkovPolicy(rows, ("s_on", "s_off"))
 
 
+def _randomized_policies(system, n, seed=0):
+    return [_randomized_policy(system, seed + i) for i in range(n)]
+
+
+def _assert_identical(a, b):
+    """Field-by-field byte identity of two SimulationResults."""
+    assert a.totals == b.totals
+    assert a.averages == b.averages
+    assert (
+        a.arrivals,
+        a.serviced,
+        a.lost,
+        a.loss_event_slices,
+        a.final_state,
+        a.n_slices,
+    ) == (
+        b.arrivals,
+        b.serviced,
+        b.lost,
+        b.loss_event_slices,
+        b.final_state,
+        b.n_slices,
+    )
+    assert a.command_counts.tolist() == b.command_counts.tolist()
+    assert a.provider_occupancy.tolist() == b.provider_occupancy.tolist()
+
+
+def _assert_batches_identical(batch_a, batch_b):
+    assert len(batch_a) == len(batch_b)
+    for reps_a, reps_b in zip(batch_a, batch_b):
+        assert len(reps_a) == len(reps_b)
+        for a, b in zip(reps_a, reps_b):
+            _assert_identical(a, b)
+
+
 class TestCommonRandomNumbers:
     """Exact-distribution check: identical uniforms, identical paths."""
 
@@ -355,16 +394,11 @@ class TestDispatch:
         assert resolve_backend("auto", agent, batch_size=1).name == "loop"
 
     def test_auto_batched_stationary_is_batch_tier(self):
-        # "auto" resolves batched stationary runs to the preferred batch
-        # tier: jit when numba imports, vector otherwise.
-        from repro.sim import jit_available
-
-        expected = "jit" if jit_available() else "vector"
         system, _ = _crn_system()
         agent = StationaryPolicyAgent(system, _randomized_policy(system))
-        assert resolve_backend("auto", agent, batch_size=32).name == expected
+        assert resolve_backend("auto", agent, batch_size=32).name == "vector"
         assert resolve_backend("auto", ConstantAgent(0), batch_size=8).name == (
-            expected
+            "vector"
         )
 
     def test_auto_batched_heuristic_is_loop(self):
@@ -399,6 +433,10 @@ class TestDispatch:
     def test_registry(self):
         assert isinstance(get_backend("loop"), LoopBackend)
         assert isinstance(get_backend("vector"), VectorBackend)
+
+    def test_unknown_backend_error_lists_choices(self):
+        with pytest.raises(ValidationError, match="auto.*loop.*vector"):
+            get_backend("jit")
 
     def test_vector_backend_requires_matching_policy_shape(self):
         bundle = example_system.build()
@@ -562,3 +600,182 @@ class TestSessionDispatch:
         assert loop_stats[POWER].mean == pytest.approx(
             vec_stats[POWER].mean, rel=0.15
         )
+
+
+class TestGoldenHex:
+    """Seeded CRN values pinned from the vector backend."""
+
+    GOLDEN: ClassVar[list[dict]] = [
+        {
+            "totals": {
+                "power": "0x1.67a8000000000p+13",
+                "penalty": "0x1.76d8000000000p+13",
+                "loss": "0x1.f3c0000000000p+11",
+                "overflow": "0x1.282733333334cp+12",
+            },
+            "counters": (5582, 885, 4694, 3998),
+            "commands": [2267, 1733],
+            "occupancy": [1760, 2240],
+            "final": (1, 1, 3),
+        },
+        {
+            "totals": {
+                "power": "0x1.61d0000000000p+13",
+                "penalty": "0x1.76e0000000000p+13",
+                "loss": "0x1.f3c0000000000p+11",
+                "overflow": "0x1.29ce66666667cp+12",
+            },
+            "counters": (5601, 858, 4740, 3998),
+            "commands": [2269, 1731],
+            "occupancy": [1684, 2316],
+            "final": (1, 0, 3),
+        },
+        {
+            "totals": {
+                "power": "0x1.4e84000000000p+13",
+                "penalty": "0x1.76e0000000000p+13",
+                "loss": "0x1.f3c0000000000p+11",
+                "overflow": "0x1.3104cccccccedp+12",
+            },
+            "counters": (5591, 687, 4901, 3998),
+            "commands": [2017, 1983],
+            "occupancy": [1541, 2459],
+            "final": (1, 0, 3),
+        },
+        {
+            "totals": {
+                "power": "0x1.4d38000000000p+13",
+                "penalty": "0x1.76d0000000000p+13",
+                "loss": "0x1.f3a0000000000p+11",
+                "overflow": "0x1.336a66666668fp+12",
+            },
+            "counters": (5557, 662, 4892, 3997),
+            "commands": [2033, 1967],
+            "occupancy": [1409, 2591],
+            "final": (1, 1, 3),
+        },
+    ]
+
+    def test_seeded_batch_matches_golden(self):
+        system, costs = _crn_system()
+        results = VectorBackend().simulate_batch(
+            system,
+            costs,
+            _randomized_policies(system, 2),
+            4_000,
+            make_rng(321),
+            n_replications=2,
+        )
+        flat = [r for reps in results for r in reps]
+        assert len(flat) == len(self.GOLDEN)
+        for result, golden in zip(flat, self.GOLDEN):
+            assert result.totals == _hex(golden["totals"])
+            assert (
+                result.arrivals,
+                result.serviced,
+                result.lost,
+                result.loss_event_slices,
+            ) == golden["counters"]
+            assert result.command_counts.tolist() == golden["commands"]
+            assert result.provider_occupancy.tolist() == golden["occupancy"]
+            assert result.final_state == golden["final"]
+
+    def test_seeded_sessions_match_golden(self):
+        system, costs = _crn_system()
+        agent = StationaryPolicyAgent(system, _randomized_policy(system))
+        stats = VectorBackend().simulate_sessions(
+            system, costs, agent, 0.95, 48, make_rng(77)
+        )
+        golden = {
+            "loss": ("0x1.1aaaaaaaaaaabp+4", "0x1.6621f830066aap+1"),
+            "overflow": ("0x1.51ad3a06d3a08p+4", "0x1.acf209521e31bp+1"),
+            "penalty": ("0x1.bd80000000000p+5", "0x1.0d32849b953a8p+3"),
+            "power": ("0x1.d3eaaaaaaaaabp+5", "0x1.ec8ec6084c7e3p+2"),
+        }
+        assert set(stats) == set(golden)
+        for name, (mean_hex, stderr_hex) in golden.items():
+            assert stats[name].mean == float.fromhex(mean_hex)
+            assert stats[name].stderr == float.fromhex(stderr_hex)
+
+
+class TestChunkKnob:
+    """The documented chunk_slices reproducibility contract."""
+
+    def test_integer_trajectories_chunk_invariant(self):
+        system, costs = _crn_system()
+        policies = _randomized_policies(system, 2)
+        runs = [
+            VectorBackend().simulate_batch(
+                system, costs, policies, 1_500, make_rng(13),
+                n_replications=2, chunk_slices=pin,
+            )
+            for pin in (16, 250, None)
+        ]
+        reference = runs[0]
+        for other in runs[1:]:
+            for reps_a, reps_b in zip(reference, other):
+                for a, b in zip(reps_a, reps_b):
+                    # Uniform consumption is (slice, kind, lane)-ordered
+                    # regardless of chunking: every integer observable
+                    # is identical...
+                    assert (
+                        a.arrivals,
+                        a.serviced,
+                        a.lost,
+                        a.loss_event_slices,
+                        a.final_state,
+                    ) == (
+                        b.arrivals,
+                        b.serviced,
+                        b.lost,
+                        b.loss_event_slices,
+                        b.final_state,
+                    )
+                    assert a.command_counts.tolist() == b.command_counts.tolist()
+                    # ...while float totals only agree to summation-order
+                    # precision across *different* pins.
+                    for name in a.totals:
+                        assert a.totals[name] == pytest.approx(
+                            b.totals[name], rel=1e-9
+                        )
+
+    def test_chunk_slices_must_be_positive(self):
+        system, costs = _crn_system()
+        with pytest.raises(ValidationError, match="chunk_slices"):
+            VectorBackend().simulate_batch(
+                system,
+                costs,
+                [_randomized_policy(system)],
+                100,
+                make_rng(0),
+                n_replications=2,
+                chunk_slices=0,
+            )
+
+    def test_engine_threads_chunk_slices(self):
+        system, costs = _crn_system()
+        policies = _randomized_policies(system, 2)
+        threaded = simulate_many(
+            system, costs, policies, 1_000, make_rng(9),
+            n_replications=2, backend="vector", chunk_slices=33,
+        )
+        # simulate_many consumes one child stream for the batch; feed
+        # the direct run the same child to compare bitwise.
+        direct = VectorBackend().simulate_batch(
+            system, costs, policies, 1_000, child_rngs(make_rng(9), 1)[0],
+            n_replications=2, chunk_slices=33,
+        )
+        _assert_batches_identical(direct, threaded)
+
+    def test_engine_sessions_thread_chunk_slices(self):
+        system, costs = _crn_system()
+        agent = StationaryPolicyAgent(system, _randomized_policy(system))
+        pinned = simulate_sessions(
+            system, costs, agent, 0.9, 32, make_rng(4), chunk_slices=21
+        )
+        direct = VectorBackend().simulate_sessions(
+            system, costs, agent, 0.9, 32, make_rng(4), chunk_slices=21
+        )
+        for name in direct:
+            assert pinned[name].mean == direct[name].mean
+            assert pinned[name].stderr == direct[name].stderr

@@ -1,6 +1,8 @@
 """Tests for the tool layer: specs, the Fig. 7 pipeline, and the CLI."""
 
 import json
+import os
+from typing import ClassVar
 
 import pytest
 
@@ -380,6 +382,110 @@ class TestCLI:
         code = cli_main(["optimize", "/nonexistent/spec.json"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestResumeFlags:
+    """``--backend``/``--uniform-source`` on ``--resume``: an absent
+    flag keeps the checkpoint's value, a given one (``auto`` included)
+    overrides it."""
+
+    SPEC: ClassVar[dict] = {
+        "name": "resume-flags",
+        "slices_per_tick": 50,
+        "groups": [
+            {
+                "id": "ex",
+                "count": 4,
+                "system": "example",
+                "agent": {"type": "eager", "active": "s_on", "sleep": "s_off"},
+            }
+        ],
+    }
+
+    def _spec_file(self, tmp_path):
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(self.SPEC))
+        return path
+
+    def _fleet(self, *args):
+        assert cli_main(["fleet", *map(str, args), "--per-device"]) == 0
+
+    def _checkpoint(self, tmp_path, *flags, backend=None):
+        """Two ticks of telemetry plus a checkpoint whose saved
+        ``backend`` is optionally rewritten."""
+        from repro.runtime import load_checkpoint
+        from repro.runtime.checkpoint import write_checkpoint
+
+        telemetry = tmp_path / "got.jsonl"
+        checkpoint = tmp_path / "fleet.ckpt"
+        outputs = ("--telemetry", telemetry, "--checkpoint", checkpoint)
+        self._fleet(self._spec_file(tmp_path), "--ticks", 2, *outputs, *flags)
+        if backend is not None:
+            payload = load_checkpoint(checkpoint)
+            payload["backend"] = backend
+            write_checkpoint(checkpoint, payload)
+        return checkpoint, telemetry
+
+    def test_fleet_resume_of_jit_checkpoint_needs_backend(self, tmp_path, capsys):
+        checkpoint, _ = self._checkpoint(tmp_path, backend="jit")
+        capsys.readouterr()
+        code = cli_main(["fleet", "--resume", str(checkpoint), "--ticks", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'jit'" in err
+        assert "'auto', 'loop', 'vector'" in err
+
+    def test_fleet_resume_with_backend_vector_is_byte_identical(self, tmp_path):
+        reference = tmp_path / "ref.jsonl"
+        spec = self._spec_file(tmp_path)
+        self._fleet(spec, "--ticks", 4, "--telemetry", reference)
+        checkpoint, telemetry = self._checkpoint(tmp_path, backend="jit")
+        resume = ("--resume", checkpoint, "--ticks", 2, "--telemetry", telemetry)
+        self._fleet(*resume, "--backend", "vector")
+        assert telemetry.read_bytes() == reference.read_bytes()
+
+    def test_fleet_resume_given_auto_overrides_saved_source(self, tmp_path):
+        checkpoint, telemetry = self._checkpoint(tmp_path, "--uniform-source", "fanin")
+        resume = ("--resume", checkpoint, "--ticks", 1, "--telemetry", telemetry)
+        self._fleet(*resume)
+        self._fleet(*resume, "--uniform-source", "auto")
+        stamps = [
+            json.loads(line)["uniform_source"]
+            for line in telemetry.read_text().splitlines()
+        ]
+        assert stamps == ["fanin", "fanin", "fanin", "auto"]
+
+    def test_serve_resume_honours_backend(self, tmp_path, capsys):
+        import threading
+        import time
+
+        from repro.service import ServiceClient
+
+        checkpoint, _ = self._checkpoint(tmp_path, backend="jit")
+        socket_path = str(tmp_path / "s")
+        serve = ["serve", "--resume", str(checkpoint), "--socket", socket_path]
+        serve += ["--shards", "1", "--checkpoint-every", "0"]
+        assert cli_main(serve) == 2
+        assert "'jit'" in capsys.readouterr().err
+
+        codes = []
+        thread = threading.Thread(
+            target=lambda: codes.append(cli_main([*serve, "--backend", "vector"])),
+            daemon=True,
+        )
+        thread.start()
+        deadline = time.monotonic() + 60
+        while not os.path.exists(socket_path):
+            assert thread.is_alive(), capsys.readouterr().err
+            assert time.monotonic() < deadline, "daemon never bound its socket"
+            time.sleep(0.01)
+        with ServiceClient(socket_path, timeout=60) as client:
+            info = client.info()
+            client.shutdown()
+        thread.join(timeout=60)
+        assert codes == [0]
+        assert info["backend"] == "vector"
+        assert info["tick"] == 2
 
 
 class TestFitCLI:

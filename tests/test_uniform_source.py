@@ -16,7 +16,6 @@ back to the serial :class:`~repro.sim.rng.FanInSource` and
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -27,16 +26,9 @@ from repro.runtime import (
     MemoryTelemetry,
     device_rng,
 )
-from repro.runtime.controller import (
-    UNIFORM_SOURCES,
-    _FanInUniforms,
-)
+from repro.runtime.controller import UNIFORM_SOURCES
 from repro.sim import rng_batched
-from repro.sim.rng import (
-    FanInSource,
-    GeneratorSource,
-    UniformSource,
-)
+from repro.sim.rng import FanInSource, UniformSource
 from repro.sim.rng_batched import (
     BatchedDeviceStreams,
     BatchedPCG64Source,
@@ -67,7 +59,6 @@ def _reference_block(generators, chunk, n_kinds):
 class TestProtocol:
     def test_sources_satisfy_protocol(self):
         generators = _generators(3)
-        assert isinstance(GeneratorSource(generators[0]), UniformSource)
         assert isinstance(FanInSource(generators), UniformSource)
         assert isinstance(BatchedPCG64Source(generators), UniformSource)
 
@@ -75,13 +66,6 @@ class TestProtocol:
         # Structural typing: the single-run simulate() path keeps
         # passing bare generators with no adapter.
         assert isinstance(np.random.default_rng(0), UniformSource)
-
-    def test_generator_source_is_passthrough(self):
-        a = np.random.default_rng(3)
-        b = np.random.default_rng(3)
-        source = GeneratorSource(a)
-        assert source.generator is a
-        assert (source.random((4, 2, 5)) == b.random((4, 2, 5))).all()
 
 
 # ----------------------------------------------------------------------
@@ -118,16 +102,6 @@ class TestFanInSource:
             source.random((8, 4))
         with pytest.raises(ValidationError, match="> 0"):
             source.random((0, 4, 4))
-
-    def test_pooled_matches_serial_and_advances_parents(self):
-        generators = _generators(10, seed=3)
-        reference = _generators(10, seed=3)
-        with FanInSource(generators, n_kinds=4, processes=2) as source:
-            block = source.random((7, 4, 10))
-        assert (block == _reference_block(reference, 7, 4)).all()
-        # Worker-side draws must advance the parent's generator objects.
-        for mine, theirs in zip(generators, reference):
-            assert mine.bit_generator.state == theirs.bit_generator.state
 
 
 # ----------------------------------------------------------------------
@@ -402,14 +376,6 @@ class TestControllerKnob:
             _stationary_fleet(4), "auto", ticks=1, slices=50
         )
         assert records[0]["uniform_source"] == "auto"
-
-    def test_fanin_uniforms_alias_warns_and_works(self):
-        generators = _generators(3)
-        reference = _generators(3)
-        with pytest.deprecated_call():
-            shim = _FanInUniforms(generators)
-        block = shim.random((5, 4, 3))
-        assert (block == _reference_block(reference, 5, 4)).all()
 
 
 # ----------------------------------------------------------------------
