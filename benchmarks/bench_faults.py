@@ -13,8 +13,9 @@ Two questions, one per section:
   worker deadlines armed vs without.  This isolates exactly what this
   hardening adds to the hot path — the poll-based receive and the
   fault hooks (no-ops when no plan is installed) — and the target is
-  overhead within 2%.  Per-tick spooling is a user knob with its own
-  obvious cost and is measured by the recovery section, not here.
+  overhead within 2%.  Per-tick spooling, ``serve``'s default, is
+  timed by ``bench_service.py``'s ``spooled2_disk66_<n>dev`` rows,
+  not here.
 
 Run under pytest-benchmark::
 

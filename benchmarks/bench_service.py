@@ -14,6 +14,13 @@ correctness half has no such hedge: ``sharded_identical`` asserts the
 sharded run's per-device telemetry is byte-identical to the
 single-process run on every machine, quick mode included.
 
+The sharded leg runs with spooling off, so a third leg times what
+``serve`` does by default: a 2-shard supervisor spooling every shard
+every tick (``checkpoint_every=1``) to a temporary directory.  Its
+rows (``spooled2_disk66_<n>dev``) put the per-tick spool — the fleet
+serialization plus an fsynced write per shard — under the regression
+gate.
+
 Run under pytest-benchmark::
 
     pytest benchmarks/bench_service.py -o python_files='bench_*.py' \
@@ -52,6 +59,8 @@ TICKS = 2
 #: Identity-check fleet: small enough to be fast, large enough to
 #: spread across every shard many times over.
 N_DEVICES_IDENTITY = 512
+#: Worker count for the spooled leg.
+N_SPOOLED_SHARDS = 2
 
 
 def _run_single(bundle, n_devices: int) -> tuple[float, float]:
@@ -74,6 +83,27 @@ def _run_sharded(bundle, n_devices: int) -> tuple[float, float]:
         slices_per_tick=SLICES_PER_TICK,
         backend="auto",
         checkpoint_every=0,
+    )
+    supervisor.start(fleet)
+    try:
+        start = time.perf_counter()
+        supervisor.run(TICKS)
+        seconds = time.perf_counter() - start
+    finally:
+        supervisor.stop()
+    return seconds, n_devices * TICKS * SLICES_PER_TICK / seconds
+
+
+def _run_spooled(bundle, n_devices: int) -> tuple[float, float]:
+    """2-shard campaign spooling every tick, ``serve``'s default."""
+    fleet = _stationary_fleet(bundle, n_devices, seed=1)
+    # No spool_dir: the supervisor spools to a private temporary
+    # directory and removes it on stop.
+    supervisor = ShardSupervisor(
+        N_SPOOLED_SHARDS,
+        slices_per_tick=SLICES_PER_TICK,
+        backend="auto",
+        checkpoint_every=1,
     )
     supervisor.start(fleet)
     try:
@@ -193,6 +223,17 @@ def collect(quick: bool = False) -> dict:
                 "slices_per_device": TICKS * SLICES_PER_TICK,
                 "seconds": round(sharded_seconds, 4),
                 "device_slices_per_sec": round(sharded_rate),
+            }
+        )
+        spooled_seconds, spooled_rate = _run_spooled(bundle, n_devices)
+        records.append(
+            {
+                "name": f"spooled{N_SPOOLED_SHARDS}_disk66_{n_devices}dev",
+                "mode": f"{N_SPOOLED_SHARDS}-shard service, spool every tick",
+                "n_devices": n_devices,
+                "slices_per_device": TICKS * SLICES_PER_TICK,
+                "seconds": round(spooled_seconds, 4),
+                "device_slices_per_sec": round(spooled_rate),
             }
         )
         speedups[f"speedup_sharded_vs_single_{n_devices}dev"] = round(

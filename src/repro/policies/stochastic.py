@@ -56,6 +56,11 @@ class StationaryPolicyAgent(StationaryAgent):
         self._deterministic_row = self._matrix.max(axis=1) > 1.0 - 1e-12
         self._greedy = np.argmax(self._matrix, axis=1)
 
+    def __reduce__(self):
+        # The agent holds no state: pickle its inputs and rebuild the
+        # derived lookup arrays on load.
+        return type(self), (self._system, self._policy)
+
     @property
     def policy(self) -> MarkovPolicy:
         """The wrapped policy."""

@@ -14,7 +14,13 @@ The format is a versioned pickle (protocol 4) of a plain payload
 mapping.  Pickle is the right tool here: device state is arbitrary
 Python (stateful agents, trackers, numpy generators), the file is a
 private save-game rather than an interchange format, and loading one
-is as trusted as importing the code that wrote it.  Fleets containing
+is as trusted as importing the code that wrote it.  The ``fleet``
+entry is the :class:`~repro.runtime.fleet.Fleet` pickle — its column
+arrays plus one tuple of shared-object references per device — which
+is also what shard spools and gather replies carry.  Fleets pickled
+in the earlier per-device form (each device its own field mapping)
+still load; a build that predates the column form cannot read a new
+checkpoint and reports it as not readable.  Fleets containing
 non-serializable members (a :class:`~repro.runtime.streams.CallableStream`,
 an agent closed over a lambda) are rejected with a clear error at save
 time instead of a corrupt file at 3 a.m.

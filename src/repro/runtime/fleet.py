@@ -15,9 +15,14 @@ and histograms.  A :class:`Device` is a handle on its row — its
 row — so the controller scatters a whole batch into the columns with
 a few array adds and telemetry folds them with array reductions.  A
 device outside any fleet (freshly built, unpickled or removed) owns a
-private one-row column set until a fleet adopts it.  Pickling is
-unaffected: a device pickles as its plain field mapping, a fleet as
-its registry and version.
+private one-row column set until a fleet adopts it.
+
+A fleet pickles as its columns: each column set's arrays, the rows in
+registration order, plus one small tuple per device of references to
+its model, agent, generator and stream objects.  Pickle stores each
+shared object once, so a group of devices sharing a system, costs and
+stationary agent costs a few hundred bytes per device.  A device
+pickled on its own still pickles as its plain field mapping.
 
 Device randomness is per-device by design: ``device_rng(seed, index)``
 derives statistically independent PCG64 streams from a base seed with
@@ -93,22 +98,6 @@ def device_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(sequence)
 
 
-_FLOAT64 = np.dtype(np.float64)
-_INT64 = np.dtype(np.int64)
-
-
-def _dtype_like(values, kind: np.dtype) -> np.dtype:
-    """``values``' own dtype object when it equals ``kind``, else ``kind``.
-
-    Arrays unpickled together share one dtype object per kind, and
-    pickle memoizes dtypes by identity.  Keeping that object for the
-    columns a loaded device lands in makes a resumed fleet re-pickle
-    to the same bytes as the fleet it was saved from.
-    """
-    dtype = getattr(values, "dtype", kind)
-    return dtype if dtype == kind else kind
-
-
 class ColumnSet:
     """One layout's per-device accumulators, one row per device.
 
@@ -125,25 +114,33 @@ class ColumnSet:
     private set of a device no fleet holds.  Both back-references are
     weak, so a fleet and its devices are freed as soon as the last
     outside reference goes, without waiting for the cycle collector.
+
+    ``arrays`` preloads the four arrays (a loading fleet passes the
+    rows it unpickled); :meth:`acquire` then hands those rows out in
+    order instead of blank ones.
     """
 
     _NAMES = ("ints", "totals", "command_counts", "provider_occupancy")
 
-    def __init__(
-        self, layout: tuple, fleet=None, dtypes=(_FLOAT64, _INT64, _INT64)
-    ):
+    def __init__(self, layout: tuple, fleet=None, arrays=None):
         metric_names, n_commands, n_provider_states = layout
-        totals_dtype, counts_dtype, occupancy_dtype = dtypes
         self.layout = layout
         self._fleet = None if fleet is None else weakref.ref(fleet)
         self.n = 0
         self.handles: list[weakref.ref] = []
-        self.ints = np.zeros((1, len(INT_COLUMNS)), dtype=np.int64)
-        self.totals = np.zeros((1, len(metric_names)), dtype=totals_dtype)
-        self.command_counts = np.zeros((1, n_commands), dtype=counts_dtype)
-        self.provider_occupancy = np.zeros(
-            (1, n_provider_states), dtype=occupancy_dtype
-        )
+        if arrays is None:
+            arrays = (
+                np.zeros((1, len(INT_COLUMNS)), dtype=np.int64),
+                np.zeros((1, len(metric_names)), dtype=np.float64),
+                np.zeros((1, n_commands), dtype=np.int64),
+                np.zeros((1, n_provider_states), dtype=np.int64),
+            )
+        (
+            self.ints,
+            self.totals,
+            self.command_counts,
+            self.provider_occupancy,
+        ) = arrays
 
     @property
     def metric_names(self) -> tuple:
@@ -170,15 +167,6 @@ class ColumnSet:
         """Every row's :data:`COUNTER_COLUMNS` (a view)."""
         return self.ints[:, _SLICES + 1 :]
 
-    @property
-    def dtypes(self) -> tuple:
-        """The dtype objects of the float and histogram columns."""
-        return (
-            self.totals.dtype,
-            self.command_counts.dtype,
-            self.provider_occupancy.dtype,
-        )
-
     def _arrays(self) -> tuple:
         return (
             self.ints,
@@ -190,7 +178,8 @@ class ColumnSet:
     def acquire(self, device: "Device") -> int:
         """Append a row for ``device`` and return its index.
 
-        The row's contents are unspecified; the caller writes them.
+        The row's contents are unspecified (the next preloaded row, if
+        any); the caller writes them.
         """
         row = self.n
         if row == self.ints.shape[0]:
@@ -258,8 +247,9 @@ class Device:
     system / costs:
         The composed system and its metrics (sharable across devices).
     agent:
-        The policy agent; stateful agents must not be shared between
-        devices.
+        The policy agent.  Stationary agents hold no state, so the
+        devices of one spec group share one; stateful agents must not
+        be shared between devices.
     rng:
         This device's own generator — every stochastic choice the
         device makes (policy draws, transitions, service, stochastic
@@ -342,14 +332,7 @@ class Device:
             len(command_counts),
             len(provider_occupancy),
         )
-        columns = ColumnSet(
-            layout,
-            dtypes=(
-                _dtype_like(totals, _FLOAT64),
-                _dtype_like(command_counts, _INT64),
-                _dtype_like(provider_occupancy, _INT64),
-            ),
-        )
+        columns = ColumnSet(layout)
         row = columns.acquire(self)
         columns.ints[row] = ints
         columns.totals[row] = totals
@@ -545,15 +528,91 @@ class Fleet:
         #: its compiled group caches.
         self.version = 0
 
+    # ------------------------------------------------------------------
+    # pickling: the column arrays plus one reference tuple per device
+    # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        # The registry and version only: each device pickles its own
-        # row, and the columns are rebuilt on load.
-        return {"_devices": self._devices, "version": self.version}
+        devices = list(self._devices.values())
+        column_sets = self.column_sets()
+        position = {id(columns): k for k, columns in enumerate(column_sets)}
+        column_of = [position[id(device._cols)] for device in devices]
+        rows: list[list[int]] = [[] for _ in column_sets]
+        for device, k in zip(devices, column_of):
+            rows[k].append(device._row)
+        # The slices keep the columns' dtype objects.  A loaded fleet's
+        # columns are the arrays it unpickled, whose dtype objects the
+        # rest of its unpickled graph shares, so a resumed fleet
+        # re-pickles to the bytes an uninterrupted one does.
+        arrays = [
+            (
+                columns.ints[taken],
+                columns.totals[taken],
+                columns.command_counts[taken],
+                columns.provider_occupancy[taken],
+            )
+            for columns, taken in zip(column_sets, rows)
+        ]
+        # The metric names travel only in the device tuples: a column
+        # set's layout may hold other string objects with equal text,
+        # which pickle would store a second time.
+        return {
+            "version": self.version,
+            "device_ids": list(self._devices),
+            "columns": arrays,
+            "column_of": column_of,
+            "devices": [
+                (
+                    device.system,
+                    device.costs,
+                    device.agent,
+                    device.rng,
+                    device.stream,
+                    device.tracker,
+                    device.metric_names,
+                    device.prev_arrivals,
+                )
+                for device in devices
+            ],
+        }
 
     def __setstate__(self, state: dict) -> None:
         self.__init__()
-        for device in state["_devices"].values():
-            self._attach(device)
+        if "_devices" in state:
+            # The per-device form written before fleets pickled as
+            # columns: each device restored its own row.
+            for device in state["_devices"].values():
+                self._attach(device)
+            self.version = state["version"]
+            return
+        arrays = state["columns"]
+        column_sets: list[ColumnSet | None] = [None] * len(arrays)
+        for device_id, k, fields in zip(
+            state["device_ids"], state["column_of"], state["devices"]
+        ):
+            device = Device.__new__(Device)
+            device.device_id = device_id
+            (
+                device.system,
+                device.costs,
+                device.agent,
+                device.rng,
+                device.stream,
+                device.tracker,
+                device.metric_names,
+                device.prev_arrivals,
+            ) = fields
+            columns = column_sets[k]
+            if columns is None:
+                _, _, command_counts, provider_occupancy = arrays[k]
+                layout = (
+                    tuple(device.metric_names),
+                    command_counts.shape[1],
+                    provider_occupancy.shape[1],
+                )
+                columns = ColumnSet(layout, fleet=self, arrays=arrays[k])
+                column_sets[k] = self._columns[layout] = columns
+            device._cols, device._row = columns, columns.acquire(device)
+            self._devices[device_id] = device
         self.version = state["version"]
 
     def _attach(self, device: Device) -> None:
@@ -570,7 +629,7 @@ class Fleet:
         layout = device._cols.layout
         columns = self._columns.get(layout)
         if columns is None:
-            columns = ColumnSet(layout, fleet=self, dtypes=device._cols.dtypes)
+            columns = ColumnSet(layout, fleet=self)
             self._columns[layout] = columns
         device._move(columns)
         self._devices[device.device_id] = device
@@ -657,7 +716,7 @@ class Fleet:
             device = self._devices.pop(str(device_id))
         except KeyError:
             raise ValidationError(f"unknown device id {device_id!r}") from None
-        device._move(ColumnSet(device._cols.layout, dtypes=device._cols.dtypes))
+        device._move(ColumnSet(device._cols.layout))
         self._column_order = None
         self.version += 1
         return device
@@ -1086,6 +1145,13 @@ def _build_group(
         from repro.runtime.streams import TraceStream
 
         trace_counts = stream_from_spec(workload, device_rng(seed, 0))
+    # Stationary agents hold no state: the group's devices share one.
+    shared_agent = None
+    if group_policy is not None:
+        shared_agent = _build_agent(
+            agent_spec, system, costs, gamma, p0, cache, lp_backend,
+            group_policy,
+        )
     for i in range(count):
         rng = device_rng(seed, i)
         stream = None
@@ -1096,7 +1162,7 @@ def _build_group(
             )
         elif workload is not None:
             stream = stream_from_spec(workload, rng)
-        agent = _build_agent(
+        agent = shared_agent or _build_agent(
             agent_spec, system, costs, gamma, p0, cache, lp_backend,
             group_policy,
         )

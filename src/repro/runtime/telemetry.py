@@ -38,7 +38,9 @@ __all__ = [
     "MemoryTelemetry",
     "SNAPSHOT_FIELDS",
     "device_record",
+    "fleet_fold",
     "snapshot",
+    "snapshot_from_folds",
     "snapshot_from_records",
 ]
 
@@ -107,9 +109,10 @@ def device_record(device: Device) -> dict:  # repro-lint: schema=DEVICE_RECORD_F
 def _fold_metrics(series: dict) -> dict:
     """Fold per-device metric averages into fleet mean/min/max.
 
-    The one reduction both snapshot producers share — the in-process
+    The one reduction every snapshot producer shares — the in-process
     :func:`snapshot` and the daemon-side :func:`snapshot_from_records`
-    — so for equal device states they emit byte-identical records.
+    and :func:`snapshot_from_folds` — so for equal device states they
+    emit byte-identical records.
     ``series`` maps each metric name to the chunks (1-D float arrays)
     holding the averages of the devices that register it.  The mean
     is exactly rounded (``math.fsum``), so neither the chunking nor
@@ -126,16 +129,17 @@ def _fold_metrics(series: dict) -> dict:
     return metrics
 
 
-def snapshot(  # repro-lint: schema=SNAPSHOT_FIELDS
-    fleet: Fleet, tick: int, per_device: bool = False
-) -> dict:
-    """Aggregate the fleet's accumulators into one snapshot record.
+def fleet_fold(fleet: Fleet) -> tuple:
+    """One fleet partition's share of a snapshot, without its devices.
 
-    Per-metric aggregates are computed over the devices that register
-    the metric (heterogeneous fleets may not share cost models), metric
-    names in the order a walk over the devices first meets them;
-    counters are fleet-wide sums.  Everything is read straight from the
-    fleet's column sets.
+    ``(n_devices, fleet_slices, counter sums, {metric: averages})``:
+    the counter sums in :data:`COUNTER_COLUMNS` order, and per metric
+    — in the order a walk over the partition's devices first meets it
+    — one float array of the per-slice averages of the devices that
+    register it.  Everything is read straight from the fleet's column
+    sets.  :func:`snapshot` folds a whole fleet as one partition; a
+    shard worker returns its partition's fold every tick in place of
+    one record per device.
     """
     series: dict[str, list] = {}
     counters = np.zeros(len(COUNTER_COLUMNS), dtype=np.int64)
@@ -150,13 +154,59 @@ def snapshot(  # repro-lint: schema=SNAPSHOT_FIELDS
         for m, name in enumerate(columns.metric_names):
             series.setdefault(name, []).append(averages[:, m])
         counters += columns.counters[: columns.n].sum(axis=0)
-    record = {
+    return (
+        len(fleet),
+        fleet.total_slices,
+        counters.tolist(),
+        {name: np.concatenate(chunks) for name, chunks in series.items()},
+    )
+
+
+def snapshot_from_folds(  # repro-lint: schema=SNAPSHOT_FIELDS
+    tick: int, folds, metric_names=()
+) -> dict:
+    """Assemble a fleet snapshot from partitions' :func:`fleet_fold`\\ s.
+
+    The fold behind :func:`snapshot` and the service daemon's per-tick
+    aggregation.  ``metric_names`` orders the ``metrics`` keys: the
+    order a walk over the whole fleet in registration order first
+    meets each name, which no partition of a sharded fleet knows on
+    its own (names it omits follow in the order the folds meet them).
+    The mean is exactly rounded, so how the devices are partitioned
+    cannot change a bit of the record.
+    """
+    series: dict[str, list] = {name: [] for name in metric_names}
+    n_devices = fleet_slices = 0
+    counters = [0] * len(COUNTER_COLUMNS)
+    for n, slices, sums, averages in folds:
+        n_devices += n
+        fleet_slices += slices
+        counters = [total + value for total, value in zip(counters, sums)]
+        for name, values in averages.items():
+            series.setdefault(name, []).append(values)
+    return {
         "tick": int(tick),
-        "n_devices": len(fleet),
-        "fleet_slices": fleet.total_slices,
-        "metrics": _fold_metrics(series),
-        "counters": dict(zip(COUNTER_COLUMNS, counters.tolist())),
+        "n_devices": n_devices,
+        "fleet_slices": fleet_slices,
+        "metrics": _fold_metrics(
+            {name: chunks for name, chunks in series.items() if chunks}
+        ),
+        "counters": dict(zip(COUNTER_COLUMNS, counters)),
     }
+
+
+def snapshot(  # repro-lint: schema=SNAPSHOT_FIELDS
+    fleet: Fleet, tick: int, per_device: bool = False
+) -> dict:
+    """Aggregate the fleet's accumulators into one snapshot record.
+
+    Per-metric aggregates are computed over the devices that register
+    the metric (heterogeneous fleets may not share cost models), metric
+    names in the order a walk over the devices first meets them;
+    counters are fleet-wide sums.  The fleet is folded as one
+    partition (:func:`fleet_fold`).
+    """
+    record = snapshot_from_folds(tick, [fleet_fold(fleet)])
     if per_device:
         record["devices"] = [device_record(device) for device in fleet]
     return record

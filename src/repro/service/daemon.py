@@ -11,11 +11,15 @@ stepping from a checkpoint is deterministic.
 
 :class:`FleetDaemon` is the serving layer: an ``AF_UNIX`` accept loop
 speaking the :mod:`repro.service.protocol` frame format, one client
-at a time.  Telemetry is aggregated daemon-side: workers report raw
-per-device records, the supervisor reorders them into global
-registration order and
-:func:`~repro.runtime.telemetry.snapshot_from_records` folds them
-through the *same* reduction as the single-process snapshot path.
+at a time.  Telemetry is aggregated daemon-side: each worker folds its
+partition to counter sums and per-metric average arrays
+(:func:`~repro.runtime.telemetry.fleet_fold`), and
+:func:`~repro.runtime.telemetry.snapshot_from_folds` merges them
+through the *same* reduction as the single-process snapshot path, with
+the metrics in the order a walk over the whole fleet meets them.
+Per-device snapshots still collect every device's record, reordered
+into global registration order, and fold them through
+:func:`~repro.runtime.telemetry.snapshot_from_records`.
 
 **The byte-identity contract.**  For the same fleet spec and seed, a
 sharded run's telemetry records and checkpoints are byte-identical to
@@ -26,13 +30,16 @@ re-partitioning, and across mid-run worker restarts:
   length make stepping bitwise grouping-invariant;
 * fleet aggregates — one shared, exactly rounded reduction, so the
   order the shards report in cannot change a bit;
-* checkpoint pickles — devices are gathered back in registration
-  order and re-attached to the *canonical* shared objects captured at
-  registration (group-shared systems, costs, stationary agents, trace
-  count arrays), so the gathered fleet pickles the same object graph
-  a single-process fleet would.  Stateless stationary agents come
-  from the registry; stateful agents (timeout, adaptive) keep the
-  worker-evolved copy, whose state is itself deterministic.
+* checkpoint pickles — a fleet pickles as its column arrays plus one
+  tuple of shared-object references per device (see
+  :mod:`repro.runtime.fleet`).  Devices are gathered back in
+  registration order and re-attached to the *canonical* shared objects
+  captured at registration (group-shared systems, costs, stationary
+  agents, trace count arrays), so the gathered fleet pickles the same
+  object graph a single-process fleet would.  Stateless stationary
+  agents — one per spec group — come from the registry; stateful
+  agents (timeout, adaptive) keep the worker-evolved copy, whose state
+  is itself deterministic.
 
 Documented exception: adaptive devices sharing a *warm-starting*
 policy cache keep their existing caveat (see
@@ -46,6 +53,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import socket
 import tempfile
@@ -77,7 +85,12 @@ from repro.runtime.fleet import (
 )
 from repro.runtime.policy_cache import PolicyCache
 from repro.runtime.streams import TraceStream
-from repro.runtime.telemetry import device_record, snapshot_from_records
+from repro.runtime.telemetry import (
+    device_record,
+    fleet_fold,
+    snapshot_from_folds,
+    snapshot_from_records,
+)
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     FrameChannel,
@@ -334,6 +347,7 @@ class ShardSupervisor:
         self._owner: dict[str, int] = {}
         self._canonical: dict[str, _CanonicalEntry] = {}
         self._version = 0
+        self._metric_order: tuple[int, list[str]] | None = None
         self._tick = 0
         self._restarts = 0
         self._started = False
@@ -649,10 +663,9 @@ class ShardSupervisor:
             if self._spool_dir is not None
             else None
         )
-        devices = list(payload["fleet"]) if payload is not None else []
         self._parked[index] = {
             "tick": payload["tick"] if payload is not None else None,
-            "devices": {device.device_id: device for device in devices},
+            "fleet": payload["fleet"] if payload is not None else Fleet(),
         }
         self._workers[index] = None
 
@@ -778,15 +791,19 @@ class ShardSupervisor:
                 )
             seen.add(device.device_id)
             self._check_distributable(device)
+        shards, ordinals = self._partitioner.deal(devices)
         per_shard: dict[int, list[Device]] = {}
-        for device in devices:
-            shard = self._partitioner.assign(device)
+        for device, shard in zip(devices, shards):
+            per_shard.setdefault(shard, []).append(device)
+        # Refuse before any state changes: a quarantined target leaves
+        # the deal, the registry and the census as they were.
+        for shard in sorted(per_shard):
+            self._worker_or_raise(shard)
+        self._partitioner.commit(ordinals)
+        for device, shard in zip(devices, shards):
             self._register_canonical(device)
             self._order.append(device.device_id)
             self._owner[device.device_id] = shard
-            per_shard.setdefault(shard, []).append(device)
-        for shard in sorted(per_shard):
-            self._worker_or_raise(shard)
         for shard in sorted(per_shard):
             self._call(shard, "add_devices", per_shard[shard])
         self._version += len(devices)
@@ -819,40 +836,81 @@ class ShardSupervisor:
                 )
         per_shard: dict[int, list[tuple]] = {}
         for device_id, agent in pairs:
-            entry = self._canonical[device_id]
-            entry.agent = agent if isinstance(agent, StationaryAgent) else None
             per_shard.setdefault(self._owner[device_id], []).append(
                 (device_id, agent)
             )
+        # Refuse before any state changes: a parked device keeps the
+        # canonical agent it actually ran.
         for shard in sorted(per_shard):
             self._worker_or_raise(shard)
+        for device_id, agent in pairs:
+            entry = self._canonical[device_id]
+            entry.agent = agent if isinstance(agent, StationaryAgent) else None
         for shard in sorted(per_shard):
             self._call(shard, "replace_agents", per_shard[shard])
         self._version += len(pairs)
 
-    def collect_records(self) -> list[dict]:
-        """Every device's telemetry record, in global registration order.
+    def _ask_every_shard(self, command: str, parked_reply) -> list:
+        """Every shard's reply to ``command``, in shard order.
 
-        Quarantined shards contribute the records of their *parked*
-        (last-spooled) devices — stale but present, so fleet telemetry
-        keeps its full device census while degraded.
+        A quarantined shard answers through ``parked_reply`` from its
+        *parked* (last-spooled) fleet — stale but present, so telemetry
+        and checkpoints keep the full device census while degraded.
         """
         self._require_started()
-        by_id: dict[str, dict] = {}
+        replies = []
         for index in range(self._n_shards):
             if self._workers[index] is not None:
                 try:
-                    for record in self._call(index, "records", None):
-                        by_id[record["id"]] = record
+                    replies.append(self._call(index, command, None))
                     continue
                 except ValidationError:
-                    # Quarantined mid-collection: fall through to the
-                    # parked state like any other quarantined shard.
+                    # Quarantined mid-call: fall through to the parked
+                    # state like any other quarantined shard.
                     if self._workers[index] is not None:
                         raise
-            for device in self._parked[index]["devices"].values():
-                by_id[device.device_id] = device_record(device)
+            replies.append(parked_reply(self._parked[index]["fleet"]))
+        return replies
+
+    def collect_records(self) -> list[dict]:
+        """Every device's telemetry record, in global registration order.
+
+        Quarantined shards contribute the records of their parked
+        devices.
+        """
+        by_id: dict[str, dict] = {}
+        for records in self._ask_every_shard(
+            "records", lambda fleet: [device_record(d) for d in fleet]
+        ):
+            for record in records:
+                by_id[record["id"]] = record
         return [by_id[device_id] for device_id in self._order]
+
+    def collect_folds(self) -> list[tuple]:
+        """Every shard's :func:`~repro.runtime.telemetry.fleet_fold`.
+
+        Quarantined shards fold their parked devices.
+        """
+        return self._ask_every_shard("fold", fleet_fold)
+
+    def metric_order(self) -> list[str]:
+        """Metric names in the order a walk over the fleet meets them.
+
+        The key order of a single-process snapshot's ``metrics``:
+        devices in registration order, each device's metrics in its
+        costs' order.  Read from the canonical costs, and recomputed
+        only when the fleet version moves.
+        """
+        if self._metric_order is None or self._metric_order[0] != self._version:
+            names: dict[str, None] = {}
+            last = None
+            for device_id in self._order:
+                costs = self._canonical[device_id].costs
+                if costs is not last:
+                    last = costs
+                    names.update(dict.fromkeys(costs.metric_names))
+            self._metric_order = (self._version, list(names))
+        return self._metric_order[1]
 
     def gather_fleet(self) -> Fleet:
         """Reassemble the full fleet in-process, canonicalized.
@@ -861,20 +919,16 @@ class ShardSupervisor:
         registration-time shared objects re-attached (see the module
         docstring), and the fleet's version counter set to the
         mirrored single-process value — so pickling the result is
-        byte-identical to pickling the uninterrupted fleet.
+        byte-identical to pickling the uninterrupted fleet.  A parked
+        shard answers with a copy of its fleet, as a live worker's
+        pickled reply is one, so the parked devices stay parked.
         """
-        self._require_started()
         by_id: dict[str, Device] = {}
-        for index in range(self._n_shards):
-            if self._workers[index] is not None:
-                try:
-                    for device in self._call(index, "gather", None):
-                        by_id[device.device_id] = device
-                    continue
-                except ValidationError:
-                    if self._workers[index] is not None:
-                        raise
-            for device in self._parked[index]["devices"].values():
+        for shard_fleet in self._ask_every_shard(
+            "gather",
+            lambda fleet: pickle.loads(pickle.dumps(fleet, protocol=4)),
+        ):
+            for device in shard_fleet:
                 by_id[device.device_id] = device
         fleet = Fleet()
         seen: dict = {}
@@ -1158,18 +1212,23 @@ class FleetDaemon:
     def _fleet_snapshot(  # repro-lint: schema=repro.runtime.telemetry:SNAPSHOT_FIELDS
         self, per_device: bool
     ) -> dict:
-        """The daemon-side snapshot: reordered records, shared fold.
+        """The daemon-side snapshot: shard folds, or reordered records.
 
         Stamped with the supervisor's resolved backend and requested
         uniform source exactly like :meth:`FleetController.snapshot` —
         byte-identical output for equal fleet state.
         """
         supervisor = self._supervisor
-        record = snapshot_from_records(
-            supervisor.tick,
-            supervisor.collect_records(),
-            per_device=per_device,
-        )
+        if per_device:
+            record = snapshot_from_records(
+                supervisor.tick, supervisor.collect_records(), per_device=True
+            )
+        else:
+            record = snapshot_from_folds(
+                supervisor.tick,
+                supervisor.collect_folds(),
+                supervisor.metric_order(),
+            )
         record["backend"] = supervisor.resolved_backend
         record["uniform_source"] = supervisor.uniform_source
         # Only stamped while degraded: fault-free (and fully recovered)

@@ -24,11 +24,18 @@ order — live registrations continue the sequence deterministically.
 
 Workers talk to the supervisor over a ``multiprocessing`` pipe with
 pickled ``(command, payload)`` tuples — the JSON protocol is for
-clients; fleet state (Device records, agents, generators) moves
-between daemon and workers in its native object form.  After every
-membership change and on the supervisor's checkpoint cadence the
-worker spools its partition to a per-shard checkpoint file, which is
-what the supervisor replays from when a worker dies mid-run.
+clients.  Fleet state moves in the :class:`~repro.runtime.fleet.Fleet`
+serialization, the same one checkpoints use: a partition's column
+arrays plus one small tuple per device of references to its shared
+model, agent, stream and generator objects.  The per-tick telemetry
+traffic is a fold, not the devices: each worker reduces its partition
+to counter sums and per-metric average arrays
+(:func:`~repro.runtime.telemetry.fleet_fold`) and the daemon merges
+the folds; per-device records are only sent for per-device snapshots.
+After every membership change and on the supervisor's checkpoint
+cadence the worker spools its partition to a per-shard checkpoint
+file, which is what the supervisor replays from when a worker dies
+mid-run.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from repro.runtime.policy_cache import (
     memoized_by_identity,
     system_signature,
 )
-from repro.runtime.telemetry import device_record
+from repro.runtime.telemetry import device_record, fleet_fold
 from repro.service.spool import SpoolSlot
 from repro.util.validation import ValidationError
 
@@ -59,7 +66,7 @@ __all__ = [
 ]
 
 #: Telemetry cadence no run reaches: shard controllers never emit —
-#: the daemon aggregates device records itself, in global order.
+#: the daemon aggregates the shards' folds and records itself.
 _NEVER_EMIT = 2**62
 
 
@@ -121,10 +128,30 @@ class Partitioner:
 
     def assign(self, device: Device) -> int:
         """Deal one device; returns its shard index."""
-        signature = self._signature(device)
-        ordinal = self._ordinals.get(signature, 0)
-        self._ordinals[signature] = ordinal + 1
-        return ordinal % self._n_shards
+        (shard,), ordinals = self.deal([device])
+        self.commit(ordinals)
+        return shard
+
+    def deal(self, devices) -> tuple[list[int], dict[str, int]]:
+        """Deal ``devices`` without committing the deal.
+
+        Returns each device's shard and the advanced ordinals, which
+        :meth:`commit` makes the dealer's — so a caller can refuse the
+        deal (a target shard is quarantined) and leave the sequence
+        exactly where it was.
+        """
+        ordinals: dict[str, int] = {}
+        shards = []
+        for device in devices:
+            signature = self._signature(device)
+            ordinal = ordinals.get(signature, self._ordinals.get(signature, 0))
+            ordinals[signature] = ordinal + 1
+            shards.append(ordinal % self._n_shards)
+        return shards, ordinals
+
+    def commit(self, ordinals: dict[str, int]) -> None:
+        """Advance the dealer to the ordinals a :meth:`deal` returned."""
+        self._ordinals.update(ordinals)
 
 
 def spool_path(spool_dir, index: int) -> Path:
@@ -250,8 +277,11 @@ class _ShardWorker:
     def _handle_records(self, payload):
         return [device_record(device) for device in self._fleet]
 
+    def _handle_fold(self, payload):
+        return fleet_fold(self._fleet)
+
     def _handle_gather(self, payload):
-        return list(self._fleet)
+        return self._fleet
 
     def _handle_add_devices(self, payload):
         for device in payload:

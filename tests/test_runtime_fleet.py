@@ -986,3 +986,171 @@ class TestExactFold:
             2, [device_record(d) for d in fleet], per_device=True
         )
         assert json.dumps(direct) == json.dumps(folded)
+
+
+class _HeadLayoutFleet:
+    """Pickles ``fleet`` in the per-device form written before fleets
+    pickled as columns: ``{"_devices": ..., "version": ...}``."""
+
+    def __init__(self, fleet):
+        self.fleet = fleet
+
+    def __reduce__(self):
+        state = {"_devices": dict(self.fleet._devices), "version": 7}
+        return Fleet.__new__, (Fleet,), state
+
+
+class TestFleetPickle:
+    """A fleet pickles as its column arrays plus shared references."""
+
+    @staticmethod
+    def _growth_per_device(make_fleet) -> float:
+        import pickle
+
+        sizes = [
+            len(pickle.dumps(make_fleet(n), protocol=4)) for n in (500, 1000)
+        ]
+        return (sizes[1] - sizes[0]) / 500
+
+    def test_spec_fleet_shares_one_agent_per_group(self):
+        import pickle
+
+        def make(n):
+            fleet, _ = build_fleet(
+                {
+                    "groups": [
+                        {
+                            "count": n,
+                            "system": "disk_drive",
+                            "agent": {"type": "optimal", "penalty_bound": 0.05},
+                        }
+                    ]
+                },
+                base_seed=1,
+            )
+            return fleet
+
+        # ~6.7 KB per device when each device pickled its own agent
+        # and field mapping.
+        assert self._growth_per_device(make) < 600
+        restored = pickle.loads(pickle.dumps(make(20), protocol=4))
+        assert len({id(device.agent) for device in restored}) == 1
+
+    def test_hand_built_fleet_pickles_agents_as_inputs(self, disk_bundle):
+        import pickle
+
+        policy = eager_markov_policy(disk_bundle.system, "go_active", "go_idle")
+
+        def make(n):
+            fleet = Fleet()
+            for i in range(n):
+                fleet.add_device(
+                    f"disk-{i:04d}",
+                    disk_bundle.system,
+                    disk_bundle.costs,
+                    StationaryPolicyAgent(disk_bundle.system, policy),
+                    rng=device_rng(0, i),
+                    initial_state=("active", "0", 0),
+                )
+            return fleet
+
+        assert self._growth_per_device(make) < 600
+        original = make(1).device("disk-0000").agent
+        agent = pickle.loads(pickle.dumps(original, protocol=4))
+        assert type(agent) is StationaryPolicyAgent
+        for name in ("_matrix", "_cumsum", "_deterministic_row", "_greedy"):
+            np.testing.assert_array_equal(
+                getattr(agent, name), getattr(original, name)
+            )
+
+    def test_round_trip_rebuilds_columns(self, recipes):
+        import pickle
+
+        fleet = Fleet()
+        kinds = ["disk-vec", "ex-vec", "ex-stream", "disk-loop", "ex-vec"]
+        for i, kind in enumerate(kinds):
+            recipes(fleet, f"d-{i}", kind, i)
+        FleetController(fleet, slices_per_tick=60).run(2)
+        fleet.remove_device("d-1")  # rows no longer in registration order
+        restored = pickle.loads(pickle.dumps(fleet, protocol=4))
+        assert restored.device_ids == fleet.device_ids
+        assert restored.version == fleet.version
+        # One column set per layout, each holding exactly its devices.
+        assert len(restored.column_sets()) == 2
+        for columns in restored.column_sets():
+            assert columns.fleet is restored
+            assert [handle().device_id for handle in columns.handles] == [
+                device.device_id
+                for device in restored
+                if device._cols is columns
+            ]
+        for device in restored:
+            twin = fleet.device(device.device_id)
+            assert _device_fingerprint(device) == _device_fingerprint(twin)
+        # A stream-driven device's stream still draws from its own rng.
+        stream_device = restored.device("d-2")
+        assert stream_device.stream._rng is stream_device.rng
+
+    def test_resumed_fleet_resaves_like_the_uninterrupted_one(
+        self, recipes, tmp_path
+    ):
+        """A resumed fleet's checkpoint bytes equal the never-stopped
+        fleet's: its columns keep the dtype objects the rest of its
+        unpickled graph shares."""
+        import pickle
+
+        kinds = ["disk-vec", "ex-vec", "ex-stream", "disk-loop"]
+
+        def make():
+            fleet = Fleet()
+            for i, kind in enumerate(kinds):
+                recipes(fleet, f"d-{i}", kind, i)
+            return fleet
+
+        uninterrupted = FleetController(make(), slices_per_tick=50)
+        uninterrupted.run(4)
+        controller = FleetController(make(), slices_per_tick=50)
+        controller.run(2)
+        path = tmp_path / "mid.ckpt"
+        controller.save_checkpoint(path)
+        resumed = FleetController.resume(path)
+        resumed.run(2)
+        assert pickle.dumps(resumed.fleet, protocol=4) == pickle.dumps(
+            uninterrupted.fleet, protocol=4
+        )
+
+    def test_head_layout_state_still_loads(self, recipes, tmp_path):
+        """A checkpoint whose fleet is in the per-device form resumes
+        and emits the uninterrupted run's telemetry."""
+        from repro.runtime import checkpoint_payload
+        from repro.runtime.checkpoint import write_checkpoint
+
+        kinds = ["disk-vec", "ex-vec", "ex-stream", "disk-loop", "ex-loop"]
+
+        def make():
+            fleet = Fleet()
+            for i, kind in enumerate(kinds):
+                recipes(fleet, f"d-{i}", kind, i)
+            return fleet
+
+        reference = MemoryTelemetry()
+        FleetController(make(), slices_per_tick=70, telemetry=reference).run(6)
+
+        controller = FleetController(make(), slices_per_tick=70)
+        controller.run(3)
+        payload = checkpoint_payload(
+            controller.fleet, 3, 70, controller.backend,
+            controller.chunk_slices, 1, False,
+        )
+        payload["fleet"] = _HeadLayoutFleet(controller.fleet)
+        path = tmp_path / "head.ckpt"
+        write_checkpoint(path, payload)
+
+        resumed_sink = MemoryTelemetry()
+        resumed = FleetController.resume(path, telemetry=resumed_sink)
+        assert resumed.fleet.version == 7
+        assert resumed.fleet.device_ids == controller.fleet.device_ids
+        resumed.run(3)
+        assert [json.dumps(r) for r in resumed_sink.records] == [
+            json.dumps(r) for r in reference.records[3:]
+        ]

@@ -33,7 +33,10 @@ from repro.runtime import (
     checkpoint_payload,
     load_checkpoint,
 )
-from repro.runtime.telemetry import snapshot_from_records
+from repro.runtime.telemetry import (
+    snapshot_from_folds,
+    snapshot_from_records,
+)
 from repro.service import (
     FleetDaemon,
     Partitioner,
@@ -434,3 +437,108 @@ def test_client_errors_are_service_errors(tmp_path):
     thread.join(timeout=30)
     with pytest.raises(ServiceError, match="cannot connect"):
         ServiceClient(socket_path, timeout=5).connect()
+
+
+# ----------------------------------------------------------------------
+# per-tick telemetry folded on the shards
+# ----------------------------------------------------------------------
+#: An inline system whose spec references the ``waiting`` metric, so
+#: its costs carry one metric the case-study systems do not.
+WAITING_SYSTEM = {
+    "name": "waiting",
+    "queue_capacity": 2,
+    "provider": {
+        "states": ["on", "off"],
+        "commands": ["s_on", "s_off"],
+        "transitions": {
+            "s_on": [[1.0, 0.0], [0.1, 0.9]],
+            "s_off": [[0.2, 0.8], [0.0, 1.0]],
+        },
+        "service_rates": [[0.8, 0.0], [0.0, 0.0]],
+        "power": [[3.0, 4.0], [4.0, 0.0]],
+    },
+    "requester": {
+        "states": ["0", "1"],
+        "transitions": [[0.95, 0.05], [0.15, 0.85]],
+        "arrivals": [0, 1],
+    },
+    "objective": "power",
+    "constraints": {"waiting": 2.0},
+}
+
+#: Three metric sets: disks (4 metrics), web servers (+ throughput)
+#: and the inline system (+ waiting).  Removing ``web-0000`` leaves
+#: shard 0 meeting ``waiting`` before any shard meets ``throughput``.
+FOLD_SPEC = {
+    "name": "fold-test",
+    "groups": [
+        {
+            "id": "disks",
+            "count": 5,
+            "system": "disk_drive",
+            "agent": {"type": "optimal", "penalty_bound": 0.05},
+        },
+        {
+            "id": "web",
+            "count": 2,
+            "system": "web_server",
+            "agent": {"type": "constant", "command": "to_both"},
+        },
+        {
+            "id": "wait",
+            "count": 3,
+            "system": WAITING_SYSTEM,
+            "agent": {
+                "type": "timeout",
+                "active": "s_on",
+                "sleep": "s_off",
+                "timeout": 5,
+            },
+            "workload": {"type": "mmpp2", "p_stay_idle": 0.9},
+        },
+    ],
+}
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 3])
+def test_folded_snapshot_matches_records_and_single_process(n_shards):
+    fleet, _ = build_fleet(FOLD_SPEC, base_seed=SEED)
+    controller = FleetController(fleet, slices_per_tick=SLICES)
+    supervisor = _start_supervisor(
+        n_shards, fleet=build_fleet(FOLD_SPEC, base_seed=SEED)[0]
+    )
+    daemon = FleetDaemon("unused.sock", supervisor)
+    snapshots = []
+    try:
+        for tick in range(1, 4):
+            controller.step_tick()
+            supervisor.step_tick()
+            if tick == 1:
+                fleet.remove_device("web-0000")
+                supervisor.remove_device("web-0000")
+            from_records = snapshot_from_records(
+                supervisor.tick, supervisor.collect_records()
+            )
+            from_records["backend"] = supervisor.resolved_backend
+            from_records["uniform_source"] = supervisor.uniform_source
+            snapshots.append(
+                (
+                    daemon._fleet_snapshot(per_device=False),
+                    from_records,
+                    controller.snapshot(),
+                )
+            )
+    finally:
+        supervisor.stop()
+    assert list(snapshots[-1][0]["metrics"]) == [
+        "power", "penalty", "loss", "overflow", "throughput", "waiting",
+    ]
+    for folded, from_records, single in snapshots:
+        # Unsorted dumps: the metric key order must match too.
+        assert json.dumps(folded) == json.dumps(from_records)
+        assert json.dumps(folded) == json.dumps(single)
+
+
+def test_snapshot_from_folds_of_an_empty_fleet():
+    record = snapshot_from_folds(0, [(0, 0, [0, 0, 0, 0], {})], [])
+    assert record == snapshot_from_records(0, [])

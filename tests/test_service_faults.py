@@ -31,11 +31,13 @@ from repro.runtime import (
     MemoryTelemetry,
     build_agent_from_spec,
     build_fleet,
+    build_group_devices,
     checkpoint_payload,
 )
 from repro.runtime.telemetry import snapshot_from_records
 from repro.service import (
     FleetDaemon,
+    Partitioner,
     ServiceClient,
     ServiceError,
     ShardSupervisor,
@@ -386,6 +388,99 @@ def test_quarantined_mutation_refused_at_supervisor_level(tmp_path):
         assert len(records) == 18
     finally:
         supervisor.stop()
+
+
+def _quarantine_shard_0(tmp_path):
+    """A 3-shard supervisor, 3 ticks in, with shard 0 quarantined."""
+    plan = FaultPlan(
+        tuple(
+            Fault(site="worker.command", kind="kill", command="step",
+                  tick=2, shard=0, fault_id=f"kill-{i}")
+            for i in range(4)
+        )
+    )
+    supervisor = _chaos_supervisor(
+        tmp_path, plan, quarantine_after=2, worker_deadline=30.0
+    )
+    supervisor.run(3)
+    assert supervisor.quarantined == [0]
+    return supervisor
+
+
+#: Four timeout disks: dealt round-robin after the six ``tmo`` ones,
+#: their first lands on shard 0.
+LATE_GROUP = {**SPEC["groups"][1], "id": "late", "count": 4}
+
+
+def test_refused_registration_leaves_supervisor_untouched(tmp_path):
+    late = build_group_devices(LATE_GROUP, group_index=2, base_seed=SEED)
+    reference = Partitioner(3)
+    for device in build_fleet(SPEC, base_seed=SEED)[0]:
+        reference.assign(device)
+    supervisor = _quarantine_shard_0(tmp_path)
+    try:
+        info = supervisor.info()
+        with pytest.raises(ValidationError, match="quarantined"):
+            supervisor.register_devices(late)
+        assert supervisor.n_devices == 18
+        assert supervisor.info()["devices_per_shard"] == (
+            info["devices_per_shard"]
+        )
+        # The deal continues as if the refused call never happened.
+        assert supervisor._partitioner.deal(late)[0] == (
+            reference.deal(late)[0]
+        )
+        # Step, snapshot and checkpoint keep working while degraded.
+        supervisor.step_tick()
+        records = supervisor.collect_records()
+        assert [record["id"] for record in records] == list(
+            build_fleet(SPEC, base_seed=SEED)[0].device_ids
+        )
+        snap = FleetDaemon("unused.sock", supervisor)._fleet_snapshot(False)
+        assert snap["n_devices"] == 18 and snap["quarantined"] == [0]
+        supervisor.save_checkpoint(tmp_path / "degraded.ckpt")
+    finally:
+        supervisor.stop()
+
+
+def test_refused_policy_push_keeps_the_canonical_agent(tmp_path):
+    supervisor = _quarantine_shard_0(tmp_path)
+    try:
+        parked_id = next(
+            device_id
+            for device_id, shard in supervisor._owner.items()
+            if shard == 0 and device_id.startswith("disks")
+        )
+        system, costs = supervisor.canonical_model(parked_id)
+        eager = build_agent_from_spec(
+            {"type": "eager", "active": "go_active", "sleep": "go_standby"},
+            system,
+            costs,
+        )
+        before, after = tmp_path / "before.ckpt", tmp_path / "after.ckpt"
+        supervisor.save_checkpoint(before)
+        with pytest.raises(ValidationError, match="quarantined"):
+            supervisor.replace_agents([(parked_id, eager)])
+        supervisor.save_checkpoint(after)
+    finally:
+        supervisor.stop()
+    assert after.read_bytes() == before.read_bytes()
+
+
+def test_folded_snapshot_covers_parked_devices(tmp_path):
+    supervisor = _quarantine_shard_0(tmp_path)
+    try:
+        daemon = FleetDaemon("unused.sock", supervisor)
+        folded = daemon._fleet_snapshot(per_device=False)
+        from_records = snapshot_from_records(
+            supervisor.tick, supervisor.collect_records()
+        )
+    finally:
+        supervisor.stop()
+    from_records["backend"] = supervisor.resolved_backend
+    from_records["uniform_source"] = supervisor.uniform_source
+    from_records["quarantined"] = [0]
+    assert json.dumps(folded) == json.dumps(from_records)
 
 
 # ----------------------------------------------------------------------
