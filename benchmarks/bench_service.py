@@ -140,7 +140,6 @@ def _sharded_identical(bundle, ticks: int = 2) -> bool:
                 per_device=True,
             )
             record["backend"] = supervisor.resolved_backend
-            record["uniform_source"] = supervisor.uniform_source
             sharded.append(record)
     finally:
         supervisor.stop()

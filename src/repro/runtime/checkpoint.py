@@ -20,7 +20,9 @@ arrays plus one tuple of shared-object references per device — which
 is also what shard spools and gather replies carry.  Fleets pickled
 in the earlier per-device form (each device its own field mapping)
 still load; a build that predates the column form cannot read a new
-checkpoint and reports it as not readable.  Fleets containing
+checkpoint and reports it as not readable.  The ``uniform_source``
+field that earlier payloads carried is ignored on load (the controller
+picks the uniform producer itself).  Fleets containing
 non-serializable members (a :class:`~repro.runtime.streams.CallableStream`,
 an agent closed over a lambda) are rejected with a clear error at save
 time instead of a corrupt file at 3 a.m.
@@ -59,7 +61,6 @@ CHECKPOINT_FIELDS = frozenset(
         "slices_per_tick",
         "backend",
         "chunk_slices",
-        "uniform_source",
         "telemetry_every",
         "telemetry_per_device",
         "fleet",
@@ -84,7 +85,6 @@ def checkpoint_payload(  # repro-lint: schema=CHECKPOINT_FIELDS
     chunk_slices: int,
     telemetry_every: int,
     telemetry_per_device: bool,
-    uniform_source: str = "auto",
 ) -> dict:
     """Build a checkpoint payload from explicit run state.
 
@@ -111,7 +111,6 @@ def checkpoint_payload(  # repro-lint: schema=CHECKPOINT_FIELDS
         "slices_per_tick": int(slices_per_tick),
         "backend": str(backend),
         "chunk_slices": int(chunk_slices),
-        "uniform_source": str(uniform_source),
         "telemetry_every": int(telemetry_every),
         "telemetry_per_device": bool(telemetry_per_device),
         "fleet": fleet,
@@ -189,7 +188,6 @@ def save_checkpoint(path, controller, *, fsync: bool = False) -> None:
             controller.chunk_slices,
             controller._telemetry_every,
             controller._telemetry_per_device,
-            uniform_source=controller.uniform_source,
         ),
         fsync=fsync,
     )

@@ -18,11 +18,11 @@ per-device loop with the reference semantics of
 
 Determinism is per-device, not per-run: each device owns its generator
 and the batch draws every lane's uniforms from its own stream through
-a :class:`~repro.sim.rng.UniformSource` — the serial
-:class:`~repro.sim.rng.FanInSource`, or (``uniform_source="auto"``,
-the default) the byte-identical vectorized
-:class:`~repro.sim.rng_batched.BatchedPCG64Source` whenever every
-stream in a lane block is a clean PCG64 — always at a pinned chunk
+a :class:`~repro.sim.rng.UniformSource` — the vectorized
+:class:`~repro.sim.rng_batched.BatchedPCG64Source` when this numpy
+build passed its self-check and every stream in a lane block is a
+clean PCG64, else the byte-identical serial
+:class:`~repro.sim.rng.FanInSource` — always at a pinned chunk
 length (:data:`FLEET_CHUNK_SLICES` unless overridden — the pin is part
 of the reproducibility contract and is checkpointed).  A device therefore consumes
 *exactly the same uniforms through the same reduction boundaries* no
@@ -53,7 +53,6 @@ from repro.util.validation import ValidationError
 __all__ = [
     "FLEET_CHUNK_SLICES",
     "FLEET_LANE_BLOCK",
-    "UNIFORM_SOURCES",
     "FleetController",
     "resolve_backend_name",
 ]
@@ -75,13 +74,6 @@ FLEET_CHUNK_SLICES = 256
 #: never what it consumes or how its sums associate.
 FLEET_LANE_BLOCK = 16_384
 
-#: Accepted ``uniform_source`` values for the controller.  ``"auto"``
-#: picks the vectorized batched producer for any lane block whose
-#: streams it can carry byte-identically and falls back to the serial
-#: fan-in otherwise; ``"fanin"``/``"batched"`` force one producer
-#: (``"batched"`` fails loudly rather than fall back).
-UNIFORM_SOURCES = ("auto", "fanin", "batched")
-
 
 def resolve_backend_name(backend: str) -> str:
     """What :attr:`FleetController.resolved_backend` would report for
@@ -99,34 +91,19 @@ def resolve_backend_name(backend: str) -> str:
     return "loop" if backend == "loop" else "vector"
 
 
-def _block_uniform_source(
-    generators, uniform_source: str, n_kinds: int, max_chunk: int
-):
+def _block_uniform_source(generators, n_kinds: int, max_chunk: int):
     """Build one lane block's :class:`~repro.sim.rng.UniformSource`.
 
-    ``"fanin"`` always gets the serial :class:`FanInSource`.
-    ``"batched"`` requires the vectorized path: it raises (naming the
-    offending lane) when this numpy build failed the byte-identity
-    self-check or a stream is not a clean PCG64.  ``"auto"`` prefers
-    batched exactly when it is guaranteed byte-identical for every
-    stream in the block, else silently falls back to the serial fan-in
-    — either way the block consumes identical uniforms, so the knob
-    never changes results, only speed.
+    The vectorized batched source exactly when it is guaranteed
+    byte-identical for every stream in the block (this numpy build
+    passed the self-check and each stream is a clean PCG64), else the
+    serial :class:`FanInSource` — either way the block consumes
+    identical uniforms, so the choice never changes results, only
+    speed.
     """
     from repro.sim import rng_batched
 
     generators = list(generators)
-    if uniform_source == "fanin":
-        return FanInSource(generators, n_kinds=n_kinds, max_chunk=max_chunk)
-    if uniform_source == "batched":
-        if not rng_batched.batched_available():
-            raise ValidationError(
-                f"uniform_source 'batched' unavailable: "
-                f"{rng_batched.batched_unavailable_reason()}"
-            )
-        return rng_batched.BatchedPCG64Source(
-            generators, n_kinds=n_kinds, max_chunk=max_chunk
-        )
     if rng_batched.batched_available() and all(
         rng_batched.supports_generator(generator) for generator in generators
     ):
@@ -157,13 +134,11 @@ class _VectorGroup:
         fleet: Fleet,
         devices: list[Device],
         chunk_slices: int,
-        uniform_source: str = "auto",
         policy_signatures: dict | None = None,
     ):
         self.devices = devices
         self._columns, self._rows = fleet.rows_of(devices)
         self._chunk_slices = int(chunk_slices)
-        self._uniform_source = uniform_source
         # One UniformSource per lane block, built lazily on the first
         # step and reused while the group cache lives (the controller
         # rebuilds groups — and therefore sources — whenever fleet
@@ -214,7 +189,6 @@ class _VectorGroup:
                         d.rng
                         for d in self.devices[base : base + FLEET_LANE_BLOCK]
                     ),
-                    self._uniform_source,
                     n_kinds,
                     self._chunk_slices,
                 )
@@ -362,17 +336,6 @@ class FleetController:
         pin* are bitwise reproducible regardless of grouping; changing
         the pin regroups each lane's float partial sums, so totals are
         only guaranteed to match across runs that share the value.
-    uniform_source:
-        How grouped batches produce their per-lane uniform blocks:
-        ``"auto"`` (default — the vectorized
-        :class:`~repro.sim.rng_batched.BatchedPCG64Source` for lane
-        blocks whose streams are all clean PCG64, serial
-        :class:`~repro.sim.rng.FanInSource` otherwise), ``"fanin"``
-        (always serial), or ``"batched"`` (require the vectorized
-        producer; fails with an actionable message when a stream or
-        this numpy build cannot support it).  Byte-identical by
-        construction — the knob affects speed only — and recorded in
-        telemetry snapshots and checkpoints.
     record_timing:
         Stamp each emitted telemetry record with per-tick wall-clock
         (``timing``: tick/step/solve seconds).  Opt-in because wall
@@ -425,7 +388,6 @@ class FleetController:
         telemetry_every: int = 1,
         telemetry_per_device: bool = False,
         chunk_slices: int | None = None,
-        uniform_source: str = "auto",
         record_timing: bool = False,
         policy_cache=None,
         initial_tick: int = 0,
@@ -448,21 +410,6 @@ class FleetController:
             raise ValidationError(
                 f"chunk_slices must be > 0, got {chunk_slices}"
             )
-        if uniform_source not in UNIFORM_SOURCES:
-            raise ValidationError(
-                f"unknown uniform_source {uniform_source!r}; "
-                f"choose from {UNIFORM_SOURCES}"
-            )
-        if uniform_source == "batched":
-            # Fail at construction, not on the first tick: an explicit
-            # "batched" on an unsupported numpy build is a config error.
-            from repro.sim import rng_batched
-
-            if not rng_batched.batched_available():
-                raise ValidationError(
-                    f"uniform_source 'batched' unavailable: "
-                    f"{rng_batched.batched_unavailable_reason()}"
-                )
         initial_tick = int(initial_tick)
         if initial_tick < 0:
             raise ValidationError(
@@ -473,7 +420,6 @@ class FleetController:
         self._backend = backend
         self._resolved_backend = resolved_backend
         self._chunk_slices = chunk_slices
-        self._uniform_source = uniform_source
         self._record_timing = bool(record_timing)
         self._policy_cache = policy_cache
         self._last_timing: dict | None = None
@@ -526,18 +472,6 @@ class FleetController:
         return self._chunk_slices
 
     @property
-    def uniform_source(self) -> str:
-        """The requested uniform producer (``auto``/``fanin``/``batched``).
-
-        The *requested* knob, not a per-block resolution — ``"auto"``
-        can pick differently per lane block (a mixed fleet may batch
-        one group and fan in another), so the stamp records the
-        configuration, which is a pure function of the run's inputs
-        and therefore safe for byte-identical telemetry.
-        """
-        return self._uniform_source
-
-    @property
     def last_timing(self) -> dict | None:
         """Wall-clock of the most recent tick (None before any tick or
         when ``record_timing`` is off): ``tick_seconds`` total,
@@ -572,7 +506,6 @@ class FleetController:
             per_device = self._telemetry_per_device
         record = snapshot(self._fleet, self._tick, per_device=per_device)
         record["backend"] = self.resolved_backend
-        record["uniform_source"] = self._uniform_source
         return record
 
     # ------------------------------------------------------------------
@@ -612,7 +545,6 @@ class FleetController:
                 self._fleet,
                 devices,
                 self._chunk_slices,
-                self._uniform_source,
                 policy_signatures,
             )
             for devices in grouped.values()
@@ -711,22 +643,19 @@ class FleetController:
         telemetry_every: int | None = None,
         telemetry_per_device: bool | None = None,
         backend: str | None = None,
-        uniform_source: str | None = None,
         record_timing: bool = False,
         policy_cache=None,
     ) -> "FleetController":
         """Rebuild a controller from a checkpoint and continue.
 
         Telemetry sinks are not part of the checkpoint (they hold open
-        file handles); pass a fresh one.  ``backend`` and
-        ``uniform_source`` override the saved stepping mode / uniform
-        producer when given — safe, because per-device streams make
-        results grouping-invariant and the uniform producers are
-        byte-identical.  The saved ``chunk_slices`` pin is always
-        restored (overriding it would silently regroup the resumed
-        run's float partial sums and break the byte-identity contract
-        with the uninterrupted run).  Checkpoints written before the
-        ``uniform_source`` field resume as ``"auto"``.
+        file handles); pass a fresh one.  ``backend`` overrides the
+        saved stepping mode when given — safe, because per-device
+        streams make results grouping-invariant.  The saved
+        ``chunk_slices`` pin is always restored (overriding it would
+        silently regroup the resumed run's float partial sums and break
+        the byte-identity contract with the uninterrupted run).  The
+        ``uniform_source`` field older builds wrote is ignored.
         """
         from repro.runtime.checkpoint import load_checkpoint
 
@@ -747,11 +676,6 @@ class FleetController:
                 else telemetry_per_device
             ),
             chunk_slices=payload.get("chunk_slices"),
-            uniform_source=(
-                payload.get("uniform_source", "auto")
-                if uniform_source is None
-                else uniform_source
-            ),
             record_timing=record_timing,
             policy_cache=policy_cache,
             initial_tick=payload["tick"],

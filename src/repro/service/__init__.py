@@ -53,7 +53,6 @@ from repro.service.shard import (
     Partitioner,
     ShardConfig,
     shard_signature,
-    spool_path,
 )
 
 __all__ = [
@@ -74,5 +73,4 @@ __all__ = [
     "ShardConfig",
     "ShardSupervisor",
     "shard_signature",
-    "spool_path",
 ]

@@ -73,7 +73,6 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.controller import (
     FLEET_CHUNK_SLICES,
-    UNIFORM_SOURCES,
     FleetController,
     resolve_backend_name,
 )
@@ -217,11 +216,9 @@ class ShardSupervisor:
     n_shards:
         Worker process count.  ``1`` is a valid (and byte-identical)
         degenerate case — useful for soak-testing the service path.
-    slices_per_tick / backend / chunk_slices / uniform_source:
+    slices_per_tick / backend / chunk_slices:
         Forwarded to every shard's controller, exactly as a
-        single-process :class:`FleetController` would receive them
-        (``uniform_source`` selects the per-lane uniform producer —
-        serial fan-in or the byte-identical vectorized batched path).
+        single-process :class:`FleetController` would receive them.
     lp_backend:
         LP backend for centrally-built agents (live registrations and
         policy pushes).
@@ -265,7 +262,6 @@ class ShardSupervisor:
         slices_per_tick: int = 1000,
         backend: str = "auto",
         chunk_slices: int | None = None,
-        uniform_source: str = "auto",
         lp_backend: str = "scipy",
         spool_dir=None,
         checkpoint_every: int = 1,
@@ -298,12 +294,6 @@ class ShardSupervisor:
         self._chunk_slices = (
             FLEET_CHUNK_SLICES if chunk_slices is None else int(chunk_slices)
         )
-        if uniform_source not in UNIFORM_SOURCES:
-            raise ValidationError(
-                f"unknown uniform_source {uniform_source!r}; "
-                f"choose from {UNIFORM_SOURCES}"
-            )
-        self._uniform_source = str(uniform_source)
         self._lp_backend = str(lp_backend)
         self._checkpoint_every = checkpoint_every
         self._resolved_backend = resolve_backend_name(self._backend)
@@ -381,11 +371,6 @@ class ShardSupervisor:
         return self._resolved_backend
 
     @property
-    def uniform_source(self) -> str:
-        """The requested uniform producer (telemetry stamp)."""
-        return self._uniform_source
-
-    @property
     def lp_backend(self) -> str:
         """LP backend for centrally-built agents."""
         return self._lp_backend
@@ -426,7 +411,6 @@ class ShardSupervisor:
             "resolved_backend": self._resolved_backend,
             "slices_per_tick": self._slices_per_tick,
             "chunk_slices": self._chunk_slices,
-            "uniform_source": self._uniform_source,
             "checkpoint_every": self._checkpoint_every,
             "restarts": self._restarts,
             "worker_pids": [
@@ -481,7 +465,6 @@ class ShardSupervisor:
             slices_per_tick=self._slices_per_tick,
             backend=self._backend,
             chunk_slices=self._chunk_slices,
-            uniform_source=self._uniform_source,
             spool_dir=(
                 str(self._spool_dir) if self._spool_dir is not None else None
             ),
@@ -977,7 +960,6 @@ class ShardSupervisor:
                 self._chunk_slices,
                 telemetry_every,
                 telemetry_per_device,
-                uniform_source=self._uniform_source,
             ),
         )
 
@@ -992,7 +974,6 @@ class ShardSupervisor:
             slices_per_tick=self._slices_per_tick,
             backend=self._backend,
             chunk_slices=self._chunk_slices,
-            uniform_source=self._uniform_source,
             initial_tick=self._tick,
             **kwargs,
         )
@@ -1214,9 +1195,9 @@ class FleetDaemon:
     ) -> dict:
         """The daemon-side snapshot: shard folds, or reordered records.
 
-        Stamped with the supervisor's resolved backend and requested
-        uniform source exactly like :meth:`FleetController.snapshot` —
-        byte-identical output for equal fleet state.
+        Stamped with the supervisor's resolved backend exactly like
+        :meth:`FleetController.snapshot` — byte-identical output for
+        equal fleet state.
         """
         supervisor = self._supervisor
         if per_device:
@@ -1230,7 +1211,6 @@ class FleetDaemon:
                 supervisor.metric_order(),
             )
         record["backend"] = supervisor.resolved_backend
-        record["uniform_source"] = supervisor.uniform_source
         # Only stamped while degraded: fault-free (and fully recovered)
         # snapshots stay byte-identical to single-process ones.
         quarantined = supervisor.quarantined

@@ -8,10 +8,10 @@ controller's grouped stepping is bitwise grouping-invariant, a device
 produces *exactly* the same state trajectory inside any shard as it
 would in the single-process controller: sharding buys wall-clock
 parallelism for the per-device uniform fan-in without touching a
-single byte of the results.  The supervisor's ``uniform_source`` knob
-passes through to every worker's controller unchanged — the batched
-and serial uniform producers are byte-identical, so re-partitioning a
-fleet or flipping the knob never changes what any device consumes.
+single byte of the results.  Each worker's controller picks its own
+uniform producer per lane block; the batched and serial producers are
+byte-identical, so re-partitioning a fleet never changes what any
+device consumes.
 
 Partitioning is content-addressed: :func:`shard_signature` reduces a
 device to its batching signature (system content, costs content,
@@ -41,7 +41,6 @@ mid-run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro import faults
 from repro.faults.plan import FaultPlan
@@ -62,7 +61,6 @@ __all__ = [
     "ShardConfig",
     "shard_signature",
     "shard_worker_main",
-    "spool_path",
 ]
 
 #: Telemetry cadence no run reaches: shard controllers never emit —
@@ -154,16 +152,6 @@ class Partitioner:
         self._ordinals.update(ordinals)
 
 
-def spool_path(spool_dir, index: int) -> Path:
-    """The legacy single-file per-shard spool path.
-
-    Superseded by the CRC-stamped generation files of
-    :mod:`repro.service.spool` (``shard-N.g0.ckpt`` / ``.g1.ckpt``);
-    kept as the stable base name shards are spooled under.
-    """
-    return Path(spool_dir) / f"shard-{int(index)}.ckpt"
-
-
 @dataclass(frozen=True)
 class ShardConfig:
     """Everything a worker needs to rebuild its controller.
@@ -182,7 +170,6 @@ class ShardConfig:
     slices_per_tick: int
     backend: str = "auto"
     chunk_slices: int | None = None
-    uniform_source: str = "auto"
     spool_dir: str | None = None
     fault_plan: FaultPlan | None = None
     fault_ledger: str | None = None
@@ -227,7 +214,6 @@ class _ShardWorker:
                 backend=self._config.backend,
                 telemetry_every=_NEVER_EMIT,
                 chunk_slices=self._config.chunk_slices,
-                uniform_source=self._config.uniform_source,
                 initial_tick=self._tick,
             )
         return self._controller
@@ -244,7 +230,6 @@ class _ShardWorker:
             FLEET_CHUNK_SLICES if chunk is None else chunk,
             1,
             False,
-            uniform_source=self._config.uniform_source,
         )
         try:
             path = self._spool.write(payload)

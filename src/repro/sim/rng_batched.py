@@ -31,9 +31,12 @@ return, and the same final ``bit_generator.state`` afterwards.  The
 equivalence is self-checked at import of the first source
 (:func:`batched_available`): the PCG64 multiplier is derived from
 observed state transitions rather than hard-coded, so a numpy build
-with a different PCG variant degrades to ``available() == False`` (and
-the fleet falls back to the serial fan-in) instead of corrupting
-streams.
+with a different PCG variant degrades to ``batched_available() ==
+False`` instead of corrupting streams.  The fleet controller uses a
+:class:`BatchedPCG64Source` for a lane block exactly when the
+self-check passed and every stream in the block is a clean PCG64
+(:func:`supports_generator`); otherwise the block is served by the
+serial fan-in.
 
 Generators stay canonical through *advance-based writeback*:
 :class:`BatchedPCG64Source` counts the draws it has served and
@@ -59,11 +62,6 @@ __all__ = [
     "derive_pcg64_multiplier",
     "supports_generator",
 ]
-
-#: Lanes per pool band (and per internal slab): mirrors the fleet's
-#: lane-block size so one band's draw buffer stays bounded, and gives
-#: the process pool its unit of parallelism.
-LANE_BAND = 16_384
 
 _M32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
@@ -169,8 +167,8 @@ def batched_available() -> bool:
 
     True only after the derived multiplier passes the byte-identity
     self-check against ``Generator.random``.  The verdict is cached;
-    a False here makes ``uniform_source="auto"`` fall back to the
-    serial fan-in and ``uniform_source="batched"`` fail loudly.
+    a False here makes the fleet controller serve every lane block
+    from the serial fan-in.
     """
     return _derived()["mult"] is not None
 
@@ -373,27 +371,6 @@ class BatchedDeviceStreams:
         return _draw_block(self._state, chunk, n_kinds, self._mult)
 
 
-def _batched_band(state, chunk, n_kinds, mult, shm_name, offset):
-    """Pool-worker task: draw one lane band into shared memory.
-
-    The band's block is written straight into the parent's shared
-    segment (no pickled payload on the return path); only the small
-    advanced ``(band, 4)`` state array rides back over the pipe.
-    """
-    from multiprocessing import shared_memory
-
-    block = _draw_block(state, chunk, n_kinds, mult)
-    segment = shared_memory.SharedMemory(name=shm_name)
-    try:
-        flat = np.ndarray(
-            block.size, dtype=np.float64, buffer=segment.buf, offset=offset
-        )
-        flat[:] = block.reshape(-1)
-    finally:
-        segment.close()
-    return state
-
-
 class BatchedPCG64Source:
     """The vectorized :class:`~repro.sim.rng.UniformSource`.
 
@@ -418,12 +395,6 @@ class BatchedPCG64Source:
         Declared request geometry, enforced like
         :class:`~repro.sim.rng.FanInSource` — a mismatched kernel
         request raises instead of desynchronizing streams.
-    processes:
-        Draw :data:`LANE_BAND`-lane bands in a process pool, assembling
-        blocks through shared memory.  Lanes are banded, not
-        interleaved, so pool output is byte-identical to the
-        in-process path.  Pays off for fleets spanning multiple bands
-        on multi-core machines.
     """
 
     def __init__(
@@ -431,7 +402,6 @@ class BatchedPCG64Source:
         generators,
         n_kinds: int | None = None,
         max_chunk: int | None = None,
-        processes: int | None = None,
     ):
         if not batched_available():
             raise ValidationError(
@@ -442,14 +412,6 @@ class BatchedPCG64Source:
         self._streams = BatchedDeviceStreams.from_generators(self._generators)
         self._n_kinds = None if n_kinds is None else int(n_kinds)
         self._max_chunk = None if max_chunk is None else int(max_chunk)
-        if processes is not None:
-            processes = int(processes)
-            if processes <= 0:
-                raise ValidationError(
-                    f"processes must be > 0, got {processes}"
-                )
-        self._processes = processes
-        self._executor = None
         self._pending = 0
 
     @property
@@ -472,98 +434,14 @@ class BatchedPCG64Source:
         """The stacked stream state (authoritative between syncs)."""
         return self._streams
 
-    def _pool(self):
-        if self._executor is None:
-            import concurrent.futures
-            import multiprocessing
-
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self._processes, mp_context=context
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the worker pool, if one was started."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "BatchedPCG64Source":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def random(self, shape) -> np.ndarray:
         """Fill a ``(chunk, kinds, lanes)`` block from the stacked streams."""
-        chunk, n_kinds, n_lanes = _validate_shape(
+        chunk, n_kinds, _ = _validate_shape(
             shape, len(self._generators), self._n_kinds, self._max_chunk
         )
-        if (
-            self._processes is not None
-            and self._processes > 1
-            and n_lanes > LANE_BAND
-        ):
-            block = self._random_pooled(chunk, n_kinds, n_lanes)
-        else:
-            block = self._streams.uniform_block(chunk, n_kinds)
+        block = self._streams.uniform_block(chunk, n_kinds)
         self._pending += chunk * n_kinds
         return block
-
-    def _random_pooled(
-        self, chunk: int, n_kinds: int, n_lanes: int
-    ) -> np.ndarray:
-        """Band-parallel draw through shared memory.
-
-        Each band is an independent sub-stack (streams never interact),
-        so banding is bitwise neutral; the bands' blocks land in one
-        shared segment in lane order and are copied out as the
-        ``(chunk, kinds, lanes)`` result.
-        """
-        from multiprocessing import shared_memory
-
-        mult = self._streams._mult
-        state = self._streams.state
-        bounds = [
-            (lo, min(lo + LANE_BAND, n_lanes))
-            for lo in range(0, n_lanes, LANE_BAND)
-        ]
-        block_floats = chunk * n_kinds
-        segment = shared_memory.SharedMemory(
-            create=True, size=block_floats * n_lanes * 8
-        )
-        try:
-            offsets = [lo * block_floats * 8 for lo, _ in bounds]
-            futures = [
-                self._pool().submit(
-                    _batched_band,
-                    state[lo:hi].copy(),
-                    chunk,
-                    n_kinds,
-                    mult,
-                    segment.name,
-                    offset,
-                )
-                for (lo, hi), offset in zip(bounds, offsets)
-            ]
-            out = np.empty((chunk, n_kinds, n_lanes))
-            for (lo, hi), offset, future in zip(bounds, offsets, futures):
-                state[lo:hi] = future.result()
-                band_block = np.ndarray(
-                    (chunk, n_kinds, hi - lo),
-                    dtype=np.float64,
-                    buffer=segment.buf,
-                    offset=offset,
-                )
-                out[:, :, lo:hi] = band_block
-        finally:
-            segment.close()
-            segment.unlink()
-        return out
 
     def sync(self) -> None:
         """Advance the backing generators to the stacked state.

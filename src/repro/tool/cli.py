@@ -69,7 +69,6 @@ import numpy as np
 from repro.core.pareto import simulate_curve
 from repro.experiments import available_experiments, run_experiment
 from repro.lint.cli import add_lint_arguments, run_lint
-from repro.runtime.controller import UNIFORM_SOURCES
 from repro.sim.backends import BACKEND_CHOICES
 from repro.sim.rng import make_rng
 from repro.tool.pipeline import run_pipeline, sweep_tradeoff
@@ -259,16 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "the pin",
     )
     p_fleet.add_argument(
-        "--uniform-source",
-        default=None,
-        choices=UNIFORM_SOURCES,
-        help="per-lane uniform producer for grouped batches: auto "
-        "(vectorized batched PCG64 where byte-identical, serial "
-        "fan-in otherwise), fanin, or batched (require the "
-        "vectorized path); affects speed only, never results "
-        "(default: auto; on --resume, the checkpoint's value)",
-    )
-    p_fleet.add_argument(
         "--timing",
         action="store_true",
         help="stamp telemetry with per-tick wall-clock (step/solve "
@@ -287,9 +276,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument(
         "--telemetry-every",
         type=int,
-        default=1,
+        default=None,
         metavar="K",
-        help="ticks between telemetry snapshots (default: 1)",
+        help="ticks between telemetry snapshots (default: 1; on "
+        "--resume, the checkpoint's value)",
     )
     p_fleet.add_argument(
         "--per-device",
@@ -353,13 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pinned chunk length for grouped batches (default: 256)",
     )
     p_serve.add_argument(
-        "--uniform-source",
-        default=None,
-        choices=UNIFORM_SOURCES,
-        help="per-lane uniform producer for grouped batches "
-        "(as for the fleet command)",
-    )
-    p_serve.add_argument(
         "--lp-backend",
         default="scipy",
         help="LP backend for optimal/adaptive agents",
@@ -372,9 +355,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--telemetry-every",
         type=int,
-        default=1,
+        default=None,
         metavar="K",
-        help="ticks between telemetry snapshots (default: 1)",
+        help="ticks between telemetry snapshots (default: 1; on "
+        "--resume, the checkpoint's value)",
     )
     p_serve.add_argument(
         "--per-device",
@@ -843,7 +827,6 @@ def _cmd_fleet(args) -> int:
                 telemetry_every=args.telemetry_every,
                 telemetry_per_device=args.per_device or None,
                 backend=args.backend,
-                uniform_source=args.uniform_source,
                 record_timing=args.timing,
             )
             cache = None
@@ -873,10 +856,11 @@ def _cmd_fleet(args) -> int:
                 slices_per_tick=slices_per_tick,
                 backend=args.backend or "auto",
                 telemetry=telemetry,
-                telemetry_every=args.telemetry_every,
+                telemetry_every=(
+                    1 if args.telemetry_every is None else args.telemetry_every
+                ),
                 telemetry_per_device=args.per_device,
                 chunk_slices=args.chunk_slices,
-                uniform_source=args.uniform_source or "auto",
                 record_timing=args.timing,
                 policy_cache=cache,
             )
@@ -972,7 +956,7 @@ def _cmd_serve(args) -> int:
     slices_per_tick = args.slices_per_tick or 1000
     backend = args.backend or "auto"
     chunk_slices = args.chunk_slices
-    uniform_source = args.uniform_source or "auto"
+    telemetry_every = 1 if args.telemetry_every is None else args.telemetry_every
     per_device = args.per_device
     if args.resume:
         payload = load_checkpoint(args.resume)
@@ -980,13 +964,11 @@ def _cmd_serve(args) -> int:
         tick = payload["tick"]
         slices_per_tick = payload["slices_per_tick"]
         chunk_slices = payload["chunk_slices"]
-        # Speed knobs, not determinism pins: a flag the user gives wins
-        # over the checkpoint's saved value (pre-knob checkpoints
-        # resume with uniform_source "auto").
+        # A flag the user gives wins over the checkpoint's saved value.
         if args.backend is None:
             backend = payload["backend"]
-        if args.uniform_source is None:
-            uniform_source = payload.get("uniform_source", "auto")
+        if args.telemetry_every is None:
+            telemetry_every = payload["telemetry_every"]
         # Like `fleet --resume`: the flag can force per-device snapshots
         # on, but when absent the checkpoint's setting carries over so a
         # resumed daemon keeps emitting the same telemetry shape.
@@ -1036,7 +1018,6 @@ def _cmd_serve(args) -> int:
         slices_per_tick=slices_per_tick,
         backend=backend,
         chunk_slices=chunk_slices,
-        uniform_source=uniform_source,
         lp_backend=args.lp_backend,
         spool_dir=args.spool_dir,
         checkpoint_every=args.checkpoint_every,
@@ -1052,7 +1033,7 @@ def _cmd_serve(args) -> int:
         args.socket,
         supervisor,
         telemetry=telemetry,
-        telemetry_every=args.telemetry_every,
+        telemetry_every=telemetry_every,
         telemetry_per_device=per_device,
         policy_cache=cache,
         next_group_index=next_group_index,

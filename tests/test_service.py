@@ -121,7 +121,6 @@ def _supervisor_records(supervisor, n_ticks):
             supervisor.tick, supervisor.collect_records(), per_device=True
         )
         record["backend"] = supervisor.resolved_backend
-        record["uniform_source"] = supervisor.uniform_source
         out.append(record)
     return out
 
@@ -520,7 +519,6 @@ def test_folded_snapshot_matches_records_and_single_process(n_shards):
                 supervisor.tick, supervisor.collect_records()
             )
             from_records["backend"] = supervisor.resolved_backend
-            from_records["uniform_source"] = supervisor.uniform_source
             snapshots.append(
                 (
                     daemon._fleet_snapshot(per_device=False),

@@ -123,7 +123,6 @@ def _supervisor_records(supervisor, n_ticks):
             supervisor.tick, supervisor.collect_records(), per_device=True
         )
         record["backend"] = supervisor.resolved_backend
-        record["uniform_source"] = supervisor.uniform_source
         out.append(record)
     return out
 
@@ -478,7 +477,6 @@ def test_folded_snapshot_covers_parked_devices(tmp_path):
     finally:
         supervisor.stop()
     from_records["backend"] = supervisor.resolved_backend
-    from_records["uniform_source"] = supervisor.uniform_source
     from_records["quarantined"] = [0]
     assert json.dumps(folded) == json.dumps(from_records)
 

@@ -385,9 +385,8 @@ class TestCLI:
 
 
 class TestResumeFlags:
-    """``--backend``/``--uniform-source`` on ``--resume``: an absent
-    flag keeps the checkpoint's value, a given one (``auto`` included)
-    overrides it."""
+    """``--backend``/``--telemetry-every`` on ``--resume``: an absent
+    flag keeps the checkpoint's value, a given one overrides it."""
 
     SPEC: ClassVar[dict] = {
         "name": "resume-flags",
@@ -444,34 +443,38 @@ class TestResumeFlags:
         self._fleet(*resume, "--backend", "vector")
         assert telemetry.read_bytes() == reference.read_bytes()
 
-    def test_fleet_resume_given_auto_overrides_saved_source(self, tmp_path):
-        checkpoint, telemetry = self._checkpoint(tmp_path, "--uniform-source", "fanin")
-        resume = ("--resume", checkpoint, "--ticks", 1, "--telemetry", telemetry)
-        self._fleet(*resume)
-        self._fleet(*resume, "--uniform-source", "auto")
-        stamps = [
-            json.loads(line)["uniform_source"]
-            for line in telemetry.read_text().splitlines()
-        ]
-        assert stamps == ["fanin", "fanin", "fanin", "auto"]
+    def _cadence_reference(self, tmp_path):
+        """Six uninterrupted ticks of telemetry every third tick, and a
+        checkpoint of the same run after two ticks."""
+        reference = tmp_path / "ref.jsonl"
+        every = ("--telemetry-every", 3)
+        spec = self._spec_file(tmp_path)
+        self._fleet(spec, "--ticks", 6, *every, "--telemetry", reference)
+        checkpoint, telemetry = self._checkpoint(tmp_path, *every)
+        return reference, checkpoint, telemetry
 
-    def test_serve_resume_honours_backend(self, tmp_path, capsys):
+    def test_fleet_resume_keeps_telemetry_cadence(self, tmp_path):
+        reference, checkpoint, telemetry = self._cadence_reference(tmp_path)
+        self._fleet("--resume", checkpoint, "--ticks", 4, "--telemetry", telemetry)
+        assert telemetry.read_bytes() == reference.read_bytes()
+
+    @staticmethod
+    def _serve_args(tmp_path, checkpoint, *flags):
+        serve = ["serve", "--resume", str(checkpoint), "--socket", str(tmp_path / "s")]
+        return [*serve, "--checkpoint-every", "0", *map(str, flags)]
+
+    @staticmethod
+    def _serve(capsys, serve, drive):
+        """Run ``serve`` on a thread, ``drive`` a client, shut it down."""
         import threading
         import time
 
         from repro.service import ServiceClient
 
-        checkpoint, _ = self._checkpoint(tmp_path, backend="jit")
-        socket_path = str(tmp_path / "s")
-        serve = ["serve", "--resume", str(checkpoint), "--socket", socket_path]
-        serve += ["--shards", "1", "--checkpoint-every", "0"]
-        assert cli_main(serve) == 2
-        assert "'jit'" in capsys.readouterr().err
-
+        socket_path = serve[serve.index("--socket") + 1]
         codes = []
         thread = threading.Thread(
-            target=lambda: codes.append(cli_main([*serve, "--backend", "vector"])),
-            daemon=True,
+            target=lambda: codes.append(cli_main(serve)), daemon=True
         )
         thread.start()
         deadline = time.monotonic() + 60
@@ -480,12 +483,30 @@ class TestResumeFlags:
             assert time.monotonic() < deadline, "daemon never bound its socket"
             time.sleep(0.01)
         with ServiceClient(socket_path, timeout=60) as client:
-            info = client.info()
+            result = drive(client)
             client.shutdown()
         thread.join(timeout=60)
         assert codes == [0]
+        return result
+
+    def test_serve_resume_honours_backend(self, tmp_path, capsys):
+        checkpoint, _ = self._checkpoint(tmp_path, backend="jit")
+        serve = self._serve_args(tmp_path, checkpoint, "--shards", 1)
+        assert cli_main(serve) == 2
+        assert "'jit'" in capsys.readouterr().err
+
+        serve += ["--backend", "vector"]
+        info = self._serve(capsys, serve, lambda client: client.info())
         assert info["backend"] == "vector"
         assert info["tick"] == 2
+
+    def test_serve_resume_keeps_telemetry_cadence(self, tmp_path, capsys):
+        reference, checkpoint, telemetry = self._cadence_reference(tmp_path)
+        serve = self._serve_args(
+            tmp_path, checkpoint, "--shards", 2, "--telemetry", telemetry
+        )
+        self._serve(capsys, serve, lambda client: client.step(4))
+        assert telemetry.read_bytes() == reference.read_bytes()
 
 
 class TestFitCLI:

@@ -4,13 +4,14 @@ The contract under test is the tentpole of the vectorized fan-in: a
 :class:`~repro.sim.rng_batched.BatchedPCG64Source` serves every lane
 the *same bytes* its device's private ``Generator.random`` would — for
 any chunk size, across consecutive variable-shape requests, across
-lane-block boundaries, through the process pool, and through
-checkpoint/resume and shard re-partitioning — with the backing
-generator objects landing in the exact states a serial fan-in leaves.
-When the guarantee cannot be given (non-PCG64 streams, a buffered
-half-draw, a numpy build that fails the self-check), ``"auto"`` falls
-back to the serial :class:`~repro.sim.rng.FanInSource` and
-``"batched"`` fails loudly.
+lane-block boundaries, and through checkpoint/resume and shard
+re-partitioning — with the backing generator objects landing in the
+exact states a serial fan-in leaves.  When the guarantee cannot be
+given (non-PCG64 streams, a buffered half-draw, a numpy build that
+fails the self-check), the fleet controller serves the lane block from
+the serial :class:`~repro.sim.rng.FanInSource` instead, and a
+:class:`~repro.sim.rng_batched.BatchedPCG64Source` built directly
+raises, naming the cause.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.runtime import (
     MemoryTelemetry,
     device_rng,
 )
-from repro.runtime.controller import UNIFORM_SOURCES
 from repro.sim import rng_batched
 from repro.sim.rng import FanInSource, UniformSource
 from repro.sim.rng_batched import (
@@ -230,31 +230,26 @@ class TestBatchedSource:
         with pytest.raises(ValidationError, match="lane 1"):
             BatchedPCG64Source(generators)
 
-    def test_pooled_blocks_are_byte_identical(self, monkeypatch):
-        monkeypatch.setattr(rng_batched, "LANE_BAND", 8)
-        generators = _generators(21, seed=9)
-        reference = _generators(21, seed=9)
-        with BatchedPCG64Source(generators, processes=2) as source:
-            block = source.random((11, 3, 21))
-            source.sync()
-        assert (block == _reference_block(reference, 11, 3)).all()
-        for mine, theirs in zip(generators, reference):
-            assert mine.bit_generator.state == theirs.bit_generator.state
-
     def test_unavailable_build_raises_with_reason(self, monkeypatch):
-        monkeypatch.setattr(
-            rng_batched,
-            "_DERIVED",
-            {"mult": None, "reason": "simulated unsupported build"},
-        )
+        _simulate_unsupported_build(monkeypatch)
         assert not batched_available()
         with pytest.raises(ValidationError, match="simulated unsupported"):
             BatchedPCG64Source(_generators(2))
 
 
 # ----------------------------------------------------------------------
-# the controller knob
+# the controller's producer choice
 # ----------------------------------------------------------------------
+def _simulate_unsupported_build(monkeypatch):
+    """Make the PCG64 self-check report failure, as on a numpy build
+    whose PCG64 the vectorized path cannot reproduce."""
+    monkeypatch.setattr(
+        rng_batched,
+        "_DERIVED",
+        {"mult": None, "reason": "simulated unsupported build"},
+    )
+
+
 def _stationary_fleet(n, seed=0):
     from repro.policies import StationaryPolicyAgent, eager_markov_policy
     from repro.systems import disk_drive
@@ -273,12 +268,11 @@ def _stationary_fleet(n, seed=0):
     return fleet
 
 
-def _run_records(fleet, uniform_source, ticks=3, slices=700, **kwargs):
+def _run_records(fleet, ticks=3, slices=700, **kwargs):
     sink = MemoryTelemetry()
     controller = FleetController(
         fleet,
         slices_per_tick=slices,
-        uniform_source=uniform_source,
         telemetry=sink,
         telemetry_per_device=True,
         **kwargs,
@@ -287,45 +281,44 @@ def _run_records(fleet, uniform_source, ticks=3, slices=700, **kwargs):
     return controller, sink.records
 
 
-def _strip_stamp(records):
+def _lines(records):
+    return [json.dumps(record, sort_keys=True) for record in records]
+
+
+def _producers(controller):
+    """The uniform source type of every lane block, in stepping order."""
     return [
-        json.dumps(
-            {k: v for k, v in record.items() if k != "uniform_source"},
-            sort_keys=True,
-        )
-        for record in records
+        type(source).__name__
+        for group in controller._vector_groups
+        for source in group._sources.values()
     ]
 
 
 class TestControllerKnob:
-    def test_knob_is_validated(self):
-        with pytest.raises(ValidationError, match="uniform_source"):
-            FleetController(_stationary_fleet(2), uniform_source="turbo")
-        assert UNIFORM_SOURCES == ("auto", "fanin", "batched")
+    """The controller's one producer rule: the batched source for a lane
+    block exactly when the self-check passed and every stream is a
+    clean PCG64, else the serial fan-in — with identical bytes."""
 
-    def test_snapshot_stamps_requested_knob(self):
-        for knob in UNIFORM_SOURCES:
-            controller, records = _run_records(
-                _stationary_fleet(4), knob, ticks=1, slices=50
-            )
-            assert controller.uniform_source == knob
-            assert records[0]["uniform_source"] == knob
+    def test_fanin_batched_auto_byte_identical(self, monkeypatch):
+        fleet = _stationary_fleet(40)
+        controller, batched = _run_records(fleet)
+        assert _producers(controller) == ["BatchedPCG64Source"]
+        batched_states = [device.rng.bit_generator.state for device in fleet]
 
-    def test_fanin_batched_auto_byte_identical(self):
-        reference = None
-        states = None
-        for knob in UNIFORM_SOURCES:
-            fleet = _stationary_fleet(40)
-            _, records = _run_records(fleet, knob)
-            stripped = _strip_stamp(records)
-            final = [
-                device.rng.bit_generator.state for device in fleet
-            ]
-            if reference is None:
-                reference, states = stripped, final
-            else:
-                assert stripped == reference
-                assert final == states
+        _simulate_unsupported_build(monkeypatch)
+        fleet = _stationary_fleet(40)
+        controller, fanin = _run_records(fleet)
+        assert _producers(controller) == ["FanInSource"]
+        assert _lines(fanin) == _lines(batched)
+        assert [device.rng.bit_generator.state for device in fleet] == batched_states
+
+    def test_unsupported_build_steps_every_block_on_fanin(self, monkeypatch):
+        from repro.runtime import controller as controller_module
+
+        _simulate_unsupported_build(monkeypatch)
+        monkeypatch.setattr(controller_module, "FLEET_LANE_BLOCK", 4)
+        controller, _ = _run_records(_stationary_fleet(11), ticks=1, slices=50)
+        assert _producers(controller) == ["FanInSource"] * 3
 
     def test_block_boundaries_are_bitwise_neutral(self, monkeypatch):
         # Shrink the lane block so 11 devices split 4|4|3: per-lane
@@ -334,48 +327,46 @@ class TestControllerKnob:
 
         fleet_small = _stationary_fleet(11)
         monkeypatch.setattr(controller_module, "FLEET_LANE_BLOCK", 4)
-        _, split = _run_records(fleet_small, "batched", ticks=2)
+        _, split = _run_records(fleet_small, ticks=2)
         monkeypatch.undo()
         fleet_whole = _stationary_fleet(11)
-        _, whole = _run_records(fleet_whole, "batched", ticks=2)
-        assert _strip_stamp(split) == _strip_stamp(whole)
+        _, whole = _run_records(fleet_whole, ticks=2)
+        assert _lines(split) == _lines(whole)
 
-    def test_mixed_generator_fleet_auto_falls_back(self):
+    def test_mixed_generator_fleet_auto_falls_back(self, monkeypatch):
+        # One MT19937 device sends its lane block to the fan-in; the
+        # same fleet on an unsupported build (fan-in everywhere) agrees.
         fleet = _stationary_fleet(6)
         devices = list(fleet)
         devices[3].rng = np.random.Generator(np.random.MT19937(5))
+        controller, auto_records = _run_records(fleet, ticks=2)
+        assert _producers(controller) == ["FanInSource"]
+        _simulate_unsupported_build(monkeypatch)
         reference = _stationary_fleet(6)
         list(reference)[3].rng = np.random.Generator(np.random.MT19937(5))
-        _, auto_records = _run_records(fleet, "auto", ticks=2)
-        _, fanin_records = _run_records(reference, "fanin", ticks=2)
-        assert _strip_stamp(auto_records) == _strip_stamp(fanin_records)
+        _, fanin_records = _run_records(reference, ticks=2)
+        assert _lines(auto_records) == _lines(fanin_records)
 
-    def test_mixed_generator_fleet_batched_raises(self):
-        fleet = _stationary_fleet(6)
-        list(fleet)[3].rng = np.random.Generator(np.random.MT19937(5))
-        controller = FleetController(
-            fleet, slices_per_tick=50, uniform_source="batched"
-        )
-        with pytest.raises(ValidationError, match="lane 3"):
-            controller.step_tick()
+    def test_spec_built_fleet_uses_batched_producer(self):
+        # The fast path can only be lost silently (a spec-built device
+        # whose generator is not a clean PCG64), so pin it.
+        from pathlib import Path
 
-    def test_batched_unavailable_build_fails_at_construction(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(
-            rng_batched,
-            "_DERIVED",
-            {"mult": None, "reason": "simulated unsupported build"},
+        from repro.runtime import build_fleet
+
+        if not batched_available():
+            pytest.skip("vectorized PCG64 unavailable on this numpy build")
+        spec_path = (
+            Path(__file__).resolve().parent.parent
+            / "examples"
+            / "fleet_spec.json"
         )
-        with pytest.raises(ValidationError, match="simulated unsupported"):
-            FleetController(
-                _stationary_fleet(2), uniform_source="batched"
-            )
-        # auto degrades to the serial fan-in instead of failing.
-        controller, records = _run_records(
-            _stationary_fleet(4), "auto", ticks=1, slices=50
-        )
-        assert records[0]["uniform_source"] == "auto"
+        fleet, _ = build_fleet(json.loads(spec_path.read_text()))
+        controller = FleetController(fleet, slices_per_tick=20)
+        controller.step_tick()
+        producers = _producers(controller)
+        assert producers
+        assert set(producers) == {"BatchedPCG64Source"}
 
 
 # ----------------------------------------------------------------------
@@ -384,55 +375,43 @@ class TestControllerKnob:
 class TestPersistence:
     def test_checkpoint_resume_byte_identity(self, tmp_path):
         # Uninterrupted batched run vs checkpoint-at-2 + resumed run.
-        _, straight = _run_records(
-            _stationary_fleet(24), "batched", ticks=4
-        )
+        _, straight = _run_records(_stationary_fleet(24), ticks=4)
         fleet = _stationary_fleet(24)
-        controller, records = _run_records(fleet, "batched", ticks=2)
+        controller, records = _run_records(fleet, ticks=2)
         path = tmp_path / "fleet.ckpt"
         controller.save_checkpoint(path)
         resumed = FleetController.resume(path, telemetry=None)
-        assert resumed.uniform_source == "batched"
         sink = MemoryTelemetry()
         resumed._telemetry = sink
         resumed._telemetry_per_device = True
         resumed.run(2)
-        assert _strip_stamp(records + sink.records) == _strip_stamp(
-            straight
-        )
-
-    def test_resume_override_is_byte_identical(self, tmp_path):
-        fleet = _stationary_fleet(12)
-        controller, _ = _run_records(fleet, "fanin", ticks=1)
-        path = tmp_path / "fleet.ckpt"
-        controller.save_checkpoint(path)
-        a = FleetController.resume(path)
-        b = FleetController.resume(path, uniform_source="batched")
-        assert a.uniform_source == "fanin"
-        assert b.uniform_source == "batched"
-        a.run(1)
-        b.run(1)
-        assert _strip_stamp([a.snapshot(per_device=True)]) == _strip_stamp(
-            [b.snapshot(per_device=True)]
-        )
+        assert _lines(records + sink.records) == _lines(straight)
 
     def test_pre_knob_checkpoint_resumes_as_auto(self, tmp_path):
+        # Checkpoints of earlier builds carry a ``uniform_source``
+        # field; it is ignored, and the run continues byte-identically.
         from repro.runtime.checkpoint import (
+            CHECKPOINT_FIELDS,
             load_checkpoint,
             write_checkpoint,
         )
 
-        fleet = _stationary_fleet(4)
-        controller, _ = _run_records(fleet, "auto", ticks=1, slices=50)
+        _, straight = _run_records(_stationary_fleet(8), ticks=3, slices=50)
+        controller, prefix = _run_records(
+            _stationary_fleet(8), ticks=2, slices=50
+        )
         path = tmp_path / "fleet.ckpt"
         controller.save_checkpoint(path)
         payload = load_checkpoint(path)
-        assert payload["uniform_source"] == "auto"
-        del payload["uniform_source"]
+        assert set(payload) == CHECKPOINT_FIELDS
+        assert "uniform_source" not in payload
+        payload["uniform_source"] = "fanin"
         legacy = tmp_path / "legacy.ckpt"
         write_checkpoint(legacy, payload)
-        resumed = FleetController.resume(legacy)
-        assert resumed.uniform_source == "auto"
+        sink = MemoryTelemetry()
+        resumed = FleetController.resume(legacy, telemetry=sink)
+        resumed.run(1)
+        assert _lines(prefix + sink.records) == _lines(straight)
 
     def test_shard_repartition_identity_with_batched(self, tmp_path):
         # A 2-shard batched daemon's telemetry continues a 1-process
@@ -442,19 +421,16 @@ class TestPersistence:
         from repro.service import ShardSupervisor
 
         _, straight = _run_records(
-            _stationary_fleet(10), "fanin", ticks=4, slices=200
+            _stationary_fleet(10), ticks=4, slices=200
         )
         fleet = _stationary_fleet(10)
-        controller, prefix = _run_records(
-            fleet, "batched", ticks=2, slices=200
-        )
+        controller, prefix = _run_records(fleet, ticks=2, slices=200)
         path = tmp_path / "fleet.ckpt"
         controller.save_checkpoint(path)
         payload_fleet = FleetController.resume(path).fleet
         supervisor = ShardSupervisor(
             2,
             slices_per_tick=200,
-            uniform_source="batched",
             checkpoint_every=0,
         )
         supervisor.start(payload_fleet, tick=2)
@@ -468,10 +444,8 @@ class TestPersistence:
                     per_device=True,
                 )
                 record["backend"] = supervisor.resolved_backend
-                record["uniform_source"] = supervisor.uniform_source
                 tail.append(record)
-            info = supervisor.info()
-            assert info["uniform_source"] == "batched"
+            assert "uniform_source" not in supervisor.info()
         finally:
             supervisor.stop()
-        assert _strip_stamp(prefix + tail) == _strip_stamp(straight)
+        assert _lines(prefix + tail) == _lines(straight)
