@@ -15,6 +15,9 @@ The public surface mirrors the paper's structure:
 * :class:`~repro.core.optimizer.PolicyOptimizer` — the LP formulations
   of Appendix A (POU / PO1 / PO2, LP2 / LP3 / LP4) and policy extraction
   (Eq. 16);
+* :class:`~repro.core.average_cost.AverageCostOptimizer` — the long-run
+  average problem (Eq. 7) as an LP, sharing the discounted optimizer's
+  assembly, extraction and entry points;
 * :func:`~repro.core.pareto.trade_off_curve` — power-performance Pareto
   exploration (Section IV-A);
 * :mod:`~repro.core.dynamic_programming` — value/policy iteration for

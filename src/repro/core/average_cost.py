@@ -31,27 +31,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.costs import LOSS, PENALTY, POWER, CostModel
-from repro.core.optimizer import (
-    OptimizationResult,
-    SPARSE_AUTO_MIN_VARIABLES,
-    _ActionMaskMixin,
-    balance_matrix,
-)
-from repro.core.policy import MarkovPolicy, PolicyEvaluation
+from repro.core.costs import CostModel
+from repro.core.optimizer import OptimizationResult, _FrequencyLP
+from repro.core.policy import PolicyEvaluation
 from repro.core.system import PowerManagedSystem
 from repro.lp.problem import LinearProgram
-from repro.lp.solve import solve_lp
-from repro.util.validation import ValidationError
 
 
-class AverageCostOptimizer(_ActionMaskMixin):
+class AverageCostOptimizer(_FrequencyLP):
     """Long-run average policy optimization (the paper's Eq. 7).
 
-    The interface mirrors :class:`~repro.core.optimizer.PolicyOptimizer`
-    (``optimize`` / ``minimize_power`` / ``minimize_penalty``) but all
-    metrics are long-run per-slice averages of the stationary policy —
-    no discount factor and no initial distribution enter the problem.
+    Shares :class:`~repro.core.optimizer.PolicyOptimizer`'s LP core and
+    entry points (``optimize`` / ``minimize_power`` /
+    ``minimize_penalty``) but all metrics are long-run per-slice
+    averages of the stationary policy — no discount factor and no
+    initial distribution enter the problem.
 
     Parameters
     ----------
@@ -90,62 +84,16 @@ class AverageCostOptimizer(_ActionMaskMixin):
         action_mask=None,
         sparse: bool | None = None,
     ):
-        if not isinstance(system, PowerManagedSystem):
-            raise ValidationError("system must be a PowerManagedSystem")
-        if not isinstance(costs, CostModel):
-            raise ValidationError("costs must be a CostModel")
-        if costs.system is not system:
-            raise ValidationError("costs were built for a different system")
-        self._system = system
-        self._costs = costs
-        self._backend = backend
-        self._cross_check = bool(cross_check)
-        self._fallback = fallback
-        self._mask = self._check_action_mask(system, action_mask)
-
-        n, n_a = system.n_states, system.n_commands
-        if sparse is None:
-            sparse = n * n_a >= SPARSE_AUTO_MIN_VARIABLES
-        self._sparse = bool(sparse)
         # The average-cost balance equations are the gamma = 1 case.
-        self._balance = balance_matrix(system, 1.0, self._sparse)
-
-    # ------------------------------------------------------------------
-    # accessors
-    # ------------------------------------------------------------------
-    @property
-    def system(self) -> PowerManagedSystem:
-        """The system being optimized."""
-        return self._system
-
-    @property
-    def costs(self) -> CostModel:
-        """The registered cost metrics."""
-        return self._costs
-
-    @property
-    def backend(self) -> str:
-        """LP backend name this optimizer solves with."""
-        return self._backend
-
-    @property
-    def cross_check(self) -> bool:
-        """Whether every LP solve is cross-checked on a second backend."""
-        return self._cross_check
-
-    @property
-    def sparse(self) -> bool:
-        """Whether the balance block is assembled (and solved) sparse."""
-        return self._sparse
+        super().__init__(
+            system, costs, 1.0, backend, cross_check, fallback, action_mask, sparse
+        )
 
     @property
     def bound_scale(self) -> float:
         """Per-slice bounds enter the average-cost LP unscaled."""
         return 1.0
 
-    # ------------------------------------------------------------------
-    # the solve
-    # ------------------------------------------------------------------
     def build_lp(
         self,
         objective: str,
@@ -155,39 +103,21 @@ class AverageCostOptimizer(_ActionMaskMixin):
     ) -> tuple[LinearProgram, dict[str, tuple[str, float]]]:
         """Assemble the average-cost LP without solving it.
 
-        Same contract as :meth:`PolicyOptimizer.build_lp`: bound rows
-        append in iteration order (upper before lower) so the sweep
-        engine can mutate its last-added constraint row in place.
+        Same contract as :meth:`PolicyOptimizer.build_lp`, with a zero
+        balance RHS and the normalization row ``sum(x) == 1`` placed
+        before the mask row.
         """
-        if sense not in ("min", "max"):
-            raise ValidationError(f"sense must be 'min' or 'max', got {sense!r}")
-        c = self._costs.metric(objective).reshape(-1)
-        if sense == "max":
-            c = -c
-
-        lp = LinearProgram(c)
-        n = self._system.n_states
+        n, n_a = self._system.n_states, self._system.n_commands
         # One balance row per state is redundant with normalization
         # (rows sum to zero); keep all — the backends drop dependencies.
-        if self._sparse:
-            lp.add_equality_block(self._balance, np.zeros(n))
-        else:
-            for j in range(n):
-                lp.add_equality(self._balance[j], 0.0)
-        lp.add_equality(np.ones(n * self._system.n_commands), 1.0)
-        if self._mask is not None and not self._mask.all():
-            lp.add_equality((~self._mask).astype(float).reshape(-1), 0.0)
-
-        recorded: dict[str, tuple[str, float]] = {}
-        for name, bound in (upper_bounds or {}).items():
-            lp.add_inequality(self._costs.metric(name).reshape(-1), float(bound))
-            recorded[name] = ("<=", float(bound))
-        for name, bound in (lower_bounds or {}).items():
-            lp.add_lower_bound_inequality(
-                self._costs.metric(name).reshape(-1), float(bound)
-            )
-            recorded[name] = (">=", float(bound))
-        return lp, recorded
+        return self._assemble(
+            objective,
+            sense,
+            upper_bounds,
+            lower_bounds,
+            np.zeros(n),
+            extra_equalities=((np.ones(n * n_a), 1.0),),
+        )
 
     def result_from_lp(
         self,
@@ -196,48 +126,13 @@ class AverageCostOptimizer(_ActionMaskMixin):
         constraints: dict[str, tuple[str, float]],
     ) -> OptimizationResult:
         """Turn a raw LP solve into an :class:`OptimizationResult`."""
-        if not lp_result.is_optimal:
-            return OptimizationResult(
-                feasible=False,
-                policy=None,
-                frequencies=None,
-                evaluation=None,
-                objective_metric=objective,
-                objective_average=None,
-                constraints=constraints,
-                gamma=1.0,
-                lp_result=lp_result,
-            )
-
-        n = self._system.n_states
-        frequencies = np.clip(
-            lp_result.x.reshape(n, self._system.n_commands), 0.0, None
+        return self._extract(
+            lp_result,
+            objective,
+            constraints,
+            1.0,
+            lambda _, frequencies: self._evaluate(frequencies),
         )
-        policy = self.policy_from_frequencies(frequencies)
-        evaluation = self._evaluate(frequencies)
-        return OptimizationResult(
-            feasible=True,
-            policy=policy,
-            frequencies=frequencies,
-            evaluation=evaluation,
-            objective_metric=objective,
-            objective_average=evaluation.averages[objective],
-            constraints=constraints,
-            gamma=1.0,
-            lp_result=lp_result,
-        )
-
-    def optimize(
-        self,
-        objective: str,
-        sense: str = "min",
-        upper_bounds: dict[str, float] | None = None,
-        lower_bounds: dict[str, float] | None = None,
-    ) -> OptimizationResult:
-        """Optimize a long-run average metric under per-slice bounds."""
-        lp, recorded = self.build_lp(objective, sense, upper_bounds, lower_bounds)
-        lp_result = solve_lp(lp, backend=self._backend, cross_check=self._cross_check)
-        return self.result_from_lp(lp_result, objective, recorded)
 
     def _evaluate(self, frequencies: np.ndarray) -> PolicyEvaluation:
         """Package the stationary distribution as a PolicyEvaluation.
@@ -258,49 +153,4 @@ class AverageCostOptimizer(_ActionMaskMixin):
             frequencies=frequencies.copy(),
             totals=dict(averages),
             averages=averages,
-        )
-
-    # ------------------------------------------------------------------
-    # paper-named entry points (PO1 / PO2 analogues)
-    # ------------------------------------------------------------------
-    def minimize_power(
-        self,
-        penalty_bound: float | None = None,
-        loss_bound: float | None = None,
-        extra_upper_bounds: dict[str, float] | None = None,
-    ) -> OptimizationResult:
-        """Minimum average power under performance constraints."""
-        upper = dict(extra_upper_bounds or {})
-        if penalty_bound is not None:
-            upper[PENALTY] = float(penalty_bound)
-        if loss_bound is not None:
-            upper[LOSS] = float(loss_bound)
-        return self.optimize(POWER, "min", upper_bounds=upper)
-
-    def minimize_penalty(
-        self,
-        power_bound: float | None = None,
-        loss_bound: float | None = None,
-        extra_upper_bounds: dict[str, float] | None = None,
-    ) -> OptimizationResult:
-        """Minimum average penalty under a power budget."""
-        upper = dict(extra_upper_bounds or {})
-        if power_bound is not None:
-            upper[POWER] = float(power_bound)
-        if loss_bound is not None:
-            upper[LOSS] = float(loss_bound)
-        return self.optimize(PENALTY, "min", upper_bounds=upper)
-
-    def minimize_unconstrained(self, objective: str = PENALTY) -> OptimizationResult:
-        """Unconstrained minimization of one long-run average metric."""
-        return self.optimize(objective, "min")
-
-    # ------------------------------------------------------------------
-    # policy extraction (Eq. 16, unchanged)
-    # ------------------------------------------------------------------
-    def policy_from_frequencies(self, frequencies: np.ndarray) -> MarkovPolicy:
-        """Extract the stationary policy from the LP distribution."""
-        return MarkovPolicy(
-            self._policy_matrix_from_frequencies(frequencies),
-            self._system.command_names,
         )

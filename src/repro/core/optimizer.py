@@ -18,6 +18,10 @@ States never visited by the optimal flow (row sum zero) are completed
 with a deterministic fallback rule — they are unreachable under the
 optimal policy from ``p0``, but trace-driven simulation can still enter
 them, so the completion matters in practice (see ``fallback``).
+
+The long-run average LP (:mod:`repro.core.average_cost`) shares all of
+this at ``gamma = 1``; both formulations are thin hooks over
+:class:`_FrequencyLP`.
 """
 
 from __future__ import annotations
@@ -75,100 +79,6 @@ def balance_matrix(system: PowerManagedSystem, gamma: float, sparse: bool):
     stacked = sp.hstack(blocks, format="csc")
     order = (np.arange(n)[:, None] + n * np.arange(n_a)[None, :]).ravel()
     return stacked[:, order].tocsr()
-
-
-class _ActionMaskMixin:
-    """Action-mask validation and fallback-command selection.
-
-    Shared between the discounted optimizer and the average-cost
-    optimizer (:mod:`repro.core.average_cost`).
-    """
-
-    @staticmethod
-    def _check_action_mask(system: PowerManagedSystem, action_mask):
-        if action_mask is None:
-            return None
-        mask = np.asarray(action_mask, dtype=bool)
-        expected = (system.n_states, system.n_commands)
-        if mask.shape != expected:
-            raise ValidationError(
-                f"action_mask must have shape {expected}, got {mask.shape}"
-            )
-        if not np.all(mask.any(axis=1)):
-            bad = int(np.argmin(mask.any(axis=1)))
-            raise ValidationError(
-                f"action_mask forbids every command in state {bad}"
-            )
-        return mask
-
-    @staticmethod
-    def _fallback_commands(
-        system: PowerManagedSystem, fallback: str, mask
-    ) -> np.ndarray:
-        """Per-state deterministic completion for unvisited states."""
-        if fallback == "greedy-service":
-            idx = system.provider_index_of_state
-            rates = system.provider.service_rate_matrix[idx]
-            power = system.provider.power_matrix[idx]
-            if mask is not None:
-                rates = np.where(mask, rates, -np.inf)
-                power = np.where(mask, power, np.inf)
-            # True lexicographic argmax: highest service rate, ties
-            # broken toward lower power, remaining ties toward the
-            # lowest command index (lexsort is stable).  A weighted
-            # score such as ``rates - 1e-9 * power`` mis-orders as soon
-            # as power spans ~9 orders of magnitude relative to the
-            # rate gaps, so the keys are compared exactly instead.
-            return np.lexsort((power, -rates), axis=1)[:, 0]
-        if fallback == "lowest-power":
-            scores = -system.power_cost_matrix()
-        else:
-            # Otherwise interpret as an explicit command name.
-            try:
-                command = system.chain.command_index(fallback)
-            except KeyError:
-                raise ValidationError(
-                    f"unknown fallback rule or command {fallback!r}; "
-                    f"use 'greedy-service', 'lowest-power' or one of "
-                    f"{system.command_names}"
-                ) from None
-            scores = np.zeros((system.n_states, system.n_commands))
-            scores[:, command] = 1.0
-        if mask is not None:
-            scores = np.where(mask, scores, -np.inf)
-        return np.argmax(scores, axis=1)
-
-    def _policy_matrix_from_frequencies(self, frequencies) -> np.ndarray:
-        """Eq. 16 normalization with fallback completion (shared).
-
-        Validates/clips the frequencies, zeroes masked pairs, normalizes
-        rows carrying more than :data:`VISIT_TOL` of the total flow and
-        completes the rest with the deterministic fallback rule.  Used
-        by both the discounted and the average-cost optimizer, which
-        only differ in what the frequencies *mean*, not in how the
-        policy is read off them.
-        """
-        freq = np.asarray(frequencies, dtype=float)
-        expected = (self._system.n_states, self._system.n_commands)
-        if freq.shape != expected:
-            raise ValidationError(
-                f"frequencies must have shape {expected}, got {freq.shape}"
-            )
-        freq = np.clip(freq, 0.0, None)
-        if self._mask is not None:
-            # Solver-tolerance dust on forbidden pairs must not leak
-            # into the policy.
-            freq = np.where(self._mask, freq, 0.0)
-        row_sums = freq.sum(axis=1)
-        matrix = np.zeros_like(freq)
-        visited = row_sums > VISIT_TOL * max(1.0, float(row_sums.sum()))
-        matrix[visited] = freq[visited] / row_sums[visited, None]
-        fallback_commands = self._fallback_commands(
-            self._system, self._fallback, self._mask
-        )
-        for state in np.where(~visited)[0]:
-            matrix[state, fallback_commands[state]] = 1.0
-        return matrix
 
 
 @dataclass
@@ -232,7 +142,343 @@ class InfeasibleProblemError(RuntimeError):
     """The requested constraint combination cannot be met."""
 
 
-class PolicyOptimizer(_ActionMaskMixin):
+class _SolveEntryPoints:
+    """The paper-named solve entry points, written once over ``optimize``.
+
+    Shared by both optimizer formulations and by the cache proxy
+    (:class:`~repro.runtime.policy_cache.CachedOptimizer`), whose
+    ``optimize`` routes through the cache — so these wrappers do too.
+    Bounds are per-slice averages in every formulation.
+    """
+
+    def minimize_power(
+        self,
+        penalty_bound: float | None = None,
+        loss_bound: float | None = None,
+        extra_upper_bounds: dict[str, float] | None = None,
+    ) -> OptimizationResult:
+        """PO2 / LP4: minimum power under performance constraints."""
+        upper = dict(extra_upper_bounds or {})
+        if penalty_bound is not None:
+            upper[PENALTY] = float(penalty_bound)
+        if loss_bound is not None:
+            upper[LOSS] = float(loss_bound)
+        return self.optimize(POWER, "min", upper_bounds=upper)
+
+    def minimize_penalty(
+        self,
+        power_bound: float | None = None,
+        loss_bound: float | None = None,
+        extra_upper_bounds: dict[str, float] | None = None,
+    ) -> OptimizationResult:
+        """PO1 / LP3: minimum performance penalty under a power budget."""
+        upper = dict(extra_upper_bounds or {})
+        if power_bound is not None:
+            upper[POWER] = float(power_bound)
+        if loss_bound is not None:
+            upper[LOSS] = float(loss_bound)
+        return self.optimize(PENALTY, "min", upper_bounds=upper)
+
+    def minimize_unconstrained(self, objective: str = PENALTY) -> OptimizationResult:
+        """POU / LP2: unconstrained minimization of one metric.
+
+        By Theorem A.1 the optimum is attained by a deterministic
+        Markov stationary policy; vertex-seeking LP backends (simplex,
+        HiGHS) return it directly.
+        """
+        return self.optimize(objective, "min")
+
+
+class _FrequencyLP(_SolveEntryPoints):
+    """The LP over state-action frequencies that both formulations share.
+
+    Holds the validation, the balance block (built once at
+    ``balance_gamma``), LP assembly, Eq. 16 extraction and the general
+    solve.  A formulation supplies ``bound_scale`` plus thin
+    ``build_lp`` (balance right-hand side and extra equality rows, via
+    :meth:`_assemble`) and ``result_from_lp`` (gamma stamp and policy
+    evaluation, via :meth:`_extract`).
+    """
+
+    def __init__(
+        self,
+        system: PowerManagedSystem,
+        costs: CostModel,
+        balance_gamma: float,
+        backend: str,
+        cross_check: bool,
+        fallback: str,
+        action_mask,
+        sparse: bool | None,
+    ):
+        if not isinstance(system, PowerManagedSystem):
+            raise ValidationError("system must be a PowerManagedSystem")
+        if not isinstance(costs, CostModel):
+            raise ValidationError("costs must be a CostModel")
+        if costs.system is not system:
+            raise ValidationError("costs were built for a different system")
+        self._system = system
+        self._costs = costs
+        self._backend = backend
+        self._cross_check = bool(cross_check)
+        self._fallback = fallback
+        self._mask = self._check_action_mask(system, action_mask)
+
+        # Balance-equation matrix, built once, with columns in
+        # (state-major, command-minor) order matching flattened
+        # (n_states, n_commands) metric matrices.
+        n, n_a = system.n_states, system.n_commands
+        if sparse is None:
+            sparse = n * n_a >= SPARSE_AUTO_MIN_VARIABLES
+        self._sparse = bool(sparse)
+        self._balance = balance_matrix(system, balance_gamma, self._sparse)
+
+    @staticmethod
+    def _check_action_mask(system: PowerManagedSystem, action_mask):
+        if action_mask is None:
+            return None
+        mask = np.asarray(action_mask, dtype=bool)
+        expected = (system.n_states, system.n_commands)
+        if mask.shape != expected:
+            raise ValidationError(
+                f"action_mask must have shape {expected}, got {mask.shape}"
+            )
+        if not np.all(mask.any(axis=1)):
+            bad = int(np.argmin(mask.any(axis=1)))
+            raise ValidationError(
+                f"action_mask forbids every command in state {bad}"
+            )
+        return mask
+
+    # ------------------------------------------------------------------
+    # accessors
+    # ------------------------------------------------------------------
+    @property
+    def system(self) -> PowerManagedSystem:
+        """The system being optimized."""
+        return self._system
+
+    @property
+    def costs(self) -> CostModel:
+        """The registered cost metrics."""
+        return self._costs
+
+    @property
+    def backend(self) -> str:
+        """LP backend name this optimizer solves with."""
+        return self._backend
+
+    @property
+    def cross_check(self) -> bool:
+        """Whether every LP solve is cross-checked on a second backend."""
+        return self._cross_check
+
+    @property
+    def sparse(self) -> bool:
+        """Whether the balance block is assembled (and solved) sparse."""
+        return self._sparse
+
+    # ------------------------------------------------------------------
+    # the general solve
+    # ------------------------------------------------------------------
+    def _assemble(
+        self,
+        objective: str,
+        sense: str,
+        upper_bounds: dict[str, float] | None,
+        lower_bounds: dict[str, float] | None,
+        balance_rhs: np.ndarray,
+        extra_equalities: tuple = (),
+    ) -> tuple[LinearProgram, dict[str, tuple[str, float]]]:
+        """Assemble the LP with its rows in one fixed order.
+
+        Balance rows (RHS ``balance_rhs``), ``extra_equalities``, the
+        mask row, then bound rows in iteration order, upper bounds
+        before lower bounds — the sweep engine relies on appending its
+        swept constraint last and mutating only that row's RHS between
+        solves.  Each per-slice bound enters as ``bound * bound_scale``.
+        """
+        if sense not in ("min", "max"):
+            raise ValidationError(f"sense must be 'min' or 'max', got {sense!r}")
+        c = self._costs.metric(objective).reshape(-1)
+        if sense == "max":
+            c = -c
+
+        lp = LinearProgram(c)
+        if self._sparse:
+            lp.add_equality_block(self._balance, balance_rhs)
+        else:
+            for j in range(self._system.n_states):
+                lp.add_equality(self._balance[j], balance_rhs[j])
+        for row, rhs in extra_equalities:
+            lp.add_equality(row, rhs)
+        if self._mask is not None and not self._mask.all():
+            # One row pins every masked frequency to zero (x >= 0 makes
+            # the sum-to-zero equality equivalent to per-entry zeros).
+            forbidden = (~self._mask).astype(float).reshape(-1)
+            lp.add_equality(forbidden, 0.0)
+
+        scale = self.bound_scale
+        recorded: dict[str, tuple[str, float]] = {}
+        for name, bound in (upper_bounds or {}).items():
+            lp.add_inequality(
+                self._costs.metric(name).reshape(-1), float(bound) * scale
+            )
+            recorded[name] = ("<=", float(bound))
+        for name, bound in (lower_bounds or {}).items():
+            lp.add_lower_bound_inequality(
+                self._costs.metric(name).reshape(-1), float(bound) * scale
+            )
+            recorded[name] = (">=", float(bound))
+        return lp, recorded
+
+    def _extract(
+        self,
+        lp_result: LPResult,
+        objective: str,
+        constraints: dict[str, tuple[str, float]],
+        gamma: float,
+        evaluate,
+    ) -> OptimizationResult:
+        """Package a raw LP solve, stamped with ``gamma``.
+
+        Infeasible solves give the standard ``feasible=False`` result;
+        otherwise ``evaluate(policy, frequencies)`` scores the Eq. 16
+        policy of the clipped frequencies.
+        """
+        if not lp_result.is_optimal:
+            return OptimizationResult(
+                feasible=False,
+                policy=None,
+                frequencies=None,
+                evaluation=None,
+                objective_metric=objective,
+                objective_average=None,
+                constraints=constraints,
+                gamma=gamma,
+                lp_result=lp_result,
+            )
+
+        frequencies = np.clip(
+            lp_result.x.reshape(self._system.n_states, self._system.n_commands),
+            0.0,
+            None,
+        )
+        policy = self.policy_from_frequencies(frequencies)
+        evaluation = evaluate(policy, frequencies)
+        return OptimizationResult(
+            feasible=True,
+            policy=policy,
+            frequencies=frequencies,
+            evaluation=evaluation,
+            objective_metric=objective,
+            objective_average=evaluation.averages[objective],
+            constraints=constraints,
+            gamma=gamma,
+            lp_result=lp_result,
+        )
+
+    def optimize(
+        self,
+        objective: str,
+        sense: str = "min",
+        upper_bounds: dict[str, float] | None = None,
+        lower_bounds: dict[str, float] | None = None,
+    ) -> OptimizationResult:
+        """Optimize ``objective`` subject to per-slice metric bounds.
+
+        Parameters
+        ----------
+        objective:
+            Name of a registered metric to optimize.
+        sense:
+            ``"min"`` or ``"max"``.
+        upper_bounds:
+            ``{metric: bound}`` — per-slice average of each metric must
+            not exceed its bound (scaled internally by
+            :attr:`bound_scale`, the horizon for the discounted LP as in
+            paper Example A.2).
+        lower_bounds:
+            ``{metric: bound}`` — per-slice average must be at least the
+            bound (e.g. a minimum-throughput requirement).
+        """
+        lp, recorded = self.build_lp(objective, sense, upper_bounds, lower_bounds)
+        lp_result = solve_lp(lp, backend=self._backend, cross_check=self._cross_check)
+        return self.result_from_lp(lp_result, objective, recorded)
+
+    # ------------------------------------------------------------------
+    # policy extraction (paper Eq. 16)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _fallback_commands(
+        system: PowerManagedSystem, fallback: str, mask
+    ) -> np.ndarray:
+        """Per-state deterministic completion for unvisited states."""
+        if fallback == "greedy-service":
+            idx = system.provider_index_of_state
+            rates = system.provider.service_rate_matrix[idx]
+            power = system.provider.power_matrix[idx]
+            if mask is not None:
+                rates = np.where(mask, rates, -np.inf)
+                power = np.where(mask, power, np.inf)
+            # True lexicographic argmax: highest service rate, ties
+            # broken toward lower power, remaining ties toward the
+            # lowest command index (lexsort is stable).  A weighted
+            # score such as ``rates - 1e-9 * power`` mis-orders as soon
+            # as power spans ~9 orders of magnitude relative to the
+            # rate gaps, so the keys are compared exactly instead.
+            return np.lexsort((power, -rates), axis=1)[:, 0]
+        if fallback == "lowest-power":
+            scores = -system.power_cost_matrix()
+        else:
+            # Otherwise interpret as an explicit command name.
+            try:
+                command = system.chain.command_index(fallback)
+            except KeyError:
+                raise ValidationError(
+                    f"unknown fallback rule or command {fallback!r}; "
+                    f"use 'greedy-service', 'lowest-power' or one of "
+                    f"{system.command_names}"
+                ) from None
+            scores = np.zeros((system.n_states, system.n_commands))
+            scores[:, command] = 1.0
+        if mask is not None:
+            scores = np.where(mask, scores, -np.inf)
+        return np.argmax(scores, axis=1)
+
+    def policy_from_frequencies(self, frequencies: np.ndarray) -> MarkovPolicy:
+        """Extract the randomized policy from state-action frequencies.
+
+        Validates/clips the frequencies, zeroes masked pairs, normalizes
+        rows carrying more than :data:`VISIT_TOL` of the total flow and
+        completes the rest with the deterministic fallback rule.  The
+        formulations differ in what the frequencies *mean*, not in how
+        the policy is read off them.
+        """
+        freq = np.asarray(frequencies, dtype=float)
+        expected = (self._system.n_states, self._system.n_commands)
+        if freq.shape != expected:
+            raise ValidationError(
+                f"frequencies must have shape {expected}, got {freq.shape}"
+            )
+        freq = np.clip(freq, 0.0, None)
+        if self._mask is not None:
+            # Solver-tolerance dust on forbidden pairs must not leak
+            # into the policy.
+            freq = np.where(self._mask, freq, 0.0)
+        row_sums = freq.sum(axis=1)
+        matrix = np.zeros_like(freq)
+        visited = row_sums > VISIT_TOL * max(1.0, float(row_sums.sum()))
+        matrix[visited] = freq[visited] / row_sums[visited, None]
+        fallback_commands = self._fallback_commands(
+            self._system, self._fallback, self._mask
+        )
+        for state in np.where(~visited)[0]:
+            matrix[state, fallback_commands[state]] = 1.0
+        return MarkovPolicy(matrix, self._system.command_names)
+
+
+class PolicyOptimizer(_FrequencyLP):
     """Exact policy optimization for a power-managed system.
 
     Parameters
@@ -251,7 +497,7 @@ class PolicyOptimizer(_ActionMaskMixin):
     backend:
         LP backend name (see :func:`repro.lp.available_backends`).
     cross_check:
-        Forwarize to :func:`repro.lp.solve_lp` — solve every LP twice
+        Forwarded to :func:`repro.lp.solve_lp` — solve every LP twice
         with independent backends and compare.
     fallback:
         Completion rule for states the optimal flow never visits:
@@ -298,48 +544,16 @@ class PolicyOptimizer(_ActionMaskMixin):
         action_mask=None,
         sparse: bool | None = None,
     ):
-        if not isinstance(system, PowerManagedSystem):
-            raise ValidationError("system must be a PowerManagedSystem")
-        if not isinstance(costs, CostModel):
-            raise ValidationError("costs must be a CostModel")
-        if costs.system is not system:
-            raise ValidationError("costs were built for a different system")
         gamma = check_probability(gamma, "gamma")
         if not 0.0 < gamma < 1.0:
             raise ValidationError(f"gamma must be in (0, 1), got {gamma!r}")
-        self._system = system
-        self._costs = costs
+        super().__init__(
+            system, costs, gamma, backend, cross_check, fallback, action_mask, sparse
+        )
         self._gamma = gamma
         if initial_distribution is None:
             initial_distribution = system.uniform_distribution()
         self._p0 = system.check_distribution(initial_distribution)
-        self._backend = backend
-        self._cross_check = bool(cross_check)
-        self._fallback = fallback
-
-        self._mask = self._check_action_mask(system, action_mask)
-
-        # Balance-equation matrix, built once: A_bal x = p0 with columns
-        # in (state-major, command-minor) order matching flattened
-        # (n_states, n_commands) metric matrices.
-        n, n_a = system.n_states, system.n_commands
-        if sparse is None:
-            sparse = n * n_a >= SPARSE_AUTO_MIN_VARIABLES
-        self._sparse = bool(sparse)
-        self._balance = balance_matrix(system, gamma, self._sparse)
-
-    # ------------------------------------------------------------------
-    # accessors
-    # ------------------------------------------------------------------
-    @property
-    def system(self) -> PowerManagedSystem:
-        """The system being optimized."""
-        return self._system
-
-    @property
-    def costs(self) -> CostModel:
-        """The registered cost metrics."""
-        return self._costs
 
     @property
     def gamma(self) -> float:
@@ -357,21 +571,6 @@ class PolicyOptimizer(_ActionMaskMixin):
         return self._p0.copy()
 
     @property
-    def backend(self) -> str:
-        """LP backend name this optimizer solves with."""
-        return self._backend
-
-    @property
-    def cross_check(self) -> bool:
-        """Whether every LP solve is cross-checked on a second backend."""
-        return self._cross_check
-
-    @property
-    def sparse(self) -> bool:
-        """Whether the balance block is assembled (and solved) sparse."""
-        return self._sparse
-
-    @property
     def bound_scale(self) -> float:
         """Multiplier from a per-slice metric bound to its LP row RHS.
 
@@ -381,9 +580,6 @@ class PolicyOptimizer(_ActionMaskMixin):
         """
         return self.expected_horizon
 
-    # ------------------------------------------------------------------
-    # the general solve
-    # ------------------------------------------------------------------
     def build_lp(
         self,
         objective: str,
@@ -391,46 +587,13 @@ class PolicyOptimizer(_ActionMaskMixin):
         upper_bounds: dict[str, float] | None = None,
         lower_bounds: dict[str, float] | None = None,
     ) -> tuple[LinearProgram, dict[str, tuple[str, float]]]:
-        """Assemble the LP3/LP4 instance without solving it.
+        """Assemble the LP3/LP4 instance (balance RHS ``p0``) unsolved.
 
         Returns the :class:`LinearProgram` and the recorded constraint
-        dict ``{metric: (sense, per_slice_bound)}``.  Bound rows are
-        appended in iteration order, upper bounds before lower bounds —
-        the sweep engine relies on appending its swept constraint last
-        and mutating only that row's RHS between solves.
+        dict ``{metric: (sense, per_slice_bound)}``; row order is
+        documented on :meth:`_assemble`.
         """
-        if sense not in ("min", "max"):
-            raise ValidationError(f"sense must be 'min' or 'max', got {sense!r}")
-        objective_matrix = self._costs.metric(objective)
-        c = objective_matrix.reshape(-1)
-        if sense == "max":
-            c = -c
-
-        lp = LinearProgram(c)
-        if self._sparse:
-            lp.add_equality_block(self._balance, self._p0)
-        else:
-            for j in range(self._system.n_states):
-                lp.add_equality(self._balance[j], self._p0[j])
-        if self._mask is not None and not self._mask.all():
-            # One row pins every masked frequency to zero (x >= 0 makes
-            # the sum-to-zero equality equivalent to per-entry zeros).
-            forbidden = (~self._mask).astype(float).reshape(-1)
-            lp.add_equality(forbidden, 0.0)
-
-        horizon = self.expected_horizon
-        recorded: dict[str, tuple[str, float]] = {}
-        for name, bound in (upper_bounds or {}).items():
-            lp.add_inequality(
-                self._costs.metric(name).reshape(-1), float(bound) * horizon
-            )
-            recorded[name] = ("<=", float(bound))
-        for name, bound in (lower_bounds or {}).items():
-            lp.add_lower_bound_inequality(
-                self._costs.metric(name).reshape(-1), float(bound) * horizon
-            )
-            recorded[name] = (">=", float(bound))
-        return lp, recorded
+        return self._assemble(objective, sense, upper_bounds, lower_bounds, self._p0)
 
     def result_from_lp(
         self,
@@ -440,117 +603,15 @@ class PolicyOptimizer(_ActionMaskMixin):
     ) -> OptimizationResult:
         """Turn a raw LP solve into an :class:`OptimizationResult`.
 
-        Extracts the policy (Eq. 16), evaluates it in closed form and
-        packages everything; infeasible solves produce the standard
-        ``feasible=False`` result.
+        Extracts the policy (Eq. 16) and evaluates it in closed form
+        over the discounted horizon from ``p0``.
         """
-        if not lp_result.is_optimal:
-            return OptimizationResult(
-                feasible=False,
-                policy=None,
-                frequencies=None,
-                evaluation=None,
-                objective_metric=objective,
-                objective_average=None,
-                constraints=constraints,
-                gamma=self._gamma,
-                lp_result=lp_result,
-            )
-
-        frequencies = np.clip(
-            lp_result.x.reshape(self._system.n_states, self._system.n_commands),
-            0.0,
-            None,
-        )
-        policy = self.policy_from_frequencies(frequencies)
-        evaluation = evaluate_policy(
-            self._system, self._costs, policy, self._gamma, self._p0
-        )
-        return OptimizationResult(
-            feasible=True,
-            policy=policy,
-            frequencies=frequencies,
-            evaluation=evaluation,
-            objective_metric=objective,
-            objective_average=evaluation.averages[objective],
-            constraints=constraints,
-            gamma=self._gamma,
-            lp_result=lp_result,
-        )
-
-    def optimize(
-        self,
-        objective: str,
-        sense: str = "min",
-        upper_bounds: dict[str, float] | None = None,
-        lower_bounds: dict[str, float] | None = None,
-    ) -> OptimizationResult:
-        """Optimize ``objective`` subject to per-slice metric bounds.
-
-        Parameters
-        ----------
-        objective:
-            Name of a registered metric to optimize.
-        sense:
-            ``"min"`` or ``"max"``.
-        upper_bounds:
-            ``{metric: bound}`` — per-slice average of each metric must
-            not exceed its bound (scaled internally by the horizon,
-            matching paper Example A.2).
-        lower_bounds:
-            ``{metric: bound}`` — per-slice average must be at least the
-            bound (e.g. a minimum-throughput requirement).
-        """
-        lp, recorded = self.build_lp(objective, sense, upper_bounds, lower_bounds)
-        lp_result = solve_lp(lp, backend=self._backend, cross_check=self._cross_check)
-        return self.result_from_lp(lp_result, objective, recorded)
-
-    # ------------------------------------------------------------------
-    # paper-named entry points
-    # ------------------------------------------------------------------
-    def minimize_power(
-        self,
-        penalty_bound: float | None = None,
-        loss_bound: float | None = None,
-        extra_upper_bounds: dict[str, float] | None = None,
-    ) -> OptimizationResult:
-        """PO2 / LP4: minimum power under performance constraints."""
-        upper = dict(extra_upper_bounds or {})
-        if penalty_bound is not None:
-            upper[PENALTY] = float(penalty_bound)
-        if loss_bound is not None:
-            upper[LOSS] = float(loss_bound)
-        return self.optimize(POWER, "min", upper_bounds=upper)
-
-    def minimize_penalty(
-        self,
-        power_bound: float | None = None,
-        loss_bound: float | None = None,
-        extra_upper_bounds: dict[str, float] | None = None,
-    ) -> OptimizationResult:
-        """PO1 / LP3: minimum performance penalty under a power budget."""
-        upper = dict(extra_upper_bounds or {})
-        if power_bound is not None:
-            upper[POWER] = float(power_bound)
-        if loss_bound is not None:
-            upper[LOSS] = float(loss_bound)
-        return self.optimize(PENALTY, "min", upper_bounds=upper)
-
-    def minimize_unconstrained(self, objective: str = PENALTY) -> OptimizationResult:
-        """POU / LP2: unconstrained minimization of one metric.
-
-        By Theorem A.1 the optimum is attained by a deterministic
-        Markov stationary policy; vertex-seeking LP backends (simplex,
-        HiGHS) return it directly.
-        """
-        return self.optimize(objective, "min")
-
-    # ------------------------------------------------------------------
-    # policy extraction (paper Eq. 16)
-    # ------------------------------------------------------------------
-    def policy_from_frequencies(self, frequencies: np.ndarray) -> MarkovPolicy:
-        """Extract the randomized policy from state-action frequencies."""
-        return MarkovPolicy(
-            self._policy_matrix_from_frequencies(frequencies),
-            self._system.command_names,
+        return self._extract(
+            lp_result,
+            objective,
+            constraints,
+            self._gamma,
+            lambda policy, _: evaluate_policy(
+                self._system, self._costs, policy, self._gamma, self._p0
+            ),
         )

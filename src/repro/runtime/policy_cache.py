@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.costs import LOSS, PENALTY, POWER
+from repro.core.optimizer import _SolveEntryPoints
 from repro.lp.solve import solve_lp
 from repro.util.validation import ValidationError
 
@@ -326,15 +326,12 @@ class PolicyCache:
         return CachedOptimizer(optimizer, self)
 
 
-class CachedOptimizer:
+class CachedOptimizer(_SolveEntryPoints):
     """Duck-typed optimizer facade backed by a :class:`PolicyCache`.
 
     Exposes the solve entry points (``optimize`` plus the paper-named
-    ``minimize_*`` wrappers) routed through the cache and delegates
-    everything else to the wrapped optimizer.  The ``minimize_*``
-    helpers are re-implemented here rather than delegated: a bound
-    method fetched from the wrapped optimizer would call *its own*
-    ``optimize`` and silently bypass the cache.
+    ``minimize_*`` wrappers it inherits) routed through the cache and
+    delegates everything else to the wrapped optimizer.
     """
 
     def __init__(self, optimizer, cache: PolicyCache):
@@ -356,35 +353,6 @@ class CachedOptimizer:
         return self._cache.optimize(
             self._optimizer, objective, sense, upper_bounds, lower_bounds
         )
-
-    def minimize_power(
-        self,
-        penalty_bound: float | None = None,
-        loss_bound: float | None = None,
-        extra_upper_bounds: dict[str, float] | None = None,
-    ):
-        upper = dict(extra_upper_bounds or {})
-        if penalty_bound is not None:
-            upper[PENALTY] = float(penalty_bound)
-        if loss_bound is not None:
-            upper[LOSS] = float(loss_bound)
-        return self.optimize(POWER, "min", upper_bounds=upper)
-
-    def minimize_penalty(
-        self,
-        power_bound: float | None = None,
-        loss_bound: float | None = None,
-        extra_upper_bounds: dict[str, float] | None = None,
-    ):
-        upper = dict(extra_upper_bounds or {})
-        if power_bound is not None:
-            upper[POWER] = float(power_bound)
-        if loss_bound is not None:
-            upper[LOSS] = float(loss_bound)
-        return self.optimize(PENALTY, "min", upper_bounds=upper)
-
-    def minimize_unconstrained(self, objective: str = PENALTY):
-        return self.optimize(objective, "min")
 
     def __getattr__(self, name: str):
         return getattr(self._optimizer, name)

@@ -198,6 +198,14 @@ class _CanonicalEntry:
     trace_counts: object
 
 
+#: Worker start method: ``fork`` where available (free initial device
+#: distribution), else ``spawn``.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
+#: Longest crash-loop backoff sleep, in seconds.
+_RESTART_BACKOFF_CAP = 30.0
+
+
 @dataclass
 class _WorkerHandle:
     """One live shard worker: process, pipe, and its completed tick."""
@@ -210,6 +218,10 @@ class _WorkerHandle:
 
 class ShardSupervisor:
     """Deal a fleet across worker processes and keep them in lockstep.
+
+    Workers start with :data:`_START_METHOD`: ``fork`` where the
+    platform has it (the initial device distribution is then free),
+    ``spawn`` elsewhere.
 
     Parameters
     ----------
@@ -230,20 +242,16 @@ class ShardSupervisor:
         worker replays at most the tick it died in).  ``0`` disables
         spooling entirely; a worker death then fails the run with a
         clear error instead of restarting.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (free initial device distribution) with a ``spawn``
-        fallback.
     worker_deadline:
         Seconds the supervisor waits on any worker round trip before
         declaring the worker *hung*, SIGKILLing it and restarting from
         spool — the defense a merely-dead worker (EOF on the pipe)
         never needed.  ``None`` disables deadlines (wait forever).
-    restart_backoff / restart_backoff_cap:
+    restart_backoff:
         Crash-loop damping: consecutive failed recoveries of one shard
-        sleep ``restart_backoff * 2**(n-1)`` seconds (capped) before
-        the next attempt.  A successful recovery or step resets the
-        shard's failure count.
+        sleep ``restart_backoff * 2**(n-1)`` seconds, capped at
+        :data:`_RESTART_BACKOFF_CAP`, before the next attempt.  A
+        successful recovery or step resets the shard's failure count.
     quarantine_after:
         Consecutive failed recovery attempts before a shard is
         *quarantined*: its last spooled state is parked, it is
@@ -265,10 +273,8 @@ class ShardSupervisor:
         lp_backend: str = "scipy",
         spool_dir=None,
         checkpoint_every: int = 1,
-        start_method: str | None = None,
         worker_deadline: float | None = 300.0,
         restart_backoff: float = 0.5,
-        restart_backoff_cap: float = 30.0,
         quarantine_after: int = 5,
         fault_plan: FaultPlan | None = None,
         fault_ledger=None,
@@ -297,10 +303,7 @@ class ShardSupervisor:
         self._lp_backend = str(lp_backend)
         self._checkpoint_every = checkpoint_every
         self._resolved_backend = resolve_backend_name(self._backend)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(_START_METHOD)
         self._tempdir = None
         if checkpoint_every == 0:
             self._spool_dir = None
@@ -314,7 +317,6 @@ class ShardSupervisor:
             None if worker_deadline is None else float(worker_deadline)
         )
         self._restart_backoff = float(restart_backoff)
-        self._restart_backoff_cap = float(restart_backoff_cap)
         self._quarantine_after = quarantine_after
         self._fault_plan = fault_plan
         self._fault_tempdir = None
@@ -676,7 +678,7 @@ class ShardSupervisor:
                     min(
                         self._restart_backoff
                         * 2 ** (self._failures[index] - 1),
-                        self._restart_backoff_cap,
+                        _RESTART_BACKOFF_CAP,
                     )
                 )
             self._failures[index] += 1

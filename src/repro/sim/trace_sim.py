@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.components import ServiceRequester
 from repro.core.system import PowerManagedSystem
 from repro.policies.base import Observation, PolicyAgent
+from repro.sim.rng import categorical_cumsum, sample_categorical
 from repro.util.validation import ValidationError
 
 
@@ -147,7 +148,7 @@ def simulate_trace(
     agent.reset()
     r_obs = tracker.reset()
 
-    sp_cum = np.cumsum(system.provider.chain.tensor, axis=2)
+    sp_cum = categorical_cumsum(system.provider.chain.tensor, axis=2)
     rates = system.provider.service_rate_matrix
     power = system.provider.power_matrix
     capacity = system.queue.capacity
@@ -189,9 +190,7 @@ def simulate_trace(
 
         # --- transition driven by the trace ---------------------------
         z = int(trace[t])
-        s_next = int(np.searchsorted(sp_cum[a, s], rng.random()))
-        if s_next >= n_sp_states:
-            s_next = n_sp_states - 1
+        s_next = sample_categorical(sp_cum[a, s], rng)
         pending = q + z
         served = 0
         if pending > 0 and rng.random() < rates[s, a]:

@@ -12,8 +12,10 @@ import pytest
 import repro.core.average_cost
 import repro.core.components
 import repro.core.costs
+import repro.core.optimizer
 import repro.core.pareto_sweep
 import repro.core.policy
+import repro.core.system
 import repro.estimation.chain_fit
 import repro.estimation.mmpp_fit
 import repro.estimation.provider_fit
@@ -34,7 +36,9 @@ MODULES = [
     repro.lp.problem,
     repro.core.components,
     repro.core.costs,
+    repro.core.system,
     repro.core.policy,
+    repro.core.optimizer,
     repro.core.average_cost,
     repro.core.pareto_sweep,
     repro.traces.trace,

@@ -1,8 +1,11 @@
 """Tests for the LP policy optimizer (paper Appendix A)."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from repro.core.average_cost import AverageCostOptimizer
 from repro.core.costs import LOSS, PENALTY, POWER
 from repro.core.optimizer import (
     InfeasibleProblemError,
@@ -11,12 +14,16 @@ from repro.core.optimizer import (
 from repro.systems import example_system
 from repro.util.validation import ValidationError
 
+#: Both LP formulations; the checks they share must hold for each.
+FORMULATIONS = (partial(PolicyOptimizer, gamma=0.9), AverageCostOptimizer)
+
 
 class TestConstruction:
     def test_rejects_foreign_costs(self, example_bundle):
         other = example_system.build()
-        with pytest.raises(ValidationError, match="different system"):
-            PolicyOptimizer(example_bundle.system, other.costs, gamma=0.9)
+        for build in FORMULATIONS:
+            with pytest.raises(ValidationError, match="different system"):
+                build(example_bundle.system, other.costs)
 
     def test_rejects_gamma_one(self, example_bundle):
         with pytest.raises(ValidationError):
@@ -31,24 +38,20 @@ class TestConstruction:
         assert opt.expected_horizon == pytest.approx(100.0)
 
     def test_rejects_bad_mask_shape(self, example_bundle):
-        with pytest.raises(ValidationError, match="action_mask"):
-            PolicyOptimizer(
-                example_bundle.system,
-                example_bundle.costs,
-                gamma=0.9,
-                action_mask=np.ones((2, 2), dtype=bool),
-            )
+        for build in FORMULATIONS:
+            with pytest.raises(ValidationError, match="action_mask"):
+                build(
+                    example_bundle.system,
+                    example_bundle.costs,
+                    action_mask=np.ones((2, 2), dtype=bool),
+                )
 
     def test_rejects_all_forbidden_state(self, example_bundle):
         mask = np.ones((8, 2), dtype=bool)
         mask[3] = False
-        with pytest.raises(ValidationError, match="forbids every command"):
-            PolicyOptimizer(
-                example_bundle.system,
-                example_bundle.costs,
-                gamma=0.9,
-                action_mask=mask,
-            )
+        for build in FORMULATIONS:
+            with pytest.raises(ValidationError, match="forbids every command"):
+                build(example_bundle.system, example_bundle.costs, action_mask=mask)
 
 
 class TestBalanceEquations:
@@ -191,14 +194,12 @@ class TestPolicyExtraction:
             assert power[state, chosen] == power[state].min()
 
     def test_fallback_unknown_rule_raises(self, example_bundle):
-        opt = PolicyOptimizer(
-            example_bundle.system,
-            example_bundle.costs,
-            gamma=0.9,
-            fallback="warp-drive",
-        )
-        with pytest.raises(ValidationError, match="fallback"):
-            opt.policy_from_frequencies(np.zeros((8, 2)))
+        for build in FORMULATIONS:
+            opt = build(
+                example_bundle.system, example_bundle.costs, fallback="warp-drive"
+            )
+            with pytest.raises(ValidationError, match="fallback"):
+                opt.policy_from_frequencies(np.zeros((8, 2)))
 
 
 class TestActionMask:

@@ -152,22 +152,27 @@ class TestPolicyCache:
 
 
 class TestCachedOptimizerProxy:
-    def test_minimize_wrappers_route_through_cache(self, average_optimizer):
-        cache = PolicyCache()
-        proxy = cache.wrap(average_optimizer)
-        a = proxy.minimize_power(penalty_bound=0.5)
-        b = proxy.minimize_power(penalty_bound=0.5)
-        assert a is b
-        assert cache.stats.hits == 1
-        proxy.minimize_penalty(power_bound=2.5)
-        proxy.minimize_unconstrained()
-        assert cache.stats.misses == 3
+    def test_minimize_wrappers_route_through_cache(
+        self, example_optimizer, average_optimizer
+    ):
+        for optimizer in (example_optimizer, average_optimizer):
+            cache = PolicyCache()
+            proxy = cache.wrap(optimizer)
+            a = proxy.minimize_power(penalty_bound=0.5)
+            b = proxy.minimize_power(penalty_bound=0.5)
+            assert a is b
+            assert cache.stats.hits == 1
+            proxy.minimize_penalty(power_bound=2.5)
+            proxy.minimize_unconstrained()
+            assert cache.stats.misses == 3
 
-    def test_delegates_everything_else(self, average_optimizer):
-        proxy = PolicyCache().wrap(average_optimizer)
-        assert proxy.system is average_optimizer.system
-        assert proxy.backend == average_optimizer.backend
-        assert proxy.cache.stats.misses == 0
+    def test_delegates_everything_else(self, example_optimizer, average_optimizer):
+        for optimizer in (example_optimizer, average_optimizer):
+            proxy = PolicyCache().wrap(optimizer)
+            assert proxy.system is optimizer.system
+            assert proxy.backend == optimizer.backend
+            assert proxy.bound_scale == optimizer.bound_scale
+            assert proxy.cache.stats.misses == 0
 
 
 class TestAdaptiveAgentCaching:

@@ -56,6 +56,25 @@ class TestBasicReplay:
         # no previous arrivals).
         assert result.mean_penalty == pytest.approx(49 / 50)
 
+    def test_zero_probability_transition_unreachable_on_zero_draw(
+        self, example_bundle
+    ):
+        # s_off from off stays off with probability 1 (P(off -> on) = 0);
+        # an exact 0.0 uniform must not land on the leading "on" state.
+        class ZeroDraws:
+            def random(self):
+                return 0.0
+
+        system = example_bundle.system
+        result = simulate_trace(
+            system,
+            ConstantAgent(system.chain.command_index("s_off")),
+            [0, 0, 0],
+            ZeroDraws(),
+            initial_provider_state="off",
+        )
+        assert result.provider_occupancy.tolist() == [0, 3]
+
     def test_rejects_empty_trace(self, example_bundle, rng):
         with pytest.raises(ValidationError):
             simulate_trace(example_bundle.system, ConstantAgent(0), [], rng)
