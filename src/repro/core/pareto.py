@@ -220,7 +220,6 @@ def simulate_curve(
     initial_state=None,
     n_replications: int = 1,
     backend: str = "auto",
-    chunk_slices: int | None = None,
 ) -> list["list[SimulationResult] | None"]:
     """Verify a swept curve by simulating every feasible point's policy.
 
@@ -262,7 +261,6 @@ def simulate_curve(
         n_replications=n_replications,
         initial_state=initial_state,
         backend=backend,
-        chunk_slices=chunk_slices,
     )
     results: list = [None] * len(curve.points)
     for position, replications in zip(positions, batched):

@@ -22,10 +22,16 @@ in the earlier per-device form (each device its own field mapping)
 still load; a build that predates the column form cannot read a new
 checkpoint and reports it as not readable.  The ``uniform_source``
 field that earlier payloads carried is ignored on load (the controller
-picks the uniform producer itself).  Fleets containing
-non-serializable members (a :class:`~repro.runtime.streams.CallableStream`,
-an agent closed over a lambda) are rejected with a clear error at save
-time instead of a corrupt file at 3 a.m.
+picks the uniform producer itself).  Every payload records the chunk
+length the fleet was stepped at, always
+:data:`~repro.runtime.controller.FLEET_CHUNK_SLICES`; a checkpoint
+written at another length (earlier builds let it be set) is refused on
+load, because resuming it would regroup every device's float partial
+sums and break byte identity with the run that wrote it.  Fleets
+containing non-serializable members (a
+:class:`~repro.runtime.streams.CallableStream`, an agent closed over a
+lambda) are rejected with a clear error at save time instead of a
+corrupt file at 3 a.m.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import time
 from pathlib import Path
 
 from repro import faults
+from repro.runtime.controller import FLEET_CHUNK_SLICES
 from repro.util.validation import ValidationError
 
 __all__ = [
@@ -82,7 +89,6 @@ def checkpoint_payload(  # repro-lint: schema=CHECKPOINT_FIELDS
     tick: int,
     slices_per_tick: int,
     backend: str,
-    chunk_slices: int,
     telemetry_every: int,
     telemetry_per_device: bool,
 ) -> dict:
@@ -110,7 +116,7 @@ def checkpoint_payload(  # repro-lint: schema=CHECKPOINT_FIELDS
         "tick": int(tick),
         "slices_per_tick": int(slices_per_tick),
         "backend": str(backend),
-        "chunk_slices": int(chunk_slices),
+        "chunk_slices": FLEET_CHUNK_SLICES,
         "telemetry_every": int(telemetry_every),
         "telemetry_per_device": bool(telemetry_per_device),
         "fleet": fleet,
@@ -185,7 +191,6 @@ def save_checkpoint(path, controller, *, fsync: bool = False) -> None:
             controller.tick,
             controller.slices_per_tick,
             controller.backend,
-            controller.chunk_slices,
             controller._telemetry_every,
             controller._telemetry_per_device,
         ),
@@ -200,7 +205,9 @@ def load_checkpoint(path) -> dict:
     Returns the payload mapping (``fleet``, ``tick``,
     ``slices_per_tick``, ``backend``, telemetry settings); use
     :meth:`~repro.runtime.controller.FleetController.resume` to turn
-    it straight into a running controller.
+    it straight into a running controller.  Raises
+    :class:`~repro.util.validation.ValidationError` for a payload whose
+    ``chunk_slices`` is not :data:`FLEET_CHUNK_SLICES`.
     """
     path = Path(path)
     if not path.exists():
@@ -220,5 +227,11 @@ def load_checkpoint(path) -> dict:
         raise ValidationError(
             f"checkpoint version {version!r} is not supported "
             f"(this build reads version {CHECKPOINT_VERSION})"
+        )
+    pin = payload.get("chunk_slices")
+    if pin != FLEET_CHUNK_SLICES:
+        raise ValidationError(
+            f"checkpoint {path} was stepped with chunk_slices={pin!r}; "
+            f"this build steps fleets at {FLEET_CHUNK_SLICES} only"
         )
     return payload

@@ -22,9 +22,9 @@ a :class:`~repro.sim.rng.UniformSource` — the vectorized
 :class:`~repro.sim.rng_batched.BatchedPCG64Source` when this numpy
 build passed its self-check and every stream in a lane block is a
 clean PCG64, else the byte-identical serial
-:class:`~repro.sim.rng.FanInSource` — always at a pinned chunk
-length (:data:`FLEET_CHUNK_SLICES` unless overridden — the pin is part
-of the reproducibility contract and is checkpointed).  A device therefore consumes
+:class:`~repro.sim.rng.FanInSource` — always at the fixed chunk length
+:data:`FLEET_CHUNK_SLICES` (recorded in every checkpoint; a checkpoint
+stepped at another length is refused).  A device therefore consumes
 *exactly the same uniforms through the same reduction boundaries* no
 matter how it is grouped, what else is in the fleet, or whether the
 campaign was checkpoint/resumed — fleet results are bitwise
@@ -57,7 +57,7 @@ __all__ = [
     "resolve_backend_name",
 ]
 
-#: Default pinned chunk length for fleet batches.  A constant (rather
+#: Pinned chunk length for every fleet batch.  A constant (rather
 #: than the kernel's lane-count-scaled uniform budget) keeps each
 #: lane's summation tree identical whether the device steps alone or
 #: among thousands — the bitwise half of the fleet determinism
@@ -133,12 +133,10 @@ class _VectorGroup:
         self,
         fleet: Fleet,
         devices: list[Device],
-        chunk_slices: int,
         policy_signatures: dict | None = None,
     ):
         self.devices = devices
         self._columns, self._rows = fleet.rows_of(devices)
-        self._chunk_slices = int(chunk_slices)
         # One UniformSource per lane block, built lazily on the first
         # step and reused while the group cache lives (the controller
         # rebuilds groups — and therefore sources — whenever fleet
@@ -190,7 +188,7 @@ class _VectorGroup:
                         for d in self.devices[base : base + FLEET_LANE_BLOCK]
                     ),
                     n_kinds,
-                    self._chunk_slices,
+                    FLEET_CHUNK_SLICES,
                 )
                 self._sources[base] = source
             start = columns.state[rows]
@@ -203,7 +201,7 @@ class _VectorGroup:
                     lengths,
                     (start[:, 0], start[:, 1], start[:, 2]),
                     source,
-                    chunk_slices=self._chunk_slices,
+                    chunk_slices=FLEET_CHUNK_SLICES,
                 )
             finally:
                 # Batched sources serve draws from stacked state; the
@@ -330,12 +328,6 @@ class FleetController:
         backend and loop the rest), ``"loop"`` (everything through the
         per-device loop — the benchmark baseline), or ``"vector"``
         (require every device to be vector-eligible).
-    chunk_slices:
-        Pinned chunk length for the grouped batches (default
-        :data:`FLEET_CHUNK_SLICES`).  Devices stepped under *the same
-        pin* are bitwise reproducible regardless of grouping; changing
-        the pin regroups each lane's float partial sums, so totals are
-        only guaranteed to match across runs that share the value.
     record_timing:
         Stamp each emitted telemetry record with per-tick wall-clock
         (``timing``: tick/step/solve seconds).  Opt-in because wall
@@ -387,7 +379,6 @@ class FleetController:
         telemetry=None,
         telemetry_every: int = 1,
         telemetry_per_device: bool = False,
-        chunk_slices: int | None = None,
         record_timing: bool = False,
         policy_cache=None,
         initial_tick: int = 0,
@@ -403,13 +394,6 @@ class FleetController:
             raise ValidationError(
                 f"telemetry_every must be > 0, got {telemetry_every}"
             )
-        if chunk_slices is None:
-            chunk_slices = FLEET_CHUNK_SLICES
-        chunk_slices = int(chunk_slices)
-        if chunk_slices <= 0:
-            raise ValidationError(
-                f"chunk_slices must be > 0, got {chunk_slices}"
-            )
         initial_tick = int(initial_tick)
         if initial_tick < 0:
             raise ValidationError(
@@ -419,7 +403,6 @@ class FleetController:
         self._slices_per_tick = slices_per_tick
         self._backend = backend
         self._resolved_backend = resolved_backend
-        self._chunk_slices = chunk_slices
         self._record_timing = bool(record_timing)
         self._policy_cache = policy_cache
         self._last_timing: dict | None = None
@@ -465,11 +448,6 @@ class FleetController:
         regressions can be attributed.
         """
         return self._resolved_backend
-
-    @property
-    def chunk_slices(self) -> int:
-        """The pinned chunk length grouped batches step with."""
-        return self._chunk_slices
 
     @property
     def last_timing(self) -> dict | None:
@@ -541,12 +519,7 @@ class FleetController:
                 loop_devices.append(device)
         policy_signatures: dict[tuple, tuple] = {}
         self._vector_groups = [
-            _VectorGroup(
-                self._fleet,
-                devices,
-                self._chunk_slices,
-                policy_signatures,
-            )
+            _VectorGroup(self._fleet, devices, policy_signatures)
             for devices in grouped.values()
         ]
         self._loop_devices = loop_devices
@@ -651,11 +624,10 @@ class FleetController:
         Telemetry sinks are not part of the checkpoint (they hold open
         file handles); pass a fresh one.  ``backend`` overrides the
         saved stepping mode when given — safe, because per-device
-        streams make results grouping-invariant.  The saved
-        ``chunk_slices`` pin is always restored (overriding it would
-        silently regroup the resumed run's float partial sums and break
-        the byte-identity contract with the uninterrupted run).  The
-        ``uniform_source`` field older builds wrote is ignored.
+        streams make results grouping-invariant.  A checkpoint stepped
+        at a chunk length other than :data:`FLEET_CHUNK_SLICES` is
+        refused by :func:`~repro.runtime.checkpoint.load_checkpoint`.
+        The ``uniform_source`` field older builds wrote is ignored.
         """
         from repro.runtime.checkpoint import load_checkpoint
 
@@ -675,7 +647,6 @@ class FleetController:
                 if telemetry_per_device is None
                 else telemetry_per_device
             ),
-            chunk_slices=payload.get("chunk_slices"),
             record_timing=record_timing,
             policy_cache=policy_cache,
             initial_tick=payload["tick"],

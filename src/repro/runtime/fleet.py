@@ -282,16 +282,6 @@ class Device:
         stream: ArrivalStream | None = None,
         tracker: ArrivalTracker | None = None,
         state: tuple[int, int, int] = (0, 0, 0),
-        prev_arrivals: int = 0,
-        slices: int = 0,
-        metric_names: tuple[str, ...] = (),
-        totals: np.ndarray | None = None,
-        arrivals: int = 0,
-        serviced: int = 0,
-        lost: int = 0,
-        loss_event_slices: int = 0,
-        command_counts: np.ndarray | None = None,
-        provider_occupancy: np.ndarray | None = None,
     ):
         self.device_id = device_id
         self.system = system
@@ -300,18 +290,8 @@ class Device:
         self.rng = rng
         self.stream = stream
         self.tracker = tracker
-        self.prev_arrivals = prev_arrivals
-        self.metric_names = (
-            tuple(costs.metric_names) if metric_names == () else metric_names
-        )
-        if totals is None:
-            totals = np.zeros(len(self.metric_names))
-        if command_counts is None:
-            command_counts = np.zeros(system.n_commands, dtype=np.int64)
-        if provider_occupancy is None:
-            provider_occupancy = np.zeros(
-                system.provider.n_states, dtype=np.int64
-            )
+        self.prev_arrivals = 0
+        self.metric_names = tuple(costs.metric_names)
         if stream is not None:
             if tracker is None:
                 self.tracker = NearestArrivalTracker(system.requester)
@@ -319,10 +299,10 @@ class Device:
             # tracker defines the initial one.
             state = (state[0], self.tracker.reset(), state[2])
         self._own_row(
-            (*state, slices, arrivals, serviced, lost, loss_event_slices),
-            totals,
-            command_counts,
-            provider_occupancy,
+            (*state, 0, 0, 0, 0, 0),
+            np.zeros(len(self.metric_names)),
+            np.zeros(system.n_commands, dtype=np.int64),
+            np.zeros(system.provider.n_states, dtype=np.int64),
         )
 
     def _own_row(self, ints, totals, command_counts, provider_occupancy):

@@ -71,11 +71,7 @@ from repro.runtime.checkpoint import (
     checkpoint_payload,
     write_checkpoint,
 )
-from repro.runtime.controller import (
-    FLEET_CHUNK_SLICES,
-    FleetController,
-    resolve_backend_name,
-)
+from repro.runtime.controller import resolve_backend_name
 from repro.runtime.fleet import (
     Device,
     Fleet,
@@ -228,9 +224,11 @@ class ShardSupervisor:
     n_shards:
         Worker process count.  ``1`` is a valid (and byte-identical)
         degenerate case — useful for soak-testing the service path.
-    slices_per_tick / backend / chunk_slices:
+    slices_per_tick / backend:
         Forwarded to every shard's controller, exactly as a
-        single-process :class:`FleetController` would receive them.
+        single-process
+        :class:`~repro.runtime.controller.FleetController` would
+        receive them.
     lp_backend:
         LP backend for centrally-built agents (live registrations and
         policy pushes).
@@ -269,7 +267,6 @@ class ShardSupervisor:
         n_shards: int,
         slices_per_tick: int = 1000,
         backend: str = "auto",
-        chunk_slices: int | None = None,
         lp_backend: str = "scipy",
         spool_dir=None,
         checkpoint_every: int = 1,
@@ -297,9 +294,6 @@ class ShardSupervisor:
         self._n_shards = self._partitioner.n_shards
         self._slices_per_tick = int(slices_per_tick)
         self._backend = str(backend)
-        self._chunk_slices = (
-            FLEET_CHUNK_SLICES if chunk_slices is None else int(chunk_slices)
-        )
         self._lp_backend = str(lp_backend)
         self._checkpoint_every = checkpoint_every
         self._resolved_backend = resolve_backend_name(self._backend)
@@ -334,6 +328,7 @@ class ShardSupervisor:
                 self._fault_ledger = Path(self._fault_tempdir.name)
         self._workers: list[_WorkerHandle | None] = []
         self._failures: list[int] = []
+        self._spool_failures = [0] * self._n_shards
         self._parked: dict[int, dict] = {}
         self._order: list[str] = []
         self._owner: dict[str, int] = {}
@@ -400,7 +395,14 @@ class ShardSupervisor:
         return entry.system, entry.costs
 
     def info(self) -> dict:
-        """Operational summary (the ``info`` protocol result)."""
+        """Operational summary (the ``info`` protocol result).
+
+        ``spool_failures`` counts, per shard, the spool generations its
+        workers lost to I/O errors (a refused fsync, a full disk).  A
+        worker reports its count with each step reply and the counts
+        add up across restarts; failures a worker counted but died
+        before reporting are lost.
+        """
         per_shard = [0] * self._n_shards
         for shard in self._owner.values():
             per_shard[shard] += 1
@@ -412,7 +414,6 @@ class ShardSupervisor:
             "backend": self._backend,
             "resolved_backend": self._resolved_backend,
             "slices_per_tick": self._slices_per_tick,
-            "chunk_slices": self._chunk_slices,
             "checkpoint_every": self._checkpoint_every,
             "restarts": self._restarts,
             "worker_pids": [
@@ -421,6 +422,7 @@ class ShardSupervisor:
             ],
             "quarantined": self.quarantined,
             "failures": list(self._failures),
+            "spool_failures": list(self._spool_failures),
             "worker_deadline": self._worker_deadline,
         }
 
@@ -466,7 +468,6 @@ class ShardSupervisor:
             index=index,
             slices_per_tick=self._slices_per_tick,
             backend=self._backend,
-            chunk_slices=self._chunk_slices,
             spool_dir=(
                 str(self._spool_dir) if self._spool_dir is not None else None
             ),
@@ -698,7 +699,9 @@ class ShardSupervisor:
                         self._spool_due(next_tick)
                         or next_tick == target_tick
                     )
-                    self._pipe_call(fresh, "step", {"spool": spool})
+                    self._spool_failures[index] += self._pipe_call(
+                        fresh, "step", {"spool": spool}
+                    )
                     fresh.tick = next_tick
             except _WorkerGone:
                 self._kill_worker(fresh)
@@ -746,6 +749,7 @@ class ShardSupervisor:
                 )
             handle.tick = target
             self._failures[handle.index] = 0
+            self._spool_failures[handle.index] += result
         for index in failed:
             self._recover(index, target)
         self._tick = target
@@ -947,9 +951,9 @@ class ShardSupervisor:
 
         The payload goes through the same
         :func:`~repro.runtime.checkpoint.checkpoint_payload` producer
-        as :meth:`FleetController.save_checkpoint`, with the gathered
-        canonical fleet — resumable by either the single-process
-        controller or a daemon with any shard count.
+        as :meth:`~repro.runtime.controller.FleetController.save_checkpoint`,
+        with the gathered canonical fleet — resumable by either the
+        single-process controller or a daemon with any shard count.
         """
         fleet = self.gather_fleet()
         write_checkpoint(
@@ -959,25 +963,9 @@ class ShardSupervisor:
                 self._tick,
                 self._slices_per_tick,
                 self._backend,
-                self._chunk_slices,
                 telemetry_every,
                 telemetry_per_device,
             ),
-        )
-
-    def as_controller(self, **kwargs) -> FleetController:
-        """A single-process controller over the gathered fleet.
-
-        Mostly a testing aid: proves the gathered state is exactly
-        what the single-process path would hold.
-        """
-        return FleetController(
-            self.gather_fleet(),
-            slices_per_tick=self._slices_per_tick,
-            backend=self._backend,
-            chunk_slices=self._chunk_slices,
-            initial_tick=self._tick,
-            **kwargs,
         )
 
 
@@ -1033,6 +1021,13 @@ class FleetDaemon:
     re-executing — so a step is never double-applied no matter how
     many times the socket dies.
 
+    ``next_group_index`` is the group index a ``register_group``
+    without an explicit ``group_index`` gets (it seeds the group's
+    devices and names them).  ``None`` means the counter is unknown —
+    a daemon resumed from a checkpoint, which does not record it — and
+    such requests are refused rather than guessed, because a reused
+    index would hand the new devices an existing group's streams.
+
     Note the classic ``AF_UNIX`` constraint: socket paths are limited
     to ~100 bytes — keep them short (``/tmp/...``).
     """
@@ -1045,7 +1040,7 @@ class FleetDaemon:
         telemetry_every: int = 1,
         telemetry_per_device: bool = False,
         policy_cache: PolicyCache | None = None,
-        next_group_index: int = 0,
+        next_group_index: int | None = 0,
     ):
         telemetry_every = int(telemetry_every)
         if telemetry_every <= 0:
@@ -1058,7 +1053,9 @@ class FleetDaemon:
         self._telemetry_every = telemetry_every
         self._telemetry_per_device = bool(telemetry_per_device)
         self._cache = policy_cache or PolicyCache()
-        self._next_group_index = int(next_group_index)
+        self._next_group_index = (
+            None if next_group_index is None else int(next_group_index)
+        )
         self._replay: OrderedDict[str, object] = OrderedDict()
         self._running = False
 
@@ -1198,8 +1195,8 @@ class FleetDaemon:
         """The daemon-side snapshot: shard folds, or reordered records.
 
         Stamped with the supervisor's resolved backend exactly like
-        :meth:`FleetController.snapshot` — byte-identical output for
-        equal fleet state.
+        :meth:`~repro.runtime.controller.FleetController.snapshot` —
+        byte-identical output for equal fleet state.
         """
         supervisor = self._supervisor
         if per_device:
@@ -1248,6 +1245,12 @@ class FleetDaemon:
                 )
             group_index = params.get("group_index")
             if group_index is None:
+                if self._next_group_index is None:
+                    raise ValidationError(
+                        "this daemon was resumed from a checkpoint, which "
+                        "does not record the next group index; pass one "
+                        "explicitly (fleet-ctl register --group-index)"
+                    )
                 group_index = self._next_group_index
             devices = build_group_devices(
                 group,
@@ -1258,7 +1261,7 @@ class FleetDaemon:
             )
             device_ids = supervisor.register_devices(devices)
             self._next_group_index = max(
-                self._next_group_index, int(group_index) + 1
+                self._next_group_index or 0, int(group_index) + 1
             )
             return {
                 "device_ids": device_ids,

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from repro import faults
 from repro.faults.plan import FaultPlan
 from repro.runtime.checkpoint import checkpoint_payload
-from repro.runtime.controller import FLEET_CHUNK_SLICES, FleetController
+from repro.runtime.controller import FleetController
 from repro.runtime.fleet import Device, Fleet
 from repro.runtime.policy_cache import (
     costs_signature,
@@ -169,7 +169,6 @@ class ShardConfig:
     index: int
     slices_per_tick: int
     backend: str = "auto"
-    chunk_slices: int | None = None
     spool_dir: str | None = None
     fault_plan: FaultPlan | None = None
     fault_ledger: str | None = None
@@ -196,8 +195,9 @@ class _ShardWorker:
             if config.spool_dir is not None
             else None
         )
-        #: Spool writes lost to I/O failure (degraded durability: the
-        #: previous generation still restores, one tick older).
+        #: Spool writes lost to I/O failure since the last step reply
+        #: (degraded durability: the previous generation still
+        #: restores, one tick older).
         self._spool_failures = 0
 
     # ------------------------------------------------------------------
@@ -213,7 +213,6 @@ class _ShardWorker:
                 slices_per_tick=self._config.slices_per_tick,
                 backend=self._config.backend,
                 telemetry_every=_NEVER_EMIT,
-                chunk_slices=self._config.chunk_slices,
                 initial_tick=self._tick,
             )
         return self._controller
@@ -221,13 +220,11 @@ class _ShardWorker:
     def _write_spool(self) -> None:
         if self._spool is None:
             return
-        chunk = self._config.chunk_slices
         payload = checkpoint_payload(
             self._fleet,
             self._tick,
             self._config.slices_per_tick,
             self._config.backend,
-            FLEET_CHUNK_SLICES if chunk is None else chunk,
             1,
             False,
         )
@@ -248,7 +245,10 @@ class _ShardWorker:
     # ------------------------------------------------------------------
     # command handlers
     # ------------------------------------------------------------------
-    def _handle_step(self, payload: dict):
+    def _handle_step(self, payload: dict) -> int:
+        """Step one tick; reply with the spool writes lost to I/O
+        failure since the previous step reply (the supervisor sums
+        them per shard)."""
         controller = self._controller_for_step()
         if controller is not None:
             controller.step_tick()
@@ -257,7 +257,8 @@ class _ShardWorker:
             self._tick += 1
         if payload.get("spool"):
             self._write_spool()
-        return self._tick
+        failures, self._spool_failures = self._spool_failures, 0
+        return failures
 
     def _handle_records(self, payload):
         return [device_record(device) for device in self._fleet]
@@ -284,13 +285,6 @@ class _ShardWorker:
             self._fleet.replace_agent(device_id, agent)
         self._write_spool()
         return len(payload)
-
-    def _handle_ping(self, payload):
-        return {
-            "tick": self._tick,
-            "n_devices": len(self._fleet),
-            "spool_failures": self._spool_failures,
-        }
 
     def dispatch(self, command: str, payload):
         """Route one pipe command to its handler."""

@@ -142,13 +142,8 @@ class SimulationBackend(abc.ABC):
         rng: np.random.Generator,
         initial_state=None,
         tables: SimulationTables | None = None,
-        chunk_slices: int | None = None,
     ) -> SimulationResult:
-        """Run one simulation of ``n_slices`` slices.
-
-        ``chunk_slices`` pins the vector backend's chunk length; backends
-        without a chunked stepper accept and ignore it.
-        """
+        """Run one simulation of ``n_slices`` slices."""
 
     def simulate_many(
         self,
@@ -206,13 +201,8 @@ class SimulationBackend(abc.ABC):
         rng: np.random.Generator,
         initial_state=None,
         max_session_slices: int | None = None,
-        chunk_slices: int | None = None,
     ) -> dict[str, SampleStats]:
-        """Estimate discounted totals via geometric-length sessions.
-
-        ``chunk_slices`` pins the vector backend's chunk length; backends
-        without a chunked stepper accept and ignore it.
-        """
+        """Estimate discounted totals via geometric-length sessions."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

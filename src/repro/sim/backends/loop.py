@@ -57,9 +57,7 @@ class LoopBackend(SimulationBackend):
         rng: np.random.Generator,
         initial_state=None,
         tables: SimulationTables | None = None,
-        chunk_slices: int | None = None,
     ) -> SimulationResult:
-        del chunk_slices  # batch-backend knob; the per-slice loop has none
         if tables is None:
             tables = SimulationTables.compile(system, costs)
         s, r, q = resolve_initial_state(system, initial_state)
@@ -154,12 +152,7 @@ class LoopBackend(SimulationBackend):
         rng: np.random.Generator,
         initial_state=None,
         max_session_slices: int | None = None,
-        chunk_slices: int | None = None,
     ) -> dict[str, SampleStats]:
-        # chunk_slices is a batch-backend knob; the per-slice loop has no
-        # chunking to pin, so it is accepted for interface parity only.
-        del chunk_slices
-        rng = getattr(rng, "generator", rng)
         # Compile once for all sessions: the metric stack and transition
         # cumsums used to be rebuilt inside every geometric session.
         tables = SimulationTables.compile(system, costs)

@@ -76,15 +76,17 @@ def resolve_chunk(
     therefore the RNG streams and float-summation trees:
 
     * ``chunk_slices`` pinned: exactly that many slices, capped by the
-      longest remaining lane.  This is the power-user/fleet mode —
-      results are bitwise reproducible *for a fixed pin*, but changing
-      the pin regroups the chunk-local partial sums of the float
-      metric totals (integer counters and trajectories are
-      chunk-invariant because uniforms are consumed in ``(slice, kind,
-      lane)`` order regardless of chunking).
-    * otherwise: the lane-count-scaled uniform budget
-      (``_CHUNK_BUDGET`` doubles per draw), capped at ``_MAX_CHUNK``
-      slices so history buffers stay small for tiny batches.
+      longest remaining lane.  The fleet runtime pins
+      ``FLEET_CHUNK_SLICES`` so a device's float partial sums break at
+      the same slices however many lanes it is grouped with (integer
+      counters and trajectories are chunk-invariant anyway, because
+      uniforms are consumed in ``(slice, kind, lane)`` order
+      regardless of chunking).
+    * otherwise (the offline batch APIs): the lane-count-scaled
+      uniform budget (``_CHUNK_BUDGET`` doubles per draw), capped at
+      ``_MAX_CHUNK`` slices so history buffers stay small for tiny
+      batches.  It is a pure function of the batch shape, so seeded
+      results are reproducible as they are.
     """
     if chunk_slices is not None:
         chunk_slices = int(chunk_slices)
@@ -226,7 +228,6 @@ class VectorBackend(SimulationBackend):
         rng: np.random.Generator,
         initial_state=None,
         tables: SimulationTables | None = None,
-        chunk_slices: int | None = None,
     ) -> SimulationResult:
         policy = self._require_stationary(agent, system)
         return self.simulate_batch(
@@ -238,7 +239,6 @@ class VectorBackend(SimulationBackend):
             initial_state=initial_state,
             n_replications=1,
             tables=tables,
-            chunk_slices=chunk_slices,
         )[0][0]
 
     def simulate_batch(
@@ -251,7 +251,6 @@ class VectorBackend(SimulationBackend):
         initial_state=None,
         n_replications: int = 1,
         tables: SimulationTables | None = None,
-        chunk_slices: int | None = None,
     ) -> list[list[SimulationResult]]:
         """Simulate every policy ``n_replications`` times in one batch.
 
@@ -277,13 +276,7 @@ class VectorBackend(SimulationBackend):
         s0, r0, q0 = resolve_initial_state(system, initial_state)
         lengths = np.full(n_lanes, n_slices, dtype=np.int64)
         acc = self.step_lanes(
-            tables,
-            compiled,
-            policy_of_lane,
-            lengths,
-            (s0, r0, q0),
-            rng,
-            chunk_slices=chunk_slices,
+            tables, compiled, policy_of_lane, lengths, (s0, r0, q0), rng
         )
         results = [
             _lane_result(tables, acc, lane, n_slices)
@@ -304,7 +297,6 @@ class VectorBackend(SimulationBackend):
         rng: np.random.Generator,
         initial_state=None,
         max_session_slices: int | None = None,
-        chunk_slices: int | None = None,
     ) -> dict[str, SampleStats]:
         """Geometric sessions, packed into the batch dimension.
 
@@ -324,13 +316,7 @@ class VectorBackend(SimulationBackend):
         s0, r0, q0 = resolve_initial_state(system, initial_state)
         policy_of_lane = np.zeros(n_sessions, dtype=np.int64)
         acc = self.step_lanes(
-            tables,
-            compiled,
-            policy_of_lane,
-            lengths,
-            (s0, r0, q0),
-            rng,
-            chunk_slices=chunk_slices,
+            tables, compiled, policy_of_lane, lengths, (s0, r0, q0), rng
         )
         return {
             name: SampleStats.from_samples(acc.totals[i])
@@ -625,11 +611,3 @@ def _step_lanes(
             r = r[keep]
             q = q[keep]
     return acc
-
-
-#: Public entry points for :mod:`repro.runtime`, which drives the
-#: joint-state kernel directly (per-lane resume states, pinned chunk
-#: length, per-device uniform fan-in) instead of going through the
-#: one-shot ``simulate_batch`` API.
-step_lanes = _step_lanes
-LaneAccumulators = _LaneAccumulators

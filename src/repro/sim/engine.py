@@ -22,15 +22,6 @@ Every function accepts ``backend`` in ``{"auto", "loop", "vector"}``;
 requesting ``"vector"`` for an agent that is not provably stationary
 raises :class:`~repro.util.validation.ValidationError`.  ``"auto"``
 sends batched stationary runs to ``"vector"``.
-
-The batch entry points also expose ``chunk_slices``: the number of
-slices stepped per uniform-block draw.  ``None`` (default) keeps the
-lane-count-scaled heuristic.  Pinning it is what the fleet runtime
-does for bitwise grouping-invariance; note that *changing* the pin
-regroups the chunk-local partial sums of the float metric totals, so
-results are chunk-invariant only at the integer-trajectory level
-(uniform consumption, counters, final states) — the documented
-reproducibility caveat.
 """
 
 from __future__ import annotations
@@ -91,7 +82,6 @@ def simulate(
     rng: np.random.Generator,
     initial_state=None,
     backend: str = "auto",
-    chunk_slices: int | None = None,
 ) -> SimulationResult:
     """Simulate ``agent`` on ``system`` for ``n_slices`` slices.
 
@@ -113,16 +103,10 @@ def simulate(
     backend:
         ``"auto"`` (the reference loop for single runs), ``"loop"``,
         or ``"vector"`` (stationary policies only).
-    chunk_slices:
-        Pin the vector backend's chunk length (see :func:`simulate_many`);
-        ignored by the loop backend.
     """
     n_slices = _check_n_slices(n_slices)
     chosen = resolve_backend(backend, agent, batch_size=1)
-    return chosen.simulate(
-        system, costs, agent, n_slices, rng, initial_state,
-        chunk_slices=chunk_slices,
-    )
+    return chosen.simulate(system, costs, agent, n_slices, rng, initial_state)
 
 
 def simulate_many(
@@ -135,7 +119,6 @@ def simulate_many(
     n_replications: int = 1,
     initial_state=None,
     backend: str = "auto",
-    chunk_slices: int | None = None,
 ) -> list[list[SimulationResult]]:
     """Simulate many agents/policies, ``n_replications`` runs each.
 
@@ -161,12 +144,6 @@ def simulate_many(
         vector backend, when the run is actually batched), ``"loop"``
         (everything through the reference loop), or ``"vector"``
         (require every agent to be stationary).
-    chunk_slices:
-        Pin the vector backend's chunk length (slices per uniform-block
-        draw) instead of the lane-count-scaled heuristic.  Integer
-        trajectories and counters are chunk-invariant; float metric
-        totals are bitwise-reproducible only for a *fixed* pin (see
-        the module docstring).  Ignored by the loop backend.
 
     Returns
     -------
@@ -225,7 +202,6 @@ def simulate_many(
             streams[0],
             initial_state=initial_state,
             n_replications=n_replications,
-            chunk_slices=chunk_slices,
         )
         for slot, replications in zip(vector_idx, batched):
             results[slot] = replications
@@ -255,7 +231,6 @@ def simulate_replications(
     *,
     initial_state=None,
     backend: str = "auto",
-    chunk_slices: int | None = None,
 ) -> list[SimulationResult]:
     """Independent replications of one agent (batched when possible)."""
     return simulate_many(
@@ -267,7 +242,6 @@ def simulate_replications(
         n_replications=n_replications,
         initial_state=initial_state,
         backend=backend,
-        chunk_slices=chunk_slices,
     )[0]
 
 
@@ -281,7 +255,6 @@ def simulate_sessions(
     initial_state=None,
     max_session_slices: int | None = None,
     backend: str = "auto",
-    chunk_slices: int | None = None,
 ) -> dict[str, SampleStats]:
     """Estimate *discounted* totals by simulating geometric sessions.
 
@@ -308,9 +281,6 @@ def simulate_sessions(
         budgets when ``gamma`` is very close to one).
     backend:
         ``"auto"``, ``"loop"``, or ``"vector"``.
-    chunk_slices:
-        Pin the vector backend's chunk length (see :func:`simulate_many`);
-        ignored by the loop backend.
     """
     gamma = check_probability(gamma, "gamma")
     if not 0.0 < gamma < 1.0:
@@ -329,5 +299,4 @@ def simulate_sessions(
         rng,
         initial_state=initial_state,
         max_session_slices=max_session_slices,
-        chunk_slices=chunk_slices,
     )

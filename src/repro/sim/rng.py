@@ -141,7 +141,8 @@ class FanInSource:
         :class:`~repro.util.validation.ValidationError` instead of
         silently feeding every stream the wrong draws.
     max_chunk:
-        Declared chunk cap (the controller's pinned ``chunk_slices``);
+        Declared chunk cap (the fleet controller passes
+        :data:`~repro.runtime.controller.FLEET_CHUNK_SLICES`);
         oversized requests are rejected the same way.
     """
 

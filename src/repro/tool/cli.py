@@ -5,8 +5,7 @@ Subcommands:
 * ``optimize SPEC.json [--trace TRACE.txt]`` — run the Fig. 7 pipeline
   on a system spec (extracting the workload model from the trace when
   one is given) and print the optimal policy and verification summary;
-  ``--backend {auto,loop,vector}`` picks the simulation backend,
-  ``--chunk-slices`` pins the vector backend's chunk length, and
+  ``--backend {auto,loop,vector}`` picks the simulation backend and
   ``--lp-backend`` the LP solver;
 * ``pareto SPEC.json --constraint penalty --bounds 0.1,0.2,0.5`` —
   sweep a constraint through the incremental sweep engine (bound
@@ -24,15 +23,18 @@ Subcommands:
   (:mod:`repro.runtime`): a JSON spec describes device groups x
   workloads x agents; ``--telemetry`` streams JSON-lines snapshots,
   ``--checkpoint`` saves resumable state each run and ``--resume``
-  continues a saved campaign; ``--backend`` picks grouped batch
-  stepping (``auto``/``vector``) vs the per-device loop and
-  ``--timing`` stamps telemetry with per-tick wall-clock;
+  continues a saved campaign (refusing, with exit code 2, one stepped
+  at a chunk length other than the fixed fleet one); ``--backend``
+  picks grouped batch stepping (``auto``/``vector``) vs the
+  per-device loop and ``--timing`` stamps telemetry with per-tick
+  wall-clock;
 * ``serve SPEC.json --socket /tmp/fleet.sock --shards 4`` — run the
   sharded fleet daemon (:mod:`repro.service`): the fleet is dealt
   across worker processes by device-group content signature and
   stepped in lockstep, with device-level telemetry and checkpoints
   byte-identical to the single-process ``fleet`` path; ``--resume``
-  continues a checkpointed campaign under any shard count,
+  continues a checkpointed campaign under any shard count (its
+  ``fleet-ctl register`` then needs ``--group-index``),
   ``--checkpoint-every`` sets the per-shard restart-spool cadence and
   ``--flush-every``/``--fsync`` tune telemetry durability;
 * ``fleet-ctl --socket /tmp/fleet.sock ACTION`` — control a running
@@ -109,15 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulation backend for verification (default: auto)",
     )
     p_opt.add_argument(
-        "--chunk-slices",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pin the vector backend's chunk length (slices per uniform "
-        "draw); float totals are bitwise-reproducible only for a fixed "
-        "pin (default: lane-count-scaled heuristic)",
-    )
-    p_opt.add_argument(
         "--average",
         action="store_true",
         help="use the long-run average formulation (paper Eq. 7) instead "
@@ -183,14 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulation backend for --simulate (default: auto)",
     )
     p_pareto.add_argument(
-        "--chunk-slices",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pin the vector backend's chunk length for --simulate "
-        "(default: lane-count-scaled heuristic)",
-    )
-    p_pareto.add_argument(
         "--profile",
         action="store_true",
         help="print aggregated LP solve statistics (iterations, "
@@ -247,15 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fleet stepping mode: grouped batches (auto/vector) or the "
         "per-device reference loop (default: auto; on --resume, the "
         "checkpoint's value)",
-    )
-    p_fleet.add_argument(
-        "--chunk-slices",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pinned chunk length for grouped batches (default: 256); "
-        "results are bitwise-reproducible only across runs sharing "
-        "the pin",
     )
     p_fleet.add_argument(
         "--timing",
@@ -334,13 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=BACKEND_CHOICES,
         help="per-shard fleet stepping mode (as for the fleet command)",
-    )
-    p_serve.add_argument(
-        "--chunk-slices",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pinned chunk length for grouped batches (default: 256)",
     )
     p_serve.add_argument(
         "--lp-backend",
@@ -511,7 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="I",
         help="explicit group index for seeding/ids (default: the "
-        "daemon's running counter)",
+        "daemon's running counter; required by a daemon started with "
+        "serve --resume, which does not know it)",
     )
     p_ctl_rm = ctl_sub.add_parser("remove", help="deregister one device")
     p_ctl_rm.add_argument("device_id")
@@ -682,7 +652,6 @@ def _cmd_optimize(args) -> int:
         backend=args.lp_backend,
         formulation="average" if args.average else "discounted",
         sim_backend=args.backend,
-        chunk_slices=args.chunk_slices,
     )
     print(report.summary())
     if args.profile:
@@ -728,7 +697,6 @@ def _cmd_pareto(args) -> int:
             args.simulate,
             args.seed,
             backend=args.backend,
-            chunk_slices=args.chunk_slices,
         )
         headers.append(f"sim_{args.objective}")
     rows = []
@@ -830,11 +798,6 @@ def _cmd_fleet(args) -> int:
                 record_timing=args.timing,
             )
             cache = None
-            if args.chunk_slices is not None:
-                print(
-                    "note: --chunk-slices is ignored on --resume (the "
-                    "checkpoint's pin is kept for bitwise determinism)"
-                )
             print(
                 f"resumed fleet of {len(controller.fleet)} devices at "
                 f"tick {controller.tick}"
@@ -860,7 +823,6 @@ def _cmd_fleet(args) -> int:
                     1 if args.telemetry_every is None else args.telemetry_every
                 ),
                 telemetry_per_device=args.per_device,
-                chunk_slices=args.chunk_slices,
                 record_timing=args.timing,
                 policy_cache=cache,
             )
@@ -955,15 +917,17 @@ def _cmd_serve(args) -> int:
     next_group_index = 0
     slices_per_tick = args.slices_per_tick or 1000
     backend = args.backend or "auto"
-    chunk_slices = args.chunk_slices
     telemetry_every = 1 if args.telemetry_every is None else args.telemetry_every
     per_device = args.per_device
     if args.resume:
         payload = load_checkpoint(args.resume)
         fleet = payload["fleet"]
         tick = payload["tick"]
+        # The checkpoint does not record the live group counter; the
+        # daemon refuses a register without --group-index rather than
+        # reuse an existing group's index (and so its device streams).
+        next_group_index = None
         slices_per_tick = payload["slices_per_tick"]
-        chunk_slices = payload["chunk_slices"]
         # A flag the user gives wins over the checkpoint's saved value.
         if args.backend is None:
             backend = payload["backend"]
@@ -973,15 +937,11 @@ def _cmd_serve(args) -> int:
         # on, but when absent the checkpoint's setting carries over so a
         # resumed daemon keeps emitting the same telemetry shape.
         per_device = per_device or bool(payload["telemetry_per_device"])
-        for option, flag in (
-            (args.slices_per_tick, "--slices-per-tick"),
-            (args.chunk_slices, "--chunk-slices"),
-        ):
-            if option is not None:
-                print(
-                    f"note: {flag} is ignored on --resume (the "
-                    f"checkpoint's value is kept for determinism)"
-                )
+        if args.slices_per_tick is not None:
+            print(
+                "note: --slices-per-tick is ignored on --resume (the "
+                "checkpoint's value is kept for determinism)"
+            )
         print(
             f"resumed fleet of {len(fleet)} devices at tick {tick} "
             f"across {args.shards} shard(s)"
@@ -1017,7 +977,6 @@ def _cmd_serve(args) -> int:
         args.shards,
         slices_per_tick=slices_per_tick,
         backend=backend,
-        chunk_slices=chunk_slices,
         lp_backend=args.lp_backend,
         spool_dir=args.spool_dir,
         checkpoint_every=args.checkpoint_every,

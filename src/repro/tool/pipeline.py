@@ -217,7 +217,6 @@ def run_pipeline(
     cross_check: bool = False,
     formulation: str = "discounted",
     sim_backend: str = "auto",
-    chunk_slices: int | None = None,
 ) -> PipelineReport:
     """Run the full Fig. 7 flow.
 
@@ -244,10 +243,6 @@ def run_pipeline(
         Simulation backend for the Markov verification run
         (``"auto"``, ``"loop"`` or ``"vector"``, see
         :mod:`repro.sim.backends`).
-    chunk_slices:
-        Pin the vector backend's chunk length for the verification run
-        (see :func:`repro.sim.engine.simulate_many`); ignored by the
-        loop backend.
     """
     sr_model = None
     requester = spec.requester
@@ -297,13 +292,7 @@ def run_pipeline(
 
     agent = StationaryPolicyAgent(system, result.policy)
     report.markov_simulation = simulate(
-        system,
-        costs,
-        agent,
-        int(verify_slices),
-        rng,
-        backend=sim_backend,
-        chunk_slices=chunk_slices,
+        system, costs, agent, int(verify_slices), rng, backend=sim_backend
     )
     if trace is not None:
         report.trace_simulation = simulate_trace(

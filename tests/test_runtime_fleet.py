@@ -25,7 +25,6 @@ from repro.policies import (
     eager_markov_policy,
 )
 from repro.runtime import (
-    FLEET_CHUNK_SLICES,
     Device,
     Fleet,
     FleetController,
@@ -894,8 +893,7 @@ class TestColumnarState:
             device, twin = fleet.device(f"d-{i}"), reference.device(f"d-{i}")
             backend = get_backend("vector" if kind.endswith("vec") else "loop")
             result = backend.simulate(
-                twin.system, twin.costs, twin.agent, self.SLICES, twin.rng,
-                chunk_slices=FLEET_CHUNK_SLICES,
+                twin.system, twin.costs, twin.agent, self.SLICES, twin.rng
             )
             assert device.state == result.final_state
             assert device.totals.tolist() == [
@@ -1139,8 +1137,7 @@ class TestFleetPickle:
         controller = FleetController(make(), slices_per_tick=70)
         controller.run(3)
         payload = checkpoint_payload(
-            controller.fleet, 3, 70, controller.backend,
-            controller.chunk_slices, 1, False,
+            controller.fleet, 3, 70, controller.backend, 1, False
         )
         payload["fleet"] = _HeadLayoutFleet(controller.fleet)
         path = tmp_path / "head.ckpt"

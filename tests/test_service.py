@@ -188,9 +188,7 @@ def test_sharded_telemetry_matches_single_process(reference, n_shards):
 def test_checkpoint_bytes_identical_across_shard_counts(tmp_path):
     controller, _ = _single_process_records(3)
     expected = pickle.dumps(
-        checkpoint_payload(
-            controller.fleet, 3, SLICES, "auto", 256, 1, True
-        ),
+        checkpoint_payload(controller.fleet, 3, SLICES, "auto", 1, True),
         protocol=4,
     )
     for n_shards in (1, 2, 3):
@@ -221,7 +219,6 @@ def test_resume_under_repartitioning(reference, tmp_path):
             n_shards,
             slices_per_tick=payload["slices_per_tick"],
             backend=payload["backend"],
-            chunk_slices=payload["chunk_slices"],
         )
         resumed.start(payload["fleet"], tick=payload["tick"])
         try:
@@ -365,6 +362,7 @@ def test_daemon_end_to_end(reference, tmp_path):
         assert sum(info["devices_per_shard"]) == 18
         result = client.step(6, on_telemetry=streamed.append)
         assert result == {"tick": 6, "ticks_run": 6}
+        assert client.info()["spool_failures"] == [0, 0]
         assert client.ping() == {"pong": True, "tick": 6}
         snap = client.snapshot(per_device=True)
         assert snap["tick"] == 6

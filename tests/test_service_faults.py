@@ -107,9 +107,7 @@ def reference():
     return {
         "records": _dump(sink.records),
         "checkpoint": pickle.dumps(
-            checkpoint_payload(
-                controller.fleet, 6, SLICES, "auto", 256, 1, True
-            ),
+            checkpoint_payload(controller.fleet, 6, SLICES, "auto", 1, True),
             protocol=4,
         ),
     }
@@ -238,6 +236,22 @@ def test_spool_fsync_failure_degrades_without_divergence(reference, tmp_path):
     )
     supervisor = _chaos_supervisor(tmp_path, plan)
     _assert_chaos_identical(reference, supervisor, tmp_path)
+    # reported with a tick-1 step reply, so the tick-4 restart keeps it
+    assert sum(supervisor.info()["spool_failures"]) == 1
+
+
+def test_spool_fsync_failure_is_counted_in_info(tmp_path):
+    # the one refusal hits the first worker spool (tick 0); that
+    # worker reports it with its tick-1 step reply
+    plan = FaultPlan((Fault(site="spool.fsync", kind="error"),))
+    supervisor = _chaos_supervisor(tmp_path, plan)
+    try:
+        supervisor.run(3)
+        failures = supervisor.info()["spool_failures"]
+    finally:
+        supervisor.stop()
+    assert len(failures) == 3
+    assert sum(failures) == 1
 
 
 def test_injected_worker_error_crashes_and_recovers(reference, tmp_path):

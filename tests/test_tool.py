@@ -386,7 +386,10 @@ class TestCLI:
 
 class TestResumeFlags:
     """``--backend``/``--telemetry-every`` on ``--resume``: an absent
-    flag keeps the checkpoint's value, a given one overrides it."""
+    flag keeps the checkpoint's value, a given one overrides it.  What
+    no flag can override is refused: a checkpoint stepped at another
+    chunk length, and an unindexed group registration (the checkpoint
+    does not record the daemon's group counter)."""
 
     SPEC: ClassVar[dict] = {
         "name": "resume-flags",
@@ -409,9 +412,9 @@ class TestResumeFlags:
     def _fleet(self, *args):
         assert cli_main(["fleet", *map(str, args), "--per-device"]) == 0
 
-    def _checkpoint(self, tmp_path, *flags, backend=None):
-        """Two ticks of telemetry plus a checkpoint whose saved
-        ``backend`` is optionally rewritten."""
+    def _checkpoint(self, tmp_path, *flags, **saved):
+        """Two ticks of telemetry plus a checkpoint whose ``saved``
+        payload fields are rewritten."""
         from repro.runtime import load_checkpoint
         from repro.runtime.checkpoint import write_checkpoint
 
@@ -419,9 +422,9 @@ class TestResumeFlags:
         checkpoint = tmp_path / "fleet.ckpt"
         outputs = ("--telemetry", telemetry, "--checkpoint", checkpoint)
         self._fleet(self._spec_file(tmp_path), "--ticks", 2, *outputs, *flags)
-        if backend is not None:
+        if saved:
             payload = load_checkpoint(checkpoint)
-            payload["backend"] = backend
+            payload.update(saved)
             write_checkpoint(checkpoint, payload)
         return checkpoint, telemetry
 
@@ -499,6 +502,44 @@ class TestResumeFlags:
         info = self._serve(capsys, serve, lambda client: client.info())
         assert info["backend"] == "vector"
         assert info["tick"] == 2
+
+    def test_resume_refuses_another_chunk_pin(self, tmp_path, capsys):
+        from repro.runtime import FleetController
+
+        checkpoint, _ = self._checkpoint(tmp_path, chunk_slices=128)
+        with pytest.raises(ValidationError, match="chunk_slices=128"):
+            FleetController.resume(checkpoint)
+        capsys.readouterr()
+        fleet = ["fleet", "--resume", str(checkpoint), "--ticks", "1"]
+        assert cli_main(fleet) == 2
+        assert "chunk_slices=128" in capsys.readouterr().err
+        serve = self._serve_args(tmp_path, checkpoint, "--shards", 1)
+        assert cli_main(serve) == 2
+        assert "chunk_slices=128" in capsys.readouterr().err
+
+    def test_resumed_daemon_needs_an_explicit_group_index(
+        self, tmp_path, capsys
+    ):
+        from repro.service import ServiceError
+
+        checkpoint, _ = self._checkpoint(tmp_path)
+        group = {**self.SPEC["groups"][0], "count": 2}
+        del group["id"]
+
+        def drive(client):
+            # Group 0's index would reuse its seed, so its streams.
+            with pytest.raises(ServiceError, match="--group-index"):
+                client.register_group(group)
+            explicit = client.register_group(group, group_index=1)
+            following = client.register_group(group)
+            return explicit, following, client.info()["n_devices"]
+
+        serve = self._serve_args(tmp_path, checkpoint, "--shards", 1)
+        explicit, following, n_devices = self._serve(capsys, serve, drive)
+        assert explicit["group_index"] == 1
+        assert explicit["device_ids"] == ["g1-0000", "g1-0001"]
+        assert following["group_index"] == 2
+        assert n_devices == 8
 
     def test_serve_resume_keeps_telemetry_cadence(self, tmp_path, capsys):
         reference, checkpoint, telemetry = self._cadence_reference(tmp_path)
