@@ -14,7 +14,7 @@ from repro.core.dynamic_programming import value_iteration
 from repro.core.optimizer import PolicyOptimizer
 from repro.core.policy import evaluate_policy
 from repro.policies import StationaryPolicyAgent, eager_markov_policy
-from repro.sim import make_rng, simulate, simulate_replications
+from repro.sim import VectorBackend, child_rngs, make_rng, simulate
 from repro.systems import disk_drive
 from repro.traces import SRExtractor, mmpp2_trace
 
@@ -119,23 +119,21 @@ def bench_simulation_throughput(benchmark):
 
 
 def bench_simulation_throughput_vector(benchmark):
-    """Slices per second of the vectorized backend (32 replications)."""
+    """Slices per second of the vector kernel (32 replications)."""
     bundle = disk_drive.build()
     policy = eager_markov_policy(bundle.system, "go_active", "go_idle")
-    agent = StationaryPolicyAgent(bundle.system, policy)
     n_slices, n_replications = 20_000, 32
 
     def run():
-        return simulate_replications(
+        return VectorBackend().simulate_batch(
             bundle.system,
             bundle.costs,
-            agent,
+            [policy],
             n_slices,
-            n_replications,
-            rng=0,
+            child_rngs(0, 1)[0],
             initial_state=("active", "0", 0),
-            backend="vector",
-        )
+            n_replications=n_replications,
+        )[0]
 
     results = benchmark.pedantic(run, rounds=2, iterations=1)
     assert len(results) == n_replications

@@ -93,7 +93,6 @@ def _run_campaign(
     supervisor = ShardSupervisor(
         N_SHARDS,
         slices_per_tick=SLICES_PER_TICK,
-        backend="auto",
         checkpoint_every=checkpoint_every,
         worker_deadline=worker_deadline,
         restart_backoff=0.01,

@@ -3,8 +3,10 @@
 The headline acceptance check for the :mod:`repro.runtime` subsystem:
 a fleet of **1024** stationary disk devices stepped by the controller's
 grouped batch path must sustain **>= 10x** the device-slices/second of
-the same fleet forced through the per-device reference loop.  A
-**100,000-device** fleet-scale smoke runs one ``auto`` tick to keep
+the same fleet stepped device by device through
+:func:`~repro.runtime.controller._step_device_loop`, the loop the
+controller runs for devices the kernel cannot express.  A
+**100,000-device** fleet-scale smoke runs one controller tick to keep
 the controller honest at the paper-fleet scale, once on the producer
 the controller picks and once on the serial fan-in fallback; the same
 scale doubles as the RNG fan-in comparison — the serial per-device
@@ -45,6 +47,7 @@ from repro.runtime import (
     MMPP2Stream,
     device_rng,
 )
+from repro.runtime.controller import _step_device_loop
 from repro.sim import rng_batched
 from repro.sim.rng import FanInSource
 from repro.sim.rng_batched import BatchedPCG64Source, batched_available
@@ -107,16 +110,26 @@ def _mixed_fleet(seed: int = 3) -> Fleet:
     return fleet
 
 
-def _run(fleet: Fleet, backend: str, ticks: int, slices_per_tick: int):
-    """One timed campaign; returns (seconds, rate, resolved backend)."""
-    controller = FleetController(
-        fleet, slices_per_tick=slices_per_tick, backend=backend
-    )
-    start = time.perf_counter()
-    controller.run(ticks)
+def _run(fleet: Fleet, path: str, ticks: int, slices_per_tick: int):
+    """One timed campaign; returns (seconds, rate).
+
+    ``path="vector"`` steps the fleet through a :class:`FleetController`,
+    which groups every stationary disk onto the vector kernel;
+    ``path="loop"`` steps each device through the controller's
+    per-device loop, with the model tables compiled once.
+    """
+    if path == "loop":
+        tables = next(iter(fleet)).compile_tables()
+        start = time.perf_counter()
+        for _ in range(ticks):
+            for device in fleet:
+                _step_device_loop(device, tables, slices_per_tick)
+    else:
+        controller = FleetController(fleet, slices_per_tick=slices_per_tick)
+        start = time.perf_counter()
+        controller.run(ticks)
     seconds = time.perf_counter() - start
-    rate = len(fleet) * ticks * slices_per_tick / seconds
-    return seconds, rate, controller.resolved_backend
+    return seconds, len(fleet) * ticks * slices_per_tick / seconds
 
 
 def _rng_fan_in_rates(n_lanes: int, chunk: int, seed: int = 7):
@@ -183,10 +196,8 @@ def bench_fleet_vector_1024dev(benchmark):
 def bench_fleet_speedup_1024dev(benchmark):
     """Acceptance: grouped vector >= 10x the per-device loop path."""
     bundle = disk_drive.build()
-    loop_seconds, loop_rate, _ = _run(
-        _stationary_fleet(bundle, N_DEVICES), "loop", 1, 50
-    )
-    vector_seconds, vector_rate, _ = benchmark.pedantic(
+    loop_seconds, loop_rate = _run(_stationary_fleet(bundle, N_DEVICES), "loop", 1, 50)
+    vector_seconds, vector_rate = benchmark.pedantic(
         lambda: _run(_stationary_fleet(bundle, N_DEVICES), "vector", 1, 500),
         rounds=1,
         iterations=1,
@@ -242,21 +253,21 @@ def collect(quick: bool = False) -> dict:
 
     bundle = disk_drive.build()
     # Loop throughput is rate-stable, so it is sampled on a shorter
-    # campaign; the vector backend gets a fleet-scale one.
+    # campaign; the vector kernel gets a fleet-scale one.
     scenarios = [
         ("loop", 1, 10 if quick else 50),
         ("vector", 1, 100 if quick else 500),
     ]
     records = []
-    by_backend = {}
-    for backend, ticks, slices_per_tick in scenarios:
+    by_path = {}
+    for path, ticks, slices_per_tick in scenarios:
         fleet = _stationary_fleet(bundle, N_DEVICES)
-        seconds, rate, _ = _run(fleet, backend, ticks, slices_per_tick)
-        by_backend[backend] = rate
+        seconds, rate = _run(fleet, path, ticks, slices_per_tick)
+        by_path[path] = rate
         records.append(
             {
-                "name": f"{backend}_disk66_{N_DEVICES}dev",
-                "backend": backend,
+                "name": f"{path}_disk66_{N_DEVICES}dev",
+                "backend": path,
                 "n_devices": N_DEVICES,
                 "slices_per_device": ticks * slices_per_tick,
                 "seconds": round(seconds, 4),
@@ -266,7 +277,7 @@ def collect(quick: bool = False) -> dict:
     # Fleet-scale smoke: 10^5 devices in one controller tick.
     smoke_slices = 8 if quick else 16
     smoke_fleet = _stationary_fleet(bundle, N_DEVICES_SMOKE, seed=1)
-    seconds, rate, resolved = _run(smoke_fleet, "auto", 1, smoke_slices)
+    seconds, rate = _run(smoke_fleet, "vector", 1, smoke_slices)
     # Same scale on the serial fan-in fallback: together with the run
     # above (batched when the build supports it) this is the
     # fleet-level half of the fanin-vs-batched comparison.  The
@@ -275,11 +286,10 @@ def collect(quick: bool = False) -> dict:
     fanin_fleet = _stationary_fleet(bundle, N_DEVICES_SMOKE, seed=1)
     unsupported = {"mult": None, "reason": "fan-in fallback benchmark"}
     with mock.patch.object(rng_batched, "_DERIVED", unsupported):
-        _, fanin_fleet_rate, _ = _run(fanin_fleet, "auto", 1, smoke_slices)
+        _, fanin_fleet_rate = _run(fanin_fleet, "vector", 1, smoke_slices)
     records.append(
         {
             "name": f"batch_disk66_{N_DEVICES_SMOKE}dev",
-            "backend": resolved,
             "n_devices": N_DEVICES_SMOKE,
             "slices_per_device": smoke_slices,
             "seconds": round(seconds, 4),
@@ -302,7 +312,7 @@ def collect(quick: bool = False) -> dict:
     if batched_rate is not None:
         rng_record["batched_device_slices_per_sec"] = round(batched_rate)
     records.append(rng_record)
-    speedup = round(by_backend["vector"] / by_backend["loop"], 2)
+    speedup = round(by_path["vector"] / by_path["loop"], 2)
     with tempfile.TemporaryDirectory() as tmp:
         exact = _checkpoint_roundtrip_exact(
             pathlib.Path(tmp), ticks=4 if quick else 6

@@ -66,9 +66,7 @@ N_SPOOLED_SHARDS = 2
 def _run_single(bundle, n_devices: int) -> tuple[float, float]:
     """Single-process campaign; returns (seconds, device-slices/s)."""
     fleet = _stationary_fleet(bundle, n_devices, seed=1)
-    controller = FleetController(
-        fleet, slices_per_tick=SLICES_PER_TICK, backend="auto"
-    )
+    controller = FleetController(fleet, slices_per_tick=SLICES_PER_TICK)
     start = time.perf_counter()
     controller.run(TICKS)
     seconds = time.perf_counter() - start
@@ -81,7 +79,6 @@ def _run_sharded(bundle, n_devices: int) -> tuple[float, float]:
     supervisor = ShardSupervisor(
         N_SHARDS,
         slices_per_tick=SLICES_PER_TICK,
-        backend="auto",
         checkpoint_every=0,
     )
     supervisor.start(fleet)
@@ -102,7 +99,6 @@ def _run_spooled(bundle, n_devices: int) -> tuple[float, float]:
     supervisor = ShardSupervisor(
         N_SPOOLED_SHARDS,
         slices_per_tick=SLICES_PER_TICK,
-        backend="auto",
         checkpoint_every=1,
     )
     supervisor.start(fleet)
@@ -134,13 +130,13 @@ def _sharded_identical(bundle, ticks: int = 2) -> bool:
     try:
         for _ in range(ticks):
             supervisor.step_tick()
-            record = snapshot_from_records(
-                supervisor.tick,
-                supervisor.collect_records(),
-                per_device=True,
+            sharded.append(
+                snapshot_from_records(
+                    supervisor.tick,
+                    supervisor.collect_records(),
+                    per_device=True,
+                )
             )
-            record["backend"] = supervisor.resolved_backend
-            sharded.append(record)
     finally:
         supervisor.stop()
     return json.dumps(sharded, sort_keys=True) == json.dumps(

@@ -1,9 +1,10 @@
 """Loop-vs-vector simulation throughput across systems/batches.
 
-Records slices/second for the reference loop backend and the NumPy
-vector backend on the 8-state running example and the 66-state disk
-model, across replication counts, plus the headline acceptance check:
-the vector backend must deliver **>= 10x** the loop's throughput on a
+Records slices/second for the reference loop (:class:`LoopBackend`)
+and the NumPy vector kernel (:class:`VectorBackend`), each called
+directly, on the 8-state running example and the 66-state disk model,
+across replication counts, plus the headline acceptance check: the
+vector kernel must deliver **>= 10x** the loop's throughput on a
 stationary-policy run of 10^6 total slices split over 32 replications.
 
 Run under pytest-benchmark::
@@ -23,7 +24,7 @@ import sys
 import time
 
 from repro.policies import StationaryPolicyAgent, eager_markov_policy
-from repro.sim import simulate_many
+from repro.sim import LoopBackend, VectorBackend, child_rngs
 from repro.systems import disk_drive, example_system
 
 #: Headline scenario: 10^6 total slices over 32 replications.
@@ -44,18 +45,25 @@ def _stationary_agent(bundle, active, sleep):
 
 
 def _run(bundle, agent, total_slices, n_replications, backend, seed=0):
-    """One timed batch run; returns (seconds, slices_per_second)."""
+    """One timed batch run on ``backend`` (``"loop"`` or ``"vector"``);
+    returns (seconds, slices_per_second)."""
     per_lane = max(1, total_slices // n_replications)
+    system, costs = bundle.system, bundle.costs
     start = time.perf_counter()
-    simulate_many(
-        bundle.system,
-        bundle.costs,
-        [agent],
-        per_lane,
-        seed,
-        n_replications=n_replications,
-        backend=backend,
-    )
+    if backend == "loop":
+        rngs = child_rngs(seed, 1 + n_replications)[1:]
+        LoopBackend().simulate_many(
+            system, costs, [agent], per_lane, rngs, n_replications=n_replications
+        )
+    else:
+        VectorBackend().simulate_batch(
+            system,
+            costs,
+            [agent.stationary_policy(system)],
+            per_lane,
+            child_rngs(seed, 1)[0],
+            n_replications=n_replications,
+        )
     seconds = time.perf_counter() - start
     return seconds, per_lane * n_replications / seconds
 
@@ -74,7 +82,7 @@ def bench_loop_throughput_disk_1rep(benchmark):
 
 
 def bench_vector_throughput_disk_32rep(benchmark):
-    """Vector backend, 32 replications on the disk system."""
+    """Vector kernel, 32 replications on the disk system."""
     bundle = disk_drive.build()
     agent = _stationary_agent(bundle, "go_active", "go_idle")
     benchmark.pedantic(
@@ -104,7 +112,7 @@ def bench_backend_speedup_1m_32rep(benchmark):
         speedup=round(speedup, 2),
     )
     assert speedup >= SPEEDUP_TARGET, (
-        f"vector backend only {speedup:.1f}x faster than loop "
+        f"vector kernel only {speedup:.1f}x faster than loop "
         f"({vector_rate:,.0f} vs {loop_rate:,.0f} slices/s); "
         f"target {SPEEDUP_TARGET}x"
     )

@@ -219,7 +219,6 @@ def simulate_curve(
     *,
     initial_state=None,
     n_replications: int = 1,
-    backend: str = "auto",
 ) -> list["list[SimulationResult] | None"]:
     """Verify a swept curve by simulating every feasible point's policy.
 
@@ -260,7 +259,6 @@ def simulate_curve(
         rng,
         n_replications=n_replications,
         initial_state=initial_state,
-        backend=backend,
     )
     results: list = [None] * len(curve.points)
     for position, replications in zip(positions, batched):

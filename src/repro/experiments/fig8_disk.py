@@ -52,14 +52,12 @@ PENALTY_MARGIN = 2.0
 def run(
     quick: bool = False,
     seed: int = 0,
-    backend: str = "auto",
     lp_backend: str = "scipy",
 ) -> ExperimentResult:
     """Regenerate Fig. 8(b): optimal curve, circles and heuristics.
 
-    ``backend`` picks the simulation backend for the verification runs
-    and ``lp_backend`` the LP solver — both forwarded from the CLI's
-    ``experiment --backend/--lp-backend`` flags through the registry.
+    ``lp_backend`` picks the LP solver, forwarded from the CLI's
+    ``experiment --lp-backend`` flag through the registry.
     """
     bundle = disk_drive.build()
     system, costs = bundle.system, bundle.costs
@@ -102,7 +100,6 @@ def run(
         n_slices,
         seed,
         initial_state=("active", "0", 0),
-        backend=backend,
     )
     circles = [sims[0] for sims in circle_sims if sims is not None]
 
@@ -185,7 +182,6 @@ def run(
         n_slices,
         seed + 1,
         initial_state=("active", "0", 0),
-        backend=backend,
     )
     simulated_rows = []
     simulated_above = []

@@ -33,13 +33,12 @@ SIM_ATOL = 0.05
 def run(
     quick: bool = False,
     seed: int = 0,
-    backend: str = "auto",
     lp_backend: str = "scipy",
 ) -> ExperimentResult:
     """Regenerate Fig. 9(a).
 
-    ``backend``/``lp_backend`` select the simulation and LP backends
-    (forwarded from the CLI through the experiment registry).
+    ``lp_backend`` selects the LP solver (forwarded from the CLI
+    through the experiment registry).
     """
     bundle = web_server.build()
     system, costs = bundle.system, bundle.costs
@@ -73,7 +72,6 @@ def run(
         n_slices,
         seed,
         initial_state=("both", "0", 0),
-        backend=backend,
     )
 
     rows = []

@@ -69,7 +69,7 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     # --- timeout heuristic (dashed line), simulated --------------------
     active = bundle.metadata["active_command"]
     sleep = bundle.metadata["sleep_command"]
-    # Stateful heuristics: one dispatch call, loop backend per agent.
+    # Stateful heuristics: one batch call, the reference loop per agent.
     timeout_sims = simulate_many(
         system,
         costs,

@@ -51,10 +51,9 @@ def run_experiment(
 ):
     """Run one experiment and return its :class:`ExperimentResult`.
 
-    Extra keyword arguments (``backend=`` for the simulation backend,
-    ``lp_backend=`` for the LP solver, ...) are forwarded to drivers
-    whose ``run`` signature accepts them and silently dropped for the
-    rest — the CLI passes user flags through here without every driver
+    Extra keyword arguments (``lp_backend=`` for the LP solver, ...)
+    are forwarded to drivers whose ``run`` signature accepts them and
+    silently dropped for the rest — the CLI passes user flags through here without every driver
     having to grow every knob.  ``None`` values are never forwarded
     (they mean "driver default").
     """

@@ -20,7 +20,7 @@ Module index
 :mod:`~repro.runtime.controller`
     :class:`FleetController` — tick-based stepping.  Hot path: devices
     sharing a (system, costs, policy-determinism) signature advance as
-    one batch of the vector backend's joint-state kernel, each lane
+    one batch of the vector joint-state kernel, each lane
     drawing from its own device's generator through a
     :class:`~repro.sim.rng.UniformSource` (vectorized batched PCG64
     fan-in by default, serial fan-in otherwise); stateful/adaptive/
@@ -84,7 +84,6 @@ from repro.runtime.controller import (
     FLEET_CHUNK_SLICES,
     FLEET_LANE_BLOCK,
     FleetController,
-    resolve_backend_name,
 )
 from repro.runtime.fleet import (
     Device,
@@ -150,7 +149,6 @@ __all__ = [
     "load_checkpoint",
     "parse_fleet_spec",
     "policy_signature",
-    "resolve_backend_name",
     "save_checkpoint",
     "snapshot",
     "snapshot_from_records",

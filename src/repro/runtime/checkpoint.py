@@ -22,8 +22,13 @@ in the earlier per-device form (each device its own field mapping)
 still load; a build that predates the column form cannot read a new
 checkpoint and reports it as not readable.  The ``uniform_source``
 field that earlier payloads carried is ignored on load (the controller
-picks the uniform producer itself).  Every payload records the chunk
-length the fleet was stepped at, always
+picks the uniform producer itself).  The ``backend`` field is always
+written as ``"auto"`` and otherwise ignored — the controller picks
+each device's stepping path itself — except that a checkpoint saved
+with ``backend="loop"`` is refused: its stationary devices stepped on
+the per-device loop, and resuming them on the vector kernel would move
+them onto the kernel's random-number order.  Every payload records the
+chunk length the fleet was stepped at, always
 :data:`~repro.runtime.controller.FLEET_CHUNK_SLICES`; a checkpoint
 written at another length (earlier builds let it be set) is refused on
 load, because resuming it would regroup every device's float partial
@@ -88,7 +93,6 @@ def checkpoint_payload(  # repro-lint: schema=CHECKPOINT_FIELDS
     fleet,
     tick: int,
     slices_per_tick: int,
-    backend: str,
     telemetry_every: int,
     telemetry_per_device: bool,
 ) -> dict:
@@ -115,7 +119,9 @@ def checkpoint_payload(  # repro-lint: schema=CHECKPOINT_FIELDS
         "version": CHECKPOINT_VERSION,
         "tick": int(tick),
         "slices_per_tick": int(slices_per_tick),
-        "backend": str(backend),
+        # Always "auto": kept so checkpoint bytes, and older readers,
+        # stay as they were.
+        "backend": "auto",
         "chunk_slices": FLEET_CHUNK_SLICES,
         "telemetry_every": int(telemetry_every),
         "telemetry_per_device": bool(telemetry_per_device),
@@ -190,7 +196,6 @@ def save_checkpoint(path, controller, *, fsync: bool = False) -> None:
             controller.fleet,
             controller.tick,
             controller.slices_per_tick,
-            controller.backend,
             controller._telemetry_every,
             controller._telemetry_per_device,
         ),
@@ -203,11 +208,12 @@ def load_checkpoint(path) -> dict:
     :func:`save_checkpoint`.
 
     Returns the payload mapping (``fleet``, ``tick``,
-    ``slices_per_tick``, ``backend``, telemetry settings); use
+    ``slices_per_tick``, telemetry settings); use
     :meth:`~repro.runtime.controller.FleetController.resume` to turn
     it straight into a running controller.  Raises
     :class:`~repro.util.validation.ValidationError` for a payload whose
-    ``chunk_slices`` is not :data:`FLEET_CHUNK_SLICES`.
+    ``chunk_slices`` is not :data:`FLEET_CHUNK_SLICES`, or one saved
+    with ``backend="loop"``.
     """
     path = Path(path)
     if not path.exists():
@@ -233,5 +239,12 @@ def load_checkpoint(path) -> dict:
         raise ValidationError(
             f"checkpoint {path} was stepped with chunk_slices={pin!r}; "
             f"this build steps fleets at {FLEET_CHUNK_SLICES} only"
+        )
+    if payload.get("backend") == "loop":
+        raise ValidationError(
+            f"checkpoint {path} was stepped with backend='loop'; its "
+            f"vector-eligible devices would resume on the vector kernel, "
+            f"whose random-number order differs, so the resumed run "
+            f"would not continue the saved one"
         )
     return payload

@@ -14,7 +14,9 @@ devices are sharded into :data:`FLEET_LANE_BLOCK`-lane blocks to bound
 buffer sizes.  Devices the kernel cannot express (stateful heuristics,
 adaptive agents, stream-driven workloads) fall back to a resumable
 per-device loop with the reference semantics of
-:class:`~repro.sim.backends.loop.LoopBackend`.
+:class:`~repro.sim.backends.loop.LoopBackend`.  That split is the
+only rule: every vector-eligible device is grouped and every other
+one loops.
 
 Determinism is per-device, not per-run: each device owns its generator
 and the batch draws every lane's uniforms from its own stream through
@@ -44,9 +46,8 @@ from repro.policies.base import Observation
 from repro.runtime.fleet import Device, Fleet
 from repro.runtime.policy_cache import memoized_by_identity
 from repro.runtime.telemetry import snapshot
-from repro.sim.backends import BACKEND_CHOICES, BACKENDS
 from repro.sim.backends.base import SimulationTables
-from repro.sim.backends.vector import CompiledPolicyBatch
+from repro.sim.backends.vector import CompiledPolicyBatch, VectorBackend
 from repro.sim.rng import FanInSource, sample_categorical
 from repro.util.validation import ValidationError
 
@@ -54,7 +55,6 @@ __all__ = [
     "FLEET_CHUNK_SLICES",
     "FLEET_LANE_BLOCK",
     "FleetController",
-    "resolve_backend_name",
 ]
 
 #: Pinned chunk length for every fleet batch.  A constant (rather
@@ -75,20 +75,10 @@ FLEET_CHUNK_SLICES = 256
 FLEET_LANE_BLOCK = 16_384
 
 
-def resolve_backend_name(backend: str) -> str:
-    """What :attr:`FleetController.resolved_backend` would report for
-    ``backend``, without building a controller.
-
-    The service daemon stamps telemetry records it aggregates from
-    shard workers; resolving centrally (instead of asking a worker)
-    keeps the stamp available even while shards are restarting.
-    """
-    if backend not in BACKEND_CHOICES:
-        raise ValidationError(
-            f"unknown controller backend {backend!r}; "
-            f"choose from {BACKEND_CHOICES}"
-        )
-    return "loop" if backend == "loop" else "vector"
+#: The kernel every lane block steps through.  Called through an
+#: instance so a wrapper installed on :meth:`VectorBackend.step_lanes`
+#: sees every fleet kernel call.
+_KERNEL = VectorBackend()
 
 
 def _block_uniform_source(generators, n_kinds: int, max_chunk: int):
@@ -123,7 +113,7 @@ def _model_key(system, costs) -> tuple:
 class _VectorGroup:
     """One compiled batch: devices sharing a group signature.
 
-    Each lane block steps through the vector backend's
+    Each lane block steps through
     :meth:`~repro.sim.backends.vector.VectorBackend.step_lanes`.  The
     devices' rows in the fleet's column set are cached here, valid for
     the fleet version the group was built at.
@@ -194,7 +184,7 @@ class _VectorGroup:
             start = columns.state[rows]
             lengths = np.full(len(rows), int(n_slices), dtype=np.int64)
             try:
-                acc = BACKENDS["vector"].step_lanes(
+                acc = _KERNEL.step_lanes(
                     self.tables,
                     self.compiled,
                     self.policy_of_lane[base : base + len(rows)],
@@ -323,11 +313,6 @@ class FleetController:
         recompiles lazily.
     slices_per_tick:
         Slices every device advances per :meth:`step_tick`.
-    backend:
-        ``"auto"`` (group vector-eligible devices through the vector
-        backend and loop the rest), ``"loop"`` (everything through the
-        per-device loop — the benchmark baseline), or ``"vector"``
-        (require every device to be vector-eligible).
     record_timing:
         Stamp each emitted telemetry record with per-tick wall-clock
         (``timing``: tick/step/solve seconds).  Opt-in because wall
@@ -375,7 +360,6 @@ class FleetController:
         self,
         fleet: Fleet,
         slices_per_tick: int = 1000,
-        backend: str = "auto",
         telemetry=None,
         telemetry_every: int = 1,
         telemetry_per_device: bool = False,
@@ -388,7 +372,6 @@ class FleetController:
             raise ValidationError(
                 f"slices_per_tick must be > 0, got {slices_per_tick}"
             )
-        resolved_backend = resolve_backend_name(backend)
         telemetry_every = int(telemetry_every)
         if telemetry_every <= 0:
             raise ValidationError(
@@ -401,8 +384,6 @@ class FleetController:
             )
         self._fleet = fleet
         self._slices_per_tick = slices_per_tick
-        self._backend = backend
-        self._resolved_backend = resolved_backend
         self._record_timing = bool(record_timing)
         self._policy_cache = policy_cache
         self._last_timing: dict | None = None
@@ -435,21 +416,6 @@ class FleetController:
         return self._slices_per_tick
 
     @property
-    def backend(self) -> str:
-        """The requested stepping mode (``auto``/``loop``/``vector``)."""
-        return self._backend
-
-    @property
-    def resolved_backend(self) -> str:
-        """The backend the grouped hot path runs on.
-
-        ``"loop"`` when the controller loops everything, else
-        ``"vector"``.  Stamped on every telemetry snapshot so
-        regressions can be attributed.
-        """
-        return self._resolved_backend
-
-    @property
     def last_timing(self) -> dict | None:
         """Wall-clock of the most recent tick (None before any tick or
         when ``record_timing`` is off): ``tick_seconds`` total,
@@ -474,17 +440,10 @@ class FleetController:
     def snapshot(  # repro-lint: schema=repro.runtime.telemetry:SNAPSHOT_FIELDS
         self, per_device: bool | None = None
     ) -> dict:
-        """A telemetry snapshot of the current fleet state.
-
-        Stamped with :attr:`resolved_backend` — a pure function of the
-        controller's configuration, so the snapshot stays
-        byte-identical across checkpoint/resume.
-        """
+        """A telemetry snapshot of the current fleet state."""
         if per_device is None:
             per_device = self._telemetry_per_device
-        record = snapshot(self._fleet, self._tick, per_device=per_device)
-        record["backend"] = self.resolved_backend
-        return record
+        return snapshot(self._fleet, self._tick, per_device=per_device)
 
     # ------------------------------------------------------------------
     # stepping
@@ -499,15 +458,7 @@ class FleetController:
         grouped: dict[tuple, list[Device]] = {}
         loop_devices: list[Device] = []
         for device in self._fleet:
-            eligible = device.vector_eligible and self._backend != "loop"
-            if self._backend == "vector" and not device.vector_eligible:
-                raise ValidationError(
-                    f"backend 'vector' requires every device to be "
-                    f"vector-eligible; {device.device_id!r} "
-                    f"({device.agent.describe()}, "
-                    f"{'stream' if device.stream else 'model'}-driven) is not"
-                )
-            if eligible:
+            if device.vector_eligible:
                 policy = device.agent.stationary_policy(device.system)
                 key = memoized_by_identity(
                     group_keys,
@@ -615,27 +566,25 @@ class FleetController:
         telemetry=None,
         telemetry_every: int | None = None,
         telemetry_per_device: bool | None = None,
-        backend: str | None = None,
         record_timing: bool = False,
         policy_cache=None,
     ) -> "FleetController":
         """Rebuild a controller from a checkpoint and continue.
 
         Telemetry sinks are not part of the checkpoint (they hold open
-        file handles); pass a fresh one.  ``backend`` overrides the
-        saved stepping mode when given — safe, because per-device
-        streams make results grouping-invariant.  A checkpoint stepped
-        at a chunk length other than :data:`FLEET_CHUNK_SLICES` is
-        refused by :func:`~repro.runtime.checkpoint.load_checkpoint`.
-        The ``uniform_source`` field older builds wrote is ignored.
+        file handles); pass a fresh one.
+        :func:`~repro.runtime.checkpoint.load_checkpoint` refuses a
+        checkpoint stepped at a chunk length other than
+        :data:`FLEET_CHUNK_SLICES`, and one saved with
+        ``backend="loop"``.  The ``uniform_source`` field older builds
+        wrote is ignored.
         """
         from repro.runtime.checkpoint import load_checkpoint
 
         payload = load_checkpoint(path)
-        controller = cls(
+        return cls(
             payload["fleet"],
             slices_per_tick=payload["slices_per_tick"],
-            backend=payload["backend"] if backend is None else backend,
             telemetry=telemetry,
             telemetry_every=(
                 payload["telemetry_every"]
@@ -651,4 +600,3 @@ class FleetController:
             policy_cache=policy_cache,
             initial_tick=payload["tick"],
         )
-        return controller

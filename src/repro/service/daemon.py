@@ -71,7 +71,6 @@ from repro.runtime.checkpoint import (
     checkpoint_payload,
     write_checkpoint,
 )
-from repro.runtime.controller import resolve_backend_name
 from repro.runtime.fleet import (
     Device,
     Fleet,
@@ -224,11 +223,11 @@ class ShardSupervisor:
     n_shards:
         Worker process count.  ``1`` is a valid (and byte-identical)
         degenerate case — useful for soak-testing the service path.
-    slices_per_tick / backend:
+    slices_per_tick:
         Forwarded to every shard's controller, exactly as a
         single-process
         :class:`~repro.runtime.controller.FleetController` would
-        receive them.
+        receive it.
     lp_backend:
         LP backend for centrally-built agents (live registrations and
         policy pushes).
@@ -266,7 +265,6 @@ class ShardSupervisor:
         self,
         n_shards: int,
         slices_per_tick: int = 1000,
-        backend: str = "auto",
         lp_backend: str = "scipy",
         spool_dir=None,
         checkpoint_every: int = 1,
@@ -293,10 +291,8 @@ class ShardSupervisor:
         self._partitioner = Partitioner(n_shards)
         self._n_shards = self._partitioner.n_shards
         self._slices_per_tick = int(slices_per_tick)
-        self._backend = str(backend)
         self._lp_backend = str(lp_backend)
         self._checkpoint_every = checkpoint_every
-        self._resolved_backend = resolve_backend_name(self._backend)
         self._ctx = multiprocessing.get_context(_START_METHOD)
         self._tempdir = None
         if checkpoint_every == 0:
@@ -358,16 +354,6 @@ class ShardSupervisor:
         return self._n_shards
 
     @property
-    def backend(self) -> str:
-        """The requested stepping mode (as a controller would report)."""
-        return self._backend
-
-    @property
-    def resolved_backend(self) -> str:
-        """The backend shards actually step on (telemetry stamp)."""
-        return self._resolved_backend
-
-    @property
     def lp_backend(self) -> str:
         """LP backend for centrally-built agents."""
         return self._lp_backend
@@ -411,8 +397,6 @@ class ShardSupervisor:
             "n_devices": len(self._order),
             "shards": self._n_shards,
             "devices_per_shard": per_shard,
-            "backend": self._backend,
-            "resolved_backend": self._resolved_backend,
             "slices_per_tick": self._slices_per_tick,
             "checkpoint_every": self._checkpoint_every,
             "restarts": self._restarts,
@@ -467,7 +451,6 @@ class ShardSupervisor:
         config = ShardConfig(
             index=index,
             slices_per_tick=self._slices_per_tick,
-            backend=self._backend,
             spool_dir=(
                 str(self._spool_dir) if self._spool_dir is not None else None
             ),
@@ -962,7 +945,6 @@ class ShardSupervisor:
                 fleet,
                 self._tick,
                 self._slices_per_tick,
-                self._backend,
                 telemetry_every,
                 telemetry_per_device,
             ),
@@ -1026,7 +1008,11 @@ class FleetDaemon:
     devices and names them).  ``None`` means the counter is unknown —
     a daemon resumed from a checkpoint, which does not record it — and
     such requests are refused rather than guessed, because a reused
-    index would hand the new devices an existing group's streams.
+    index would hand the new devices an existing group's streams.  For
+    the same reason an explicit ``group_index`` the daemon knows is
+    taken is refused: every index below ``next_group_index`` (a daemon
+    started from a spec passes its group count) and every index
+    registered since.
 
     Note the classic ``AF_UNIX`` constraint: socket paths are limited
     to ~100 bytes — keep them short (``/tmp/...``).
@@ -1056,6 +1042,7 @@ class FleetDaemon:
         self._next_group_index = (
             None if next_group_index is None else int(next_group_index)
         )
+        self._used_group_indices = set(range(self._next_group_index or 0))
         self._replay: OrderedDict[str, object] = OrderedDict()
         self._running = False
 
@@ -1194,9 +1181,9 @@ class FleetDaemon:
     ) -> dict:
         """The daemon-side snapshot: shard folds, or reordered records.
 
-        Stamped with the supervisor's resolved backend exactly like
-        :meth:`~repro.runtime.controller.FleetController.snapshot` —
-        byte-identical output for equal fleet state.
+        Byte-identical to
+        :meth:`~repro.runtime.controller.FleetController.snapshot` for
+        equal fleet state.
         """
         supervisor = self._supervisor
         if per_device:
@@ -1209,7 +1196,6 @@ class FleetDaemon:
                 supervisor.collect_folds(),
                 supervisor.metric_order(),
             )
-        record["backend"] = supervisor.resolved_backend
         # Only stamped while degraded: fault-free (and fully recovered)
         # snapshots stay byte-identical to single-process ones.
         quarantined = supervisor.quarantined
@@ -1252,21 +1238,27 @@ class FleetDaemon:
                         "explicitly (fleet-ctl register --group-index)"
                     )
                 group_index = self._next_group_index
+            group_index = int(group_index)
+            if group_index in self._used_group_indices:
+                raise ValidationError(
+                    f"group index {group_index} is already used by this "
+                    f"fleet: its new devices would draw an existing "
+                    f"group's streams; pick an unused index"
+                )
             devices = build_group_devices(
                 group,
-                group_index=int(group_index),
+                group_index=group_index,
                 base_seed=int(params.get("base_seed", 0)),
                 lp_backend=supervisor.lp_backend,
                 cache=self._cache,
             )
             device_ids = supervisor.register_devices(devices)
-            self._next_group_index = max(
-                self._next_group_index or 0, int(group_index) + 1
-            )
+            self._used_group_indices.add(group_index)
+            self._next_group_index = max(self._next_group_index or 0, group_index + 1)
             return {
                 "device_ids": device_ids,
                 "n_devices": supervisor.n_devices,
-                "group_index": int(group_index),
+                "group_index": group_index,
             }
         if request_type == "remove_device":
             device_id = str(params.get("device_id", ""))

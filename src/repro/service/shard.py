@@ -168,7 +168,6 @@ class ShardConfig:
 
     index: int
     slices_per_tick: int
-    backend: str = "auto"
     spool_dir: str | None = None
     fault_plan: FaultPlan | None = None
     fault_ledger: str | None = None
@@ -211,7 +210,6 @@ class _ShardWorker:
             self._controller = FleetController(
                 self._fleet,
                 slices_per_tick=self._config.slices_per_tick,
-                backend=self._config.backend,
                 telemetry_every=_NEVER_EMIT,
                 initial_tick=self._tick,
             )
@@ -224,7 +222,6 @@ class _ShardWorker:
             self._fleet,
             self._tick,
             self._config.slices_per_tick,
-            self._config.backend,
             1,
             False,
         )

@@ -4,7 +4,9 @@ The paper's tool verifies every optimized policy by simulation (Fig. 7):
 once against the Markov workload model ("to check consistency") and
 once driven by the actual request trace ("to check the quality of the
 Markov model of the service provider").  This package implements both
-modes, behind pluggable backends (:mod:`repro.sim.backends`):
+modes; the Markov-driven one steps on a reference loop or a vectorized
+kernel (:mod:`repro.sim.backends`), picked by the agent type and the
+batch shape.  The entry points:
 
 * :func:`~repro.sim.engine.simulate` — Markov-driven simulation of the
   composed system under any :class:`~repro.policies.base.PolicyAgent`;
@@ -18,15 +20,7 @@ modes, behind pluggable backends (:mod:`repro.sim.backends`):
   where arrivals are replayed from a discretized request trace.
 """
 
-from repro.sim.backends import (
-    BACKEND_CHOICES,
-    BACKENDS,
-    LoopBackend,
-    SimulationBackend,
-    VectorBackend,
-    get_backend,
-    resolve_backend,
-)
+from repro.sim.backends import LoopBackend, VectorBackend
 from repro.sim.engine import (
     SimulationResult,
     simulate,
@@ -61,11 +55,6 @@ __all__ = [
     "categorical_cumsum",
     "sample_categorical",
     "sample_categorical_batch",
-    "BACKENDS",
-    "BACKEND_CHOICES",
-    "SimulationBackend",
     "LoopBackend",
     "VectorBackend",
-    "get_backend",
-    "resolve_backend",
 ]

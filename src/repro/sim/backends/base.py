@@ -1,20 +1,20 @@
-"""The pluggable simulation-backend protocol.
+"""What both simulation paths share: compiled tables and start states.
 
-A backend turns ``(system, costs, agent(s), n_slices, rng)`` into
-:class:`~repro.sim.result.SimulationResult` records.  Two
-implementations ship with the package:
+Two paths turn ``(system, costs, agent(s), n_slices, rng)`` into
+:class:`~repro.sim.result.SimulationResult` records:
 
 * :class:`~repro.sim.backends.loop.LoopBackend` — the reference
-  per-slice interpreter; supports *any*
+  per-slice interpreter; runs *any*
   :class:`~repro.policies.base.PolicyAgent`, including stateful
   heuristics (timeouts, predictors), and defines the semantics the
-  other backends must reproduce.
+  vector path must reproduce.
 * :class:`~repro.sim.backends.vector.VectorBackend` — a compiled,
   batched stepper for stationary Markov policies
   (:class:`~repro.policies.base.StationaryAgent`) that advances many
   independent replications per NumPy operation.
 
-Both backends draw from the same compiled
+The agent type and the batch shape pick between them (see
+:mod:`repro.sim.engine`).  Both draw from the same compiled
 :class:`SimulationTables`, so per-run setup (metric stacking, transition
 cumsums) is computed once and shared — including across the geometric
 sessions of ``simulate_sessions``.
@@ -22,23 +22,19 @@ sessions of ``simulate_sessions``.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.core.costs import CostModel
 from repro.core.system import PowerManagedSystem
 from repro.policies.base import PolicyAgent, StationaryAgent
-from repro.sim.result import SimulationResult
-from repro.sim.stats import SampleStats
 from repro.util.validation import ValidationError
 
 
 @dataclass(frozen=True)
 class SimulationTables:
-    """Precompiled per-(system, costs) arrays shared by all backends.
+    """Precompiled per-(system, costs) arrays shared by both paths.
 
     Building these is O(states x commands) and used to be repeated for
     every run — in session mode once *per geometric session*.  Compiling
@@ -120,92 +116,6 @@ def resolve_initial_state(
             f"queue length {q} out of range [0, {system.queue.capacity}]"
         )
     return s, r, q
-
-
-class SimulationBackend(abc.ABC):
-    """Abstract interface every simulation backend implements."""
-
-    #: Registry name (``"loop"``, ``"vector"``).
-    name: str = "abstract"
-
-    def supports(self, agent: PolicyAgent) -> bool:
-        """Whether this backend can simulate ``agent``."""
-        return isinstance(agent, PolicyAgent)
-
-    @abc.abstractmethod
-    def simulate(
-        self,
-        system: PowerManagedSystem,
-        costs: CostModel,
-        agent: PolicyAgent,
-        n_slices: int,
-        rng: np.random.Generator,
-        initial_state=None,
-        tables: SimulationTables | None = None,
-    ) -> SimulationResult:
-        """Run one simulation of ``n_slices`` slices."""
-
-    def simulate_many(
-        self,
-        system: PowerManagedSystem,
-        costs: CostModel,
-        agents: Sequence[PolicyAgent],
-        n_slices: int,
-        rngs: Sequence[np.random.Generator],
-        initial_state=None,
-        n_replications: int = 1,
-    ) -> list[list[SimulationResult]]:
-        """Simulate each agent ``n_replications`` times.
-
-        Returns one list of replication results per agent.  The default
-        implementation runs each (agent, replication) pair through
-        :meth:`simulate` with its own generator from ``rngs`` (flat,
-        agent-major: ``len(agents) * n_replications`` entries);
-        vectorized backends override this with a single batched run.
-        """
-        expected = len(agents) * int(n_replications)
-        if len(rngs) != expected:
-            raise ValidationError(
-                f"need {expected} generators (agents x replications), "
-                f"got {len(rngs)}"
-            )
-        tables = SimulationTables.compile(system, costs)
-        results: list[list[SimulationResult]] = []
-        lane = 0
-        for agent in agents:
-            replications = []
-            for _ in range(int(n_replications)):
-                replications.append(
-                    self.simulate(
-                        system,
-                        costs,
-                        agent,
-                        n_slices,
-                        rngs[lane],
-                        initial_state,
-                        tables=tables,
-                    )
-                )
-                lane += 1
-            results.append(replications)
-        return results
-
-    @abc.abstractmethod
-    def simulate_sessions(
-        self,
-        system: PowerManagedSystem,
-        costs: CostModel,
-        agent: PolicyAgent,
-        gamma: float,
-        n_sessions: int,
-        rng: np.random.Generator,
-        initial_state=None,
-        max_session_slices: int | None = None,
-    ) -> dict[str, SampleStats]:
-        """Estimate discounted totals via geometric-length sessions."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(name={self.name!r})"
 
 
 def is_vectorizable(agent: PolicyAgent) -> bool:

@@ -17,9 +17,9 @@ at each slice ``t`` with joint state ``X_t = (s, r, q)``:
 For a stationary Markov policy this is distributed identically to the
 joint chain of :class:`~repro.core.system.PowerManagedSystem` — the
 equivalence is verified in the test suite against both the closed-form
-evaluation and the vectorized backend.
+evaluation and the vector path.
 
-This backend defines the engine's semantics, including the order in
+This path defines the engine's semantics, including the order in
 which uniforms are consumed from the generator (agent draw if any, then
 SP, then SR, then the service Bernoulli *only when work is pending*);
 the seeded-equivalence suite relies on that order staying fixed.
@@ -27,26 +27,22 @@ the seeded-equivalence suite relies on that order staying fixed.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.core.costs import CostModel
 from repro.core.system import PowerManagedSystem
 from repro.policies.base import Observation, PolicyAgent
-from repro.sim.backends.base import (
-    SimulationBackend,
-    SimulationTables,
-    resolve_initial_state,
-)
+from repro.sim.backends.base import SimulationTables, resolve_initial_state
 from repro.sim.result import SimulationResult
 from repro.sim.rng import sample_categorical
 from repro.sim.stats import SampleStats
 from repro.util.validation import ValidationError
 
 
-class LoopBackend(SimulationBackend):
+class LoopBackend:
     """Pure-Python reference interpreter; supports every agent."""
-
-    name = "loop"
 
     def simulate(
         self,
@@ -58,6 +54,7 @@ class LoopBackend(SimulationBackend):
         initial_state=None,
         tables: SimulationTables | None = None,
     ) -> SimulationResult:
+        """Run one simulation of ``n_slices`` slices."""
         if tables is None:
             tables = SimulationTables.compile(system, costs)
         s, r, q = resolve_initial_state(system, initial_state)
@@ -142,6 +139,50 @@ class LoopBackend(SimulationBackend):
             final_state=(s, r, q),
         )
 
+    def simulate_many(
+        self,
+        system: PowerManagedSystem,
+        costs: CostModel,
+        agents: Sequence[PolicyAgent],
+        n_slices: int,
+        rngs: Sequence[np.random.Generator],
+        initial_state=None,
+        n_replications: int = 1,
+    ) -> list[list[SimulationResult]]:
+        """Simulate each agent ``n_replications`` times.
+
+        Returns one list of replication results per agent.  Each
+        (agent, replication) pair runs through :meth:`simulate` with its
+        own generator from ``rngs`` (flat, agent-major:
+        ``len(agents) * n_replications`` entries).
+        """
+        expected = len(agents) * int(n_replications)
+        if len(rngs) != expected:
+            raise ValidationError(
+                f"need {expected} generators (agents x replications), "
+                f"got {len(rngs)}"
+            )
+        tables = SimulationTables.compile(system, costs)
+        results: list[list[SimulationResult]] = []
+        lane = 0
+        for agent in agents:
+            replications = []
+            for _ in range(int(n_replications)):
+                replications.append(
+                    self.simulate(
+                        system,
+                        costs,
+                        agent,
+                        n_slices,
+                        rngs[lane],
+                        initial_state,
+                        tables=tables,
+                    )
+                )
+                lane += 1
+            results.append(replications)
+        return results
+
     def simulate_sessions(
         self,
         system: PowerManagedSystem,
@@ -153,6 +194,7 @@ class LoopBackend(SimulationBackend):
         initial_state=None,
         max_session_slices: int | None = None,
     ) -> dict[str, SampleStats]:
+        """Estimate discounted totals via geometric-length sessions."""
         # Compile once for all sessions: the metric stack and transition
         # cumsums used to be rebuilt inside every geometric session.
         tables = SimulationTables.compile(system, costs)

@@ -44,11 +44,7 @@ from repro.core.costs import CostModel
 from repro.core.policy import MarkovPolicy
 from repro.core.system import PowerManagedSystem
 from repro.policies.base import PolicyAgent, StationaryAgent
-from repro.sim.backends.base import (
-    SimulationBackend,
-    SimulationTables,
-    resolve_initial_state,
-)
+from repro.sim.backends.base import SimulationTables, resolve_initial_state
 from repro.sim.result import SimulationResult
 from repro.sim.rng import categorical_cumsum
 from repro.sim.stats import SampleStats
@@ -208,38 +204,8 @@ class _CompiledSystem:
         )
 
 
-class VectorBackend(SimulationBackend):
+class VectorBackend:
     """Compiled batch stepper for stationary Markov policies."""
-
-    name = "vector"
-
-    def supports(self, agent: PolicyAgent) -> bool:
-        return isinstance(agent, StationaryAgent)
-
-    # ------------------------------------------------------------------
-    # public entry points
-    # ------------------------------------------------------------------
-    def simulate(
-        self,
-        system: PowerManagedSystem,
-        costs: CostModel,
-        agent: PolicyAgent,
-        n_slices: int,
-        rng: np.random.Generator,
-        initial_state=None,
-        tables: SimulationTables | None = None,
-    ) -> SimulationResult:
-        policy = self._require_stationary(agent, system)
-        return self.simulate_batch(
-            system,
-            costs,
-            [policy],
-            n_slices,
-            rng,
-            initial_state=initial_state,
-            n_replications=1,
-            tables=tables,
-        )[0][0]
 
     def simulate_batch(
         self,
@@ -250,7 +216,6 @@ class VectorBackend(SimulationBackend):
         rng: np.random.Generator,
         initial_state=None,
         n_replications: int = 1,
-        tables: SimulationTables | None = None,
     ) -> list[list[SimulationResult]]:
         """Simulate every policy ``n_replications`` times in one batch.
 
@@ -268,8 +233,7 @@ class VectorBackend(SimulationBackend):
             )
         if not policies:
             return []
-        if tables is None:
-            tables = SimulationTables.compile(system, costs)
+        tables = SimulationTables.compile(system, costs)
         compiled = CompiledPolicyBatch.compile(system, policies)
         n_lanes = len(policies) * n_replications
         policy_of_lane = np.repeat(np.arange(len(policies)), n_replications)
@@ -305,7 +269,14 @@ class VectorBackend(SimulationBackend):
         away chunk by chunk, so the whole estimate costs one compiled
         stepping pass instead of ``n_sessions`` separate runs.
         """
-        policy = self._require_stationary(agent, system)
+        if not isinstance(agent, StationaryAgent):
+            raise ValidationError(
+                f"the vector path requires a stationary Markov policy; "
+                f"{agent.describe()} is not marked StationaryAgent — "
+                f"use LoopBackend"
+            )
+        agent.reset()
+        policy = agent.stationary_policy(system)
         tables = SimulationTables.compile(system, costs)
         compiled = CompiledPolicyBatch.compile(system, [policy])
         n_sessions = int(n_sessions)
@@ -351,22 +322,6 @@ class VectorBackend(SimulationBackend):
             rng,
             chunk_slices=chunk_slices,
         )
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _require_stationary(
-        agent: PolicyAgent, system: PowerManagedSystem
-    ) -> MarkovPolicy:
-        if not isinstance(agent, StationaryAgent):
-            raise ValidationError(
-                f"the vector backend requires a stationary Markov policy; "
-                f"{agent.describe()} is not marked StationaryAgent — "
-                f"use the loop backend"
-            )
-        agent.reset()
-        return agent.stationary_policy(system)
 
 
 @dataclass

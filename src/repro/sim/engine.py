@@ -1,27 +1,24 @@
-"""Simulation entry points: backend dispatch and the batch API.
+"""Simulation entry points: the one rule that picks a path, and the
+batch API.
 
 The actual stepping lives in :mod:`repro.sim.backends`; this module is
-the single dispatch point every caller (experiments, Pareto sweeps, the
-CLI pipeline, benchmarks) routes through:
+the single entry every caller (experiments, Pareto sweeps, the CLI
+pipeline) routes through.  The agent type and the batch shape decide
+the path:
 
-* :func:`simulate` — one agent, one trajectory.  ``backend="auto"``
-  always resolves to the reference loop: a single lane gives the
-  vectorized stepper nothing to amortize over, and keeping the default
-  on the loop preserves seeded results bit for bit.
+* :func:`simulate` — one agent, one trajectory, always on the reference
+  loop: a single lane gives the vectorized stepper nothing to amortize
+  over, and keeping it on the loop preserves seeded results bit for bit.
 * :func:`simulate_many` / :func:`simulate_replications` — the batch
   API.  Stationary Markov policies are grouped into one vectorized
-  batch (many policies x many replications stepped together);
-  stateful heuristics fall back to per-run loops, each with its own
-  child generator.
+  batch (many policies x many replications stepped together) when that
+  batch has more than one lane; stateful heuristics, and a one-lane
+  batch, run through per-run loops, each with its own child generator.
 * :func:`simulate_sessions` — geometric-session estimates of the
-  discounted totals (paper Section IV).  For stationary policies the
-  sessions are packed into the batch dimension and stepped by the
-  vector backend.
-
-Every function accepts ``backend`` in ``{"auto", "loop", "vector"}``;
-requesting ``"vector"`` for an agent that is not provably stationary
-raises :class:`~repro.util.validation.ValidationError`.  ``"auto"``
-sends batched stationary runs to ``"vector"``.
+  discounted totals (paper Section IV).  For a stationary policy and
+  more than one session the sessions are packed into the batch
+  dimension of the vector kernel; otherwise they run session by
+  session through the loop.
 """
 
 from __future__ import annotations
@@ -34,12 +31,7 @@ from repro.core.costs import CostModel
 from repro.core.policy import MarkovPolicy
 from repro.core.system import PowerManagedSystem
 from repro.policies.base import PolicyAgent
-from repro.sim.backends import (
-    BACKENDS,
-    get_backend,
-    is_vectorizable,
-    resolve_backend,
-)
+from repro.sim.backends import LoopBackend, VectorBackend, is_vectorizable
 from repro.sim.result import SimulationResult
 from repro.sim.rng import child_rngs
 from repro.sim.stats import SampleStats
@@ -81,7 +73,6 @@ def simulate(
     n_slices: int,
     rng: np.random.Generator,
     initial_state=None,
-    backend: str = "auto",
 ) -> SimulationResult:
     """Simulate ``agent`` on ``system`` for ``n_slices`` slices.
 
@@ -100,13 +91,9 @@ def simulate(
     initial_state:
         ``(provider, requester, queue)`` start (names or indices);
         defaults to all components in their first state, empty queue.
-    backend:
-        ``"auto"`` (the reference loop for single runs), ``"loop"``,
-        or ``"vector"`` (stationary policies only).
     """
     n_slices = _check_n_slices(n_slices)
-    chosen = resolve_backend(backend, agent, batch_size=1)
-    return chosen.simulate(system, costs, agent, n_slices, rng, initial_state)
+    return LoopBackend().simulate(system, costs, agent, n_slices, rng, initial_state)
 
 
 def simulate_many(
@@ -118,7 +105,6 @@ def simulate_many(
     *,
     n_replications: int = 1,
     initial_state=None,
-    backend: str = "auto",
 ) -> list[list[SimulationResult]]:
     """Simulate many agents/policies, ``n_replications`` runs each.
 
@@ -126,8 +112,10 @@ def simulate_many(
     stationary Markov policies in ``agents`` are compiled into a single
     vectorized batch (one lane per policy x replication), while
     stateful heuristics run through the reference loop one trajectory
-    at a time.  Bare :class:`~repro.core.policy.MarkovPolicy` entries
-    are wrapped automatically.
+    at a time.  A batch of a single lane (one stationary policy, one
+    replication) runs on the loop too.  Bare
+    :class:`~repro.core.policy.MarkovPolicy` entries are wrapped
+    automatically.
 
     Parameters
     ----------
@@ -135,15 +123,10 @@ def simulate_many(
         A generator, a seed, or ``None`` (fresh entropy).  Each loop
         run and the vector batch get independent child streams, so
         results are reproducible from one seed.  Note that streams are
-        assigned by position: reordering the agent list, changing the
-        backend grouping, or moving an agent between groups changes the
-        uniforms each run consumes (the estimates stay exchangeable,
-        the trajectories do not).
-    backend:
-        ``"auto"`` (batch what can be proven stationary through the
-        vector backend, when the run is actually batched), ``"loop"``
-        (everything through the reference loop), or ``"vector"``
-        (require every agent to be stationary).
+        assigned by position: reordering the agent list, or moving an
+        agent between the batch and the loop, changes the uniforms each
+        run consumes (the estimates stay exchangeable, the trajectories
+        do not).
 
     Returns
     -------
@@ -160,29 +143,13 @@ def simulate_many(
     if not resolved:
         return []
 
-    vector = BACKENDS["vector"]
-    if backend == "vector":
-        for agent in resolved:
-            if not vector.supports(agent):
-                raise ValidationError(
-                    f"backend {backend!r} does not support "
-                    f"{agent.describe()}; use backend='loop'"
-                )
-        vector_idx = list(range(len(resolved)))
-    elif backend == "loop":
+    vector_idx = [
+        i for i, agent in enumerate(resolved) if is_vectorizable(agent)
+    ]
+    # A single-lane "batch" has nothing to amortize; keep it on the
+    # loop, consistent with simulate().
+    if len(vector_idx) * n_replications <= 1:
         vector_idx = []
-    elif backend == "auto":
-        vector_idx = [
-            i for i, agent in enumerate(resolved) if is_vectorizable(agent)
-        ]
-        # A single-lane "batch" has nothing to amortize; keep it on the
-        # loop, consistent with resolve_backend() and simulate().
-        if len(vector_idx) * n_replications <= 1:
-            vector_idx = []
-    else:
-        get_backend(backend)  # raises with the canonical message
-        vector_idx = []
-
     vectorized = set(vector_idx)
     loop_idx = [i for i in range(len(resolved)) if i not in vectorized]
     # Child streams: one for the whole batched run, then one per
@@ -194,7 +161,7 @@ def simulate_many(
         policies = [
             resolved[i].stationary_policy(system) for i in vector_idx
         ]
-        batched = vector.simulate_batch(
+        batched = VectorBackend().simulate_batch(
             system,
             costs,
             policies,
@@ -206,8 +173,7 @@ def simulate_many(
         for slot, replications in zip(vector_idx, batched):
             results[slot] = replications
     if loop_idx:
-        loop = get_backend("loop")
-        loop_results = loop.simulate_many(
+        loop_results = LoopBackend().simulate_many(
             system,
             costs,
             [resolved[i] for i in loop_idx],
@@ -230,7 +196,6 @@ def simulate_replications(
     rng: np.random.Generator | int | None = None,
     *,
     initial_state=None,
-    backend: str = "auto",
 ) -> list[SimulationResult]:
     """Independent replications of one agent (batched when possible)."""
     return simulate_many(
@@ -241,7 +206,6 @@ def simulate_replications(
         rng,
         n_replications=n_replications,
         initial_state=initial_state,
-        backend=backend,
     )[0]
 
 
@@ -254,7 +218,6 @@ def simulate_sessions(
     rng: np.random.Generator,
     initial_state=None,
     max_session_slices: int | None = None,
-    backend: str = "auto",
 ) -> dict[str, SampleStats]:
     """Estimate *discounted* totals by simulating geometric sessions.
 
@@ -265,10 +228,11 @@ def simulate_sessions(
     sample of each metric's session total; the returned statistics
     estimate the LP's discounted objective values.
 
-    For stationary Markov policies ``backend="auto"`` packs all the
-    sessions into the batch dimension of the vector backend (lengths
-    drawn up front, finished sessions compacted away); heuristics run
-    session by session through the loop.
+    For a stationary Markov policy and more than one session, all the
+    sessions are packed into the batch dimension of the vector kernel
+    (lengths drawn up front, finished sessions compacted away); a
+    single session, or a heuristic, runs session by session through
+    the loop.
 
     Parameters
     ----------
@@ -279,8 +243,6 @@ def simulate_sessions(
     max_session_slices:
         Optional cap on a single session's length (guards runaway
         budgets when ``gamma`` is very close to one).
-    backend:
-        ``"auto"``, ``"loop"``, or ``"vector"``.
     """
     gamma = check_probability(gamma, "gamma")
     if not 0.0 < gamma < 1.0:
@@ -289,7 +251,8 @@ def simulate_sessions(
     if n_sessions <= 0:
         raise ValidationError(f"n_sessions must be > 0, got {n_sessions}")
 
-    chosen = resolve_backend(backend, agent, batch_size=n_sessions)
+    batched = n_sessions > 1 and is_vectorizable(agent)
+    chosen = VectorBackend() if batched else LoopBackend()
     return chosen.simulate_sessions(
         system,
         costs,

@@ -1,7 +1,7 @@
-"""The result record shared by every simulation backend.
+"""The result record shared by both simulation paths.
 
-Kept in its own module so the backend implementations and the
-dispatching :mod:`repro.sim.engine` can both import it without cycles.
+Kept in its own module so the two paths and :mod:`repro.sim.engine`
+can all import it without cycles.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ Subcommands:
 * ``optimize SPEC.json [--trace TRACE.txt]`` — run the Fig. 7 pipeline
   on a system spec (extracting the workload model from the trace when
   one is given) and print the optimal policy and verification summary;
-  ``--backend {auto,loop,vector}`` picks the simulation backend and
-  ``--lp-backend`` the LP solver;
+  ``--lp-backend`` picks the LP solver;
 * ``pareto SPEC.json --constraint penalty --bounds 0.1,0.2,0.5`` —
   sweep a constraint through the incremental sweep engine (bound
   dedupe, feasibility bracketing, warm-started re-solves) and print the
@@ -16,25 +15,25 @@ Subcommands:
   ``--simulate N`` verifies every feasible point with one batched
   simulation run;
 * ``experiment ID [--full]`` — regenerate a paper table/figure
-  (``repro-dpm experiment list`` shows the registry); ``--backend`` /
-  ``--lp-backend`` are forwarded through the registry to drivers that
-  accept them;
+  (``repro-dpm experiment list`` shows the registry); ``--lp-backend``
+  is forwarded through the registry to drivers that accept it;
 * ``fleet SPEC.json --ticks 20`` — run an online fleet campaign
   (:mod:`repro.runtime`): a JSON spec describes device groups x
   workloads x agents; ``--telemetry`` streams JSON-lines snapshots,
   ``--checkpoint`` saves resumable state each run and ``--resume``
   continues a saved campaign (refusing, with exit code 2, one stepped
-  at a chunk length other than the fixed fleet one); ``--backend``
-  picks grouped batch stepping (``auto``/``vector``) vs the
-  per-device loop and ``--timing`` stamps telemetry with per-tick
-  wall-clock;
+  at a chunk length other than the fixed fleet one or saved with
+  ``backend: "loop"``); vector-eligible devices step in grouped
+  batches and the rest on the per-device loop, and ``--timing``
+  stamps telemetry with per-tick wall-clock;
 * ``serve SPEC.json --socket /tmp/fleet.sock --shards 4`` — run the
   sharded fleet daemon (:mod:`repro.service`): the fleet is dealt
   across worker processes by device-group content signature and
   stepped in lockstep, with device-level telemetry and checkpoints
   byte-identical to the single-process ``fleet`` path; ``--resume``
   continues a checkpointed campaign under any shard count (its
-  ``fleet-ctl register`` then needs ``--group-index``),
+  ``fleet-ctl register`` then needs ``--group-index``; a group index
+  the daemon knows is taken is always refused),
   ``--checkpoint-every`` sets the per-shard restart-spool cadence and
   ``--flush-every``/``--fsync`` tune telemetry durability;
 * ``fleet-ctl --socket /tmp/fleet.sock ACTION`` — control a running
@@ -71,7 +70,6 @@ import numpy as np
 from repro.core.pareto import simulate_curve
 from repro.experiments import available_experiments, run_experiment
 from repro.lint.cli import add_lint_arguments, run_lint
-from repro.sim.backends import BACKEND_CHOICES
 from repro.sim.rng import make_rng
 from repro.tool.pipeline import run_pipeline, sweep_tradeoff
 from repro.tool.spec import load_spec
@@ -103,12 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--lp-backend",
         default="scipy",
         help="LP backend (scipy/interior-point/simplex)",
-    )
-    p_opt.add_argument(
-        "--backend",
-        default="auto",
-        choices=BACKEND_CHOICES,
-        help="simulation backend for verification (default: auto)",
     )
     p_opt.add_argument(
         "--average",
@@ -170,12 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "SLICES slices (batched; 0 disables)",
     )
     p_pareto.add_argument(
-        "--backend",
-        default="auto",
-        choices=BACKEND_CHOICES,
-        help="simulation backend for --simulate (default: auto)",
-    )
-    p_pareto.add_argument(
         "--profile",
         action="store_true",
         help="print aggregated LP solve statistics (iterations, "
@@ -194,12 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="full-length simulations (default: quick mode)",
     )
     p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument(
-        "--backend",
-        default=None,
-        choices=BACKEND_CHOICES,
-        help="simulation backend, forwarded to drivers that accept it",
-    )
     p_exp.add_argument(
         "--lp-backend",
         default=None,
@@ -224,14 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="slices per tick (default: the spec's slices_per_tick, or 1000)",
-    )
-    p_fleet.add_argument(
-        "--backend",
-        default=None,
-        choices=BACKEND_CHOICES,
-        help="fleet stepping mode: grouped batches (auto/vector) or the "
-        "per-device reference loop (default: auto; on --resume, the "
-        "checkpoint's value)",
     )
     p_fleet.add_argument(
         "--timing",
@@ -304,12 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="slices per tick (default: the spec's slices_per_tick, or 1000)",
-    )
-    p_serve.add_argument(
-        "--backend",
-        default=None,
-        choices=BACKEND_CHOICES,
-        help="per-shard fleet stepping mode (as for the fleet command)",
     )
     p_serve.add_argument(
         "--lp-backend",
@@ -481,7 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="I",
         help="explicit group index for seeding/ids (default: the "
         "daemon's running counter; required by a daemon started with "
-        "serve --resume, which does not know it)",
+        "serve --resume, which does not know it); an index the daemon "
+        "knows is used is refused",
     )
     p_ctl_rm = ctl_sub.add_parser("remove", help="deregister one device")
     p_ctl_rm.add_argument("device_id")
@@ -651,7 +618,6 @@ def _cmd_optimize(args) -> int:
         rng=rng,
         backend=args.lp_backend,
         formulation="average" if args.average else "discounted",
-        sim_backend=args.backend,
     )
     print(report.summary())
     if args.profile:
@@ -696,7 +662,6 @@ def _cmd_pareto(args) -> int:
             report.costs,
             args.simulate,
             args.seed,
-            backend=args.backend,
         )
         headers.append(f"sim_{args.objective}")
     rows = []
@@ -763,7 +728,6 @@ def _cmd_experiment(args) -> int:
             experiment_id,
             quick=not args.full,
             seed=args.seed,
-            backend=args.backend,
             lp_backend=args.lp_backend,
         )
         print(result.render())
@@ -794,7 +758,6 @@ def _cmd_fleet(args) -> int:
                 telemetry=telemetry,
                 telemetry_every=args.telemetry_every,
                 telemetry_per_device=args.per_device or None,
-                backend=args.backend,
                 record_timing=args.timing,
             )
             cache = None
@@ -817,7 +780,6 @@ def _cmd_fleet(args) -> int:
             controller = FleetController(
                 fleet,
                 slices_per_tick=slices_per_tick,
-                backend=args.backend or "auto",
                 telemetry=telemetry,
                 telemetry_every=(
                     1 if args.telemetry_every is None else args.telemetry_every
@@ -842,8 +804,7 @@ def _cmd_fleet(args) -> int:
         )
         print(
             f"grouping: {len(grouping['vector_groups'])} batch group(s) "
-            f"covering {vector_devices} device(s) on the "
-            f"{controller.resolved_backend!r} backend, "
+            f"covering {vector_devices} device(s) on the vector kernel, "
             f"{grouping['loop_devices']} on the per-device loop"
         )
         if cache is not None and (cache.stats.hits or cache.stats.misses):
@@ -916,7 +877,6 @@ def _cmd_serve(args) -> int:
     tick = 0
     next_group_index = 0
     slices_per_tick = args.slices_per_tick or 1000
-    backend = args.backend or "auto"
     telemetry_every = 1 if args.telemetry_every is None else args.telemetry_every
     per_device = args.per_device
     if args.resume:
@@ -929,8 +889,6 @@ def _cmd_serve(args) -> int:
         next_group_index = None
         slices_per_tick = payload["slices_per_tick"]
         # A flag the user gives wins over the checkpoint's saved value.
-        if args.backend is None:
-            backend = payload["backend"]
         if args.telemetry_every is None:
             telemetry_every = payload["telemetry_every"]
         # Like `fleet --resume`: the flag can force per-device snapshots
@@ -976,7 +934,6 @@ def _cmd_serve(args) -> int:
     supervisor = ShardSupervisor(
         args.shards,
         slices_per_tick=slices_per_tick,
-        backend=backend,
         lp_backend=args.lp_backend,
         spool_dir=args.spool_dir,
         checkpoint_every=args.checkpoint_every,

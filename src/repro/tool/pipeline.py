@@ -216,7 +216,6 @@ def run_pipeline(
     backend: str = "scipy",
     cross_check: bool = False,
     formulation: str = "discounted",
-    sim_backend: str = "auto",
 ) -> PipelineReport:
     """Run the full Fig. 7 flow.
 
@@ -239,10 +238,6 @@ def run_pipeline(
         LP backend options (see :func:`repro.lp.solve_lp`).
     formulation:
         ``"discounted"`` (paper Eq. 9) or ``"average"`` (paper Eq. 7).
-    sim_backend:
-        Simulation backend for the Markov verification run
-        (``"auto"``, ``"loop"`` or ``"vector"``, see
-        :mod:`repro.sim.backends`).
     """
     sr_model = None
     requester = spec.requester
@@ -291,9 +286,7 @@ def run_pipeline(
         return report
 
     agent = StationaryPolicyAgent(system, result.policy)
-    report.markov_simulation = simulate(
-        system, costs, agent, int(verify_slices), rng, backend=sim_backend
-    )
+    report.markov_simulation = simulate(system, costs, agent, int(verify_slices), rng)
     if trace is not None:
         report.trace_simulation = simulate_trace(
             system,

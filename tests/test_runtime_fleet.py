@@ -40,7 +40,7 @@ from repro.runtime import (
     snapshot_from_records,
 )
 from repro.runtime.streams import CallableStream
-from repro.sim.backends import get_backend
+from repro.sim.backends import LoopBackend, VectorBackend
 from repro.util.validation import ValidationError
 
 
@@ -312,31 +312,6 @@ class TestFleetDeterminism:
 
 
 class TestControllerBackends:
-    def test_vector_backend_rejects_stateful(self, example_bundle):
-        fleet = Fleet()
-        fleet.add_device(
-            "t-0",
-            example_bundle.system,
-            example_bundle.costs,
-            TimeoutAgent(4, 0, 1),
-            rng=device_rng(0, 0),
-        )
-        controller = FleetController(fleet, backend="vector")
-        with pytest.raises(ValidationError, match="vector-eligible"):
-            controller.step_tick()
-
-    def test_loop_backend_runs_stationary_devices(
-        self, example_bundle, eager_policy
-    ):
-        fleet = Fleet()
-        _stationary_device(example_bundle, eager_policy, fleet, "d-0", 0, 0)
-        controller = FleetController(
-            fleet, slices_per_tick=100, backend="loop"
-        )
-        controller.run(2)
-        assert controller.grouping()["loop_devices"] == 1
-        assert fleet.device("d-0").slices == 200
-
     def test_grouping_splits_by_policy_determinism(
         self, example_bundle, example_optimizer, eager_policy
     ):
@@ -376,8 +351,6 @@ class TestControllerBackends:
         _stationary_device(example_bundle, eager_policy, fleet, "d-0", 0, 0)
         with pytest.raises(ValidationError, match="slices_per_tick"):
             FleetController(fleet, slices_per_tick=0)
-        with pytest.raises(ValidationError, match="backend"):
-            FleetController(fleet, backend="warp")
         with pytest.raises(ValidationError, match="telemetry_every"):
             FleetController(fleet, telemetry_every=0)
 
@@ -488,7 +461,7 @@ class TestTelemetry:
 
 
 class TestTimingTelemetry:
-    """The opt-in wall-clock stamp and the backend stamp."""
+    """The opt-in wall-clock stamp."""
 
     def _controller(self, example_bundle, eager_policy, **kwargs):
         fleet = Fleet()
@@ -512,10 +485,6 @@ class TestTimingTelemetry:
         assert timing["tick_seconds"] >= timing["step_seconds"] >= 0.0
         assert timing["solve_seconds"] == 0.0  # no policy cache attached
         assert controller.last_timing == timing
-
-    def test_snapshot_always_stamps_backend(self, example_bundle, eager_policy):
-        controller = self._controller(example_bundle, eager_policy)
-        assert controller.snapshot()["backend"] == controller.resolved_backend
 
 
 def _mixed_fleet(example_bundle, eager_policy):
@@ -891,10 +860,15 @@ class TestColumnarState:
         FleetController(fleet, slices_per_tick=self.SLICES).run(1)
         for i, kind in enumerate(kinds):
             device, twin = fleet.device(f"d-{i}"), reference.device(f"d-{i}")
-            backend = get_backend("vector" if kind.endswith("vec") else "loop")
-            result = backend.simulate(
-                twin.system, twin.costs, twin.agent, self.SLICES, twin.rng
-            )
+            if kind.endswith("vec"):
+                policy = twin.agent.stationary_policy(twin.system)
+                result = VectorBackend().simulate_batch(
+                    twin.system, twin.costs, [policy], self.SLICES, twin.rng
+                )[0][0]
+            else:
+                result = LoopBackend().simulate(
+                    twin.system, twin.costs, twin.agent, self.SLICES, twin.rng
+                )
             assert device.state == result.final_state
             assert device.totals.tolist() == [
                 result.totals[name] for name in device.metric_names
@@ -1136,9 +1110,7 @@ class TestFleetPickle:
 
         controller = FleetController(make(), slices_per_tick=70)
         controller.run(3)
-        payload = checkpoint_payload(
-            controller.fleet, 3, 70, controller.backend, 1, False
-        )
+        payload = checkpoint_payload(controller.fleet, 3, 70, 1, False)
         payload["fleet"] = _HeadLayoutFleet(controller.fleet)
         path = tmp_path / "head.ckpt"
         write_checkpoint(path, payload)

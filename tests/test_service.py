@@ -117,11 +117,11 @@ def _supervisor_records(supervisor, n_ticks):
     out = []
     for _ in range(n_ticks):
         supervisor.step_tick()
-        record = snapshot_from_records(
-            supervisor.tick, supervisor.collect_records(), per_device=True
+        out.append(
+            snapshot_from_records(
+                supervisor.tick, supervisor.collect_records(), per_device=True
+            )
         )
-        record["backend"] = supervisor.resolved_backend
-        out.append(record)
     return out
 
 
@@ -188,7 +188,7 @@ def test_sharded_telemetry_matches_single_process(reference, n_shards):
 def test_checkpoint_bytes_identical_across_shard_counts(tmp_path):
     controller, _ = _single_process_records(3)
     expected = pickle.dumps(
-        checkpoint_payload(controller.fleet, 3, SLICES, "auto", 1, True),
+        checkpoint_payload(controller.fleet, 3, SLICES, 1, True),
         protocol=4,
     )
     for n_shards in (1, 2, 3):
@@ -218,7 +218,6 @@ def test_resume_under_repartitioning(reference, tmp_path):
         resumed = ShardSupervisor(
             n_shards,
             slices_per_tick=payload["slices_per_tick"],
-            backend=payload["backend"],
         )
         resumed.start(payload["fleet"], tick=payload["tick"])
         try:
@@ -384,6 +383,32 @@ def test_daemon_end_to_end(reference, tmp_path):
     assert len(payload["fleet"]) == 18
 
 
+def test_daemon_refuses_a_used_group_index(tmp_path):
+    """An index the fleet already used would hand the new devices an
+    existing group's streams (group 0's seed is base_seed * 7919 + 0),
+    so it is refused before any device is built."""
+    supervisor = ShardSupervisor(1, slices_per_tick=SLICES)
+    supervisor.start(build_fleet(SPEC, base_seed=5)[0])
+    socket_path, thread = _run_daemon(
+        tmp_path, supervisor, next_group_index=len(SPEC["groups"])
+    )
+    group = {**SPEC["groups"][0], "count": 2}
+    del group["id"]
+    with ServiceClient(socket_path, timeout=120) as client:
+        for used in (0, 1):
+            with pytest.raises(ServiceError, match=f"group index {used} is"):
+                client.register_group(group, base_seed=5, group_index=used)
+        assert client.info()["n_devices"] == 18
+        fresh = client.register_group(group, base_seed=5, group_index=3)
+        assert fresh["device_ids"] == ["g3-0000", "g3-0001"]
+        with pytest.raises(ServiceError, match="group index 3 is"):
+            client.register_group(group, base_seed=5, group_index=3)
+        assert client.register_group(group, base_seed=5)["group_index"] == 4
+        assert client.info()["n_devices"] == 22
+        client.shutdown()
+    thread.join(timeout=30)
+
+
 def test_daemon_requires_hello_first(tmp_path):
     import socket as socket_module
 
@@ -516,7 +541,6 @@ def test_folded_snapshot_matches_records_and_single_process(n_shards):
             from_records = snapshot_from_records(
                 supervisor.tick, supervisor.collect_records()
             )
-            from_records["backend"] = supervisor.resolved_backend
             snapshots.append(
                 (
                     daemon._fleet_snapshot(per_device=False),

@@ -107,7 +107,7 @@ def reference():
     return {
         "records": _dump(sink.records),
         "checkpoint": pickle.dumps(
-            checkpoint_payload(controller.fleet, 6, SLICES, "auto", 1, True),
+            checkpoint_payload(controller.fleet, 6, SLICES, 1, True),
             protocol=4,
         ),
     }
@@ -117,11 +117,11 @@ def _supervisor_records(supervisor, n_ticks):
     out = []
     for _ in range(n_ticks):
         supervisor.step_tick()
-        record = snapshot_from_records(
-            supervisor.tick, supervisor.collect_records(), per_device=True
+        out.append(
+            snapshot_from_records(
+                supervisor.tick, supervisor.collect_records(), per_device=True
+            )
         )
-        record["backend"] = supervisor.resolved_backend
-        out.append(record)
     return out
 
 
@@ -490,7 +490,6 @@ def test_folded_snapshot_covers_parked_devices(tmp_path):
         )
     finally:
         supervisor.stop()
-    from_records["backend"] = supervisor.resolved_backend
     from_records["quarantined"] = [0]
     assert json.dumps(folded) == json.dumps(from_records)
 

@@ -1,6 +1,6 @@
-"""Backend equivalence suite: loop vs vector vs the seed engine.
+"""Simulation-path equivalence suite: loop vs vector vs the seed engine.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 1. **Golden byte-for-byte**: the loop path must reproduce the exact
    pre-refactor engine output for fixed seeds (hex-encoded floats
@@ -8,13 +8,19 @@ Three layers of guarantees:
    agents, randomized policies, and session mode — and one seeded
    vector batch (plus one vector session run) is pinned the same way.
 2. **Common random numbers**: on an always-issuing workload with a
-   fully randomized policy, the loop and vector backends consume
+   fully randomized policy, the loop and vector paths consume
    uniforms in the same order, so a single-lane vector run reproduces
    the loop trajectory *exactly* (counters, commands, occupancy, final
    state; averages to float-summation-order precision).
 3. **Statistical**: batched vector replications agree with the
    closed-form policy evaluation and with loop replications within
    Monte-Carlo tolerance.
+4. **The rule**: each branch of the engine's path choice equals a
+   direct call of the path it picks, on the same stream.
+
+The layers that compare the two paths call :class:`LoopBackend` and
+:class:`VectorBackend` directly; the engine itself never runs a single
+lane on the vector kernel.
 """
 
 from typing import ClassVar
@@ -38,9 +44,8 @@ from repro.policies.markov_conversion import eager_markov_policy
 from repro.sim import (
     LoopBackend,
     VectorBackend,
-    get_backend,
+    child_rngs,
     make_rng,
-    resolve_backend,
     simulate,
     simulate_many,
     simulate_replications,
@@ -163,7 +168,7 @@ class TestGoldenLoopPath:
 
     def test_sessions_loop_golden(self):
         bundle = example_system.build()
-        stats = simulate_sessions(
+        stats = LoopBackend().simulate_sessions(
             bundle.system,
             bundle.costs,
             ConstantAgent(0),
@@ -171,7 +176,6 @@ class TestGoldenLoopPath:
             50,
             make_rng(11),
             initial_state=("on", "0", 0),
-            backend="loop",
         )
         assert stats[POWER].count == 50
         assert stats[POWER].mean == float.fromhex("0x1.edccccccccccdp+7")
@@ -210,6 +214,14 @@ def _randomized_policy(system, seed=0):
 
 def _randomized_policies(system, n, seed=0):
     return [_randomized_policy(system, seed + i) for i in range(n)]
+
+
+def _vector_run(system, costs, agent, n_slices, rng, **kwargs):
+    """One lane of the vector kernel, for comparison with the loop."""
+    policy = agent.stationary_policy(system)
+    return VectorBackend().simulate_batch(
+        system, costs, [policy], n_slices, rng, **kwargs
+    )[0][0]
 
 
 def _assert_identical(a, b):
@@ -251,12 +263,10 @@ class TestCommonRandomNumbers:
         system, costs = _crn_system()
         agent = StationaryPolicyAgent(system, _randomized_policy(system))
         kwargs = dict(initial_state=("on", "lo", 0))
-        a = simulate(
-            system, costs, agent, 4_000, make_rng(seed), backend="loop", **kwargs
+        a = LoopBackend().simulate(
+            system, costs, agent, 4_000, make_rng(seed), **kwargs
         )
-        b = simulate(
-            system, costs, agent, 4_000, make_rng(seed), backend="vector", **kwargs
-        )
+        b = _vector_run(system, costs, agent, 4_000, make_rng(seed), **kwargs)
         assert a.final_state == b.final_state
         assert (a.arrivals, a.serviced, a.lost, a.loss_event_slices) == (
             b.arrivals,
@@ -274,19 +284,16 @@ class TestCommonRandomNumbers:
             )
 
     def test_deterministic_policy_trajectories_coincide(self):
-        # With a fully deterministic policy neither backend consumes a
+        # With a fully deterministic policy neither path consumes a
         # policy uniform, so alignment holds there too.
         system, costs = _crn_system()
         policy = MarkovPolicy.constant(0, system.n_states, 2, ("s_on", "s_off"))
         agent = StationaryPolicyAgent(system, policy)
-        a = simulate(
-            system, costs, agent, 3_000, make_rng(8), backend="loop",
-            initial_state=("on", "lo", 0),
+        kwargs = dict(initial_state=("on", "lo", 0))
+        a = LoopBackend().simulate(
+            system, costs, agent, 3_000, make_rng(8), **kwargs
         )
-        b = simulate(
-            system, costs, agent, 3_000, make_rng(8), backend="vector",
-            initial_state=("on", "lo", 0),
-        )
+        b = _vector_run(system, costs, agent, 3_000, make_rng(8), **kwargs)
         assert a.final_state == b.final_state
         assert a.command_counts.tolist() == b.command_counts.tolist()
         assert (a.arrivals, a.serviced, a.lost) == (
@@ -302,16 +309,14 @@ class TestStatisticalEquivalence:
     def test_vector_matches_analytic_disk(self):
         bundle = disk_drive.build()
         policy = eager_markov_policy(bundle.system, "go_active", "go_idle")
-        agent = StationaryPolicyAgent(bundle.system, policy)
-        results = simulate_replications(
+        (results,) = VectorBackend().simulate_batch(
             bundle.system,
             bundle.costs,
-            agent,
+            [policy],
             40_000,
-            16,
-            rng=3,
+            child_rngs(3, 1)[0],
             initial_state=("active", "0", 0),
-            backend="vector",
+            n_replications=16,
         )
         analytic = evaluate_policy(
             bundle.system,
@@ -330,14 +335,14 @@ class TestStatisticalEquivalence:
         bundle = example_system.build()
         policy = _randomized_policy(bundle.system, seed=5)
         agent = StationaryPolicyAgent(bundle.system, policy)
-        common = dict(initial_state=("on", "0", 0))
-        loop_runs = simulate_replications(
-            bundle.system, bundle.costs, agent, 15_000, 8, rng=1,
-            backend="loop", **common,
+        common = dict(initial_state=("on", "0", 0), n_replications=8)
+        (loop_runs,) = LoopBackend().simulate_many(
+            bundle.system, bundle.costs, [agent], 15_000,
+            child_rngs(1, 9)[1:], **common,
         )
-        vector_runs = simulate_replications(
-            bundle.system, bundle.costs, agent, 15_000, 8, rng=2,
-            backend="vector", **common,
+        (vector_runs,) = VectorBackend().simulate_batch(
+            bundle.system, bundle.costs, [policy], 15_000,
+            child_rngs(2, 1)[0], **common,
         )
         for metric in (POWER, PENALTY):
             loop_mean = np.mean([r.averages[metric] for r in loop_runs])
@@ -348,9 +353,9 @@ class TestStatisticalEquivalence:
         # Physical counters stay internally consistent lane by lane.
         bundle = example_system.build()
         policy = MarkovPolicy.constant(1, 8, 2, ("s_on", "s_off"))
-        results = simulate_replications(
-            bundle.system, bundle.costs, policy, 10_000, 12, rng=7,
-            initial_state=("on", "0", 0), backend="vector",
+        (results,) = VectorBackend().simulate_batch(
+            bundle.system, bundle.costs, [policy], 10_000, child_rngs(7, 1)[0],
+            initial_state=("on", "0", 0), n_replications=12,
         )
         capacity = bundle.system.queue.capacity
         for r in results:
@@ -374,7 +379,7 @@ class TestStatisticalEquivalence:
             bundle.initial_distribution,
         )
         agent = StationaryPolicyAgent(bundle.system, policy)
-        stats = simulate_sessions(
+        stats = VectorBackend().simulate_sessions(
             bundle.system,
             bundle.costs,
             agent,
@@ -382,80 +387,74 @@ class TestStatisticalEquivalence:
             600,
             make_rng(11),
             initial_state=("on", "0", 0),
-            backend="vector",
         )
         assert stats[POWER].count == 600
         assert stats[POWER].agrees_with(analytic.totals[POWER], confidence=0.999)
 
 
 class TestDispatch:
+    """The one rule: each branch equals a direct call of its path."""
+
     def test_auto_single_run_is_loop(self):
-        system, _ = _crn_system()
+        system, costs = _crn_system()
         agent = StationaryPolicyAgent(system, _randomized_policy(system))
-        assert resolve_backend("auto", agent, batch_size=1).name == "loop"
+        kwargs = dict(initial_state=("on", "lo", 0))
+        got = simulate(system, costs, agent, 2_000, make_rng(4), **kwargs)
+        ref = LoopBackend().simulate(
+            system, costs, agent, 2_000, make_rng(4), **kwargs
+        )
+        _assert_identical(got, ref)
 
     def test_auto_batched_stationary_is_batch_tier(self):
-        system, _ = _crn_system()
-        agent = StationaryPolicyAgent(system, _randomized_policy(system))
-        assert resolve_backend("auto", agent, batch_size=32).name == "vector"
-        assert resolve_backend("auto", ConstantAgent(0), batch_size=8).name == (
-            "vector"
+        system, costs = _crn_system()
+        agents = [ConstantAgent(0), *_randomized_policies(system, 2)]
+        kwargs = dict(initial_state=("on", "lo", 0), n_replications=3)
+        got = simulate_many(system, costs, agents, 1_000, 5, **kwargs)
+        policies = [ConstantAgent(0).stationary_policy(system), *agents[1:]]
+        ref = VectorBackend().simulate_batch(
+            system, costs, policies, 1_000, child_rngs(5, 1)[0], **kwargs
         )
+        _assert_batches_identical(got, ref)
+        replications = simulate_replications(
+            system, costs, agents[1], 1_000, 3, 5, initial_state=("on", "lo", 0)
+        )
+        (ref,) = VectorBackend().simulate_batch(
+            system, costs, [agents[1]], 1_000, child_rngs(5, 1)[0], **kwargs
+        )
+        _assert_batches_identical([replications], [ref])
 
     def test_auto_batched_heuristic_is_loop(self):
-        agent = TimeoutAgent(5, 0, 1)
-        assert resolve_backend("auto", agent, batch_size=32).name == "loop"
-        assert not isinstance(agent, StationaryAgent)
+        system, costs = _crn_system()
+        agents = [TimeoutAgent(5, 0, 1), TimeoutAgent(9, 0, 1)]
+        assert not any(isinstance(a, StationaryAgent) for a in agents)
+        kwargs = dict(initial_state=("on", "lo", 0), n_replications=2)
+        got = simulate_many(system, costs, agents, 1_000, 6, **kwargs)
+        ref = LoopBackend().simulate_many(
+            system, costs, agents, 1_000, child_rngs(6, 5)[1:], **kwargs
+        )
+        _assert_batches_identical(got, ref)
 
     def test_vector_rejects_heuristic(self):
         bundle = example_system.build()
         with pytest.raises(ValidationError, match="vector"):
-            simulate(
+            VectorBackend().simulate_sessions(
                 bundle.system,
                 bundle.costs,
                 TimeoutAgent(5, 0, 1),
-                100,
+                0.9,
+                10,
                 make_rng(0),
-                backend="vector",
             )
-
-    def test_unknown_backend_rejected(self):
-        bundle = example_system.build()
-        with pytest.raises(ValidationError, match="unknown simulation backend"):
-            simulate(
-                bundle.system,
-                bundle.costs,
-                ConstantAgent(0),
-                100,
-                make_rng(0),
-                backend="warp",
-            )
-
-    def test_registry(self):
-        assert isinstance(get_backend("loop"), LoopBackend)
-        assert isinstance(get_backend("vector"), VectorBackend)
-
-    def test_unknown_backend_error_lists_choices(self):
-        with pytest.raises(ValidationError, match="auto.*loop.*vector"):
-            get_backend("jit")
 
     def test_vector_backend_requires_matching_policy_shape(self):
         bundle = example_system.build()
         other = disk_drive.build()
-        agent = StationaryPolicyAgent(
-            other.system,
-            MarkovPolicy.constant(
-                0, other.system.n_states, other.system.n_commands
-            ),
+        policy = MarkovPolicy.constant(
+            0, other.system.n_states, other.system.n_commands
         )
         with pytest.raises(ValidationError, match="does not match system"):
-            simulate(
-                bundle.system,
-                bundle.costs,
-                agent,
-                100,
-                make_rng(0),
-                backend="vector",
+            VectorBackend().simulate_batch(
+                bundle.system, bundle.costs, [policy], 100, make_rng(0)
             )
 
 
@@ -518,20 +517,23 @@ class TestSimulateMany:
         assert simulate_many(bundle.system, bundle.costs, [], 100, 0) == []
 
     def test_auto_single_lane_uses_loop(self):
-        # One stationary agent x one replication is not a batch: auto
-        # must fall back to the loop, consistent with simulate().
+        # One stationary agent x one replication is not a batch: it
+        # runs on the loop, consistent with simulate().
         bundle = example_system.build()
         policy = MarkovPolicy.constant(0, 8, 2, ("s_on", "s_off"))
+        kwargs = dict(initial_state=("on", "0", 0))
         auto = simulate_many(
-            bundle.system, bundle.costs, [policy], 2_000, 42,
-            initial_state=("on", "0", 0),
+            bundle.system, bundle.costs, [policy], 2_000, 42, **kwargs
         )
-        loop = simulate_many(
-            bundle.system, bundle.costs, [policy], 2_000, 42,
-            initial_state=("on", "0", 0), backend="loop",
+        loop = LoopBackend().simulate_many(
+            bundle.system,
+            bundle.costs,
+            [StationaryPolicyAgent(bundle.system, policy)],
+            2_000,
+            child_rngs(42, 2)[1:],
+            **kwargs,
         )
-        assert auto[0][0].averages == loop[0][0].averages
-        assert auto[0][0].final_state == loop[0][0].final_state
+        _assert_batches_identical(auto, loop)
 
     def test_rejects_bad_replications(self):
         bundle = example_system.build()
@@ -590,17 +592,37 @@ class TestSessionDispatch:
         gamma = 0.97
         agent = ConstantAgent(0)
         kwargs = dict(initial_state=("on", "0", 0))
-        loop_stats = simulate_sessions(
+        loop_stats = LoopBackend().simulate_sessions(
             example_bundle.system, example_bundle.costs, agent, gamma, 400,
-            make_rng(1), backend="loop", **kwargs,
+            make_rng(1), **kwargs,
         )
-        vec_stats = simulate_sessions(
+        vec_stats = VectorBackend().simulate_sessions(
             example_bundle.system, example_bundle.costs, agent, gamma, 400,
-            make_rng(2), backend="vector", **kwargs,
+            make_rng(2), **kwargs,
         )
         assert loop_stats[POWER].mean == pytest.approx(
             vec_stats[POWER].mean, rel=0.15
         )
+
+    def test_many_stationary_sessions_use_the_vector_kernel(self):
+        system, costs = _crn_system()
+        agent = StationaryPolicyAgent(system, _randomized_policy(system))
+        args = (system, costs, agent, 0.95, 48)
+        got = simulate_sessions(*args, make_rng(77))
+        assert got == VectorBackend().simulate_sessions(*args, make_rng(77))
+
+    @pytest.mark.parametrize("case", ["one-session", "heuristic"])
+    def test_single_session_and_heuristics_use_the_loop(self, case):
+        system, costs = _crn_system()
+        if case == "one-session":
+            agent = StationaryPolicyAgent(system, _randomized_policy(system))
+            n_sessions = 1
+        else:
+            agent = TimeoutAgent(5, 0, 1)
+            n_sessions = 30
+        args = (system, costs, agent, 0.95, n_sessions)
+        got = simulate_sessions(*args, make_rng(78))
+        assert got == LoopBackend().simulate_sessions(*args, make_rng(78))
 
 
 class TestGoldenHex:

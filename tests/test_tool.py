@@ -299,16 +299,13 @@ class TestCLI:
         assert code == 2
 
     def test_experiment_backend_flags_forwarded(self, capsys):
-        # fig9a accepts both flags; table1 accepts neither — both must
-        # run (the registry forwards only what a driver's signature
-        # takes).
-        code = cli_main(
-            ["experiment", "fig9a", "--backend", "vector", "--lp-backend", "scipy"]
-        )
+        # fig9a accepts --lp-backend; table1 does not — both must run
+        # (the registry forwards only what a driver's signature takes).
+        code = cli_main(["experiment", "fig9a", "--lp-backend", "scipy"])
         out = capsys.readouterr().out
         assert code == 0
         assert "web server" in out
-        assert cli_main(["experiment", "table1", "--backend", "loop"]) == 0
+        assert cli_main(["experiment", "table1", "--lp-backend", "scipy"]) == 0
 
     def test_fleet_run(self, capsys, tmp_path):
         spec = {
@@ -385,11 +382,12 @@ class TestCLI:
 
 
 class TestResumeFlags:
-    """``--backend``/``--telemetry-every`` on ``--resume``: an absent
-    flag keeps the checkpoint's value, a given one overrides it.  What
-    no flag can override is refused: a checkpoint stepped at another
-    chunk length, and an unindexed group registration (the checkpoint
-    does not record the daemon's group counter)."""
+    """``--telemetry-every`` on ``--resume``: an absent flag keeps the
+    checkpoint's value, a given one overrides it.  What no flag can
+    override is refused: a checkpoint stepped at another chunk length
+    or saved with ``backend: "loop"``, and an unindexed or reused group
+    registration (the checkpoint does not record the daemon's group
+    counter)."""
 
     SPEC: ClassVar[dict] = {
         "name": "resume-flags",
@@ -428,22 +426,12 @@ class TestResumeFlags:
             write_checkpoint(checkpoint, payload)
         return checkpoint, telemetry
 
-    def test_fleet_resume_of_jit_checkpoint_needs_backend(self, tmp_path, capsys):
-        checkpoint, _ = self._checkpoint(tmp_path, backend="jit")
-        capsys.readouterr()
-        code = cli_main(["fleet", "--resume", str(checkpoint), "--ticks", "1"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "'jit'" in err
-        assert "'auto', 'loop', 'vector'" in err
-
-    def test_fleet_resume_with_backend_vector_is_byte_identical(self, tmp_path):
+    def test_fleet_resume_of_jit_checkpoint_is_byte_identical(self, tmp_path):
         reference = tmp_path / "ref.jsonl"
         spec = self._spec_file(tmp_path)
         self._fleet(spec, "--ticks", 4, "--telemetry", reference)
         checkpoint, telemetry = self._checkpoint(tmp_path, backend="jit")
-        resume = ("--resume", checkpoint, "--ticks", 2, "--telemetry", telemetry)
-        self._fleet(*resume, "--backend", "vector")
+        self._fleet("--resume", checkpoint, "--ticks", 2, "--telemetry", telemetry)
         assert telemetry.read_bytes() == reference.read_bytes()
 
     def _cadence_reference(self, tmp_path):
@@ -493,15 +481,26 @@ class TestResumeFlags:
         return result
 
     def test_serve_resume_honours_backend(self, tmp_path, capsys):
+        # A jit checkpoint resumes as it is; only "loop" is refused.
         checkpoint, _ = self._checkpoint(tmp_path, backend="jit")
         serve = self._serve_args(tmp_path, checkpoint, "--shards", 1)
-        assert cli_main(serve) == 2
-        assert "'jit'" in capsys.readouterr().err
-
-        serve += ["--backend", "vector"]
         info = self._serve(capsys, serve, lambda client: client.info())
-        assert info["backend"] == "vector"
+        assert "backend" not in info
         assert info["tick"] == 2
+
+    def test_resume_refuses_a_loop_checkpoint(self, tmp_path, capsys):
+        from repro.runtime import FleetController
+
+        checkpoint, _ = self._checkpoint(tmp_path, backend="loop")
+        with pytest.raises(ValidationError, match="backend='loop'"):
+            FleetController.resume(checkpoint)
+        capsys.readouterr()
+        fleet = ["fleet", "--resume", str(checkpoint), "--ticks", "1"]
+        assert cli_main(fleet) == 2
+        assert "backend='loop'" in capsys.readouterr().err
+        serve = self._serve_args(tmp_path, checkpoint, "--shards", 1)
+        assert cli_main(serve) == 2
+        assert "backend='loop'" in capsys.readouterr().err
 
     def test_resume_refuses_another_chunk_pin(self, tmp_path, capsys):
         from repro.runtime import FleetController
@@ -531,6 +530,8 @@ class TestResumeFlags:
             with pytest.raises(ServiceError, match="--group-index"):
                 client.register_group(group)
             explicit = client.register_group(group, group_index=1)
+            with pytest.raises(ServiceError, match="group index 1"):
+                client.register_group(group, group_index=1)
             following = client.register_group(group)
             return explicit, following, client.info()["n_devices"]
 

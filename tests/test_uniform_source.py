@@ -438,13 +438,13 @@ class TestPersistence:
             tail = []
             for _ in range(2):
                 supervisor.step_tick()
-                record = snapshot_from_records(
-                    supervisor.tick,
-                    supervisor.collect_records(),
-                    per_device=True,
+                tail.append(
+                    snapshot_from_records(
+                        supervisor.tick,
+                        supervisor.collect_records(),
+                        per_device=True,
+                    )
                 )
-                record["backend"] = supervisor.resolved_backend
-                tail.append(record)
             assert "uniform_source" not in supervisor.info()
         finally:
             supervisor.stop()
