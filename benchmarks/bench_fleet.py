@@ -35,6 +35,8 @@ import sys
 import time
 from unittest import mock
 
+import numpy as np
+
 from repro.policies import (
     StationaryPolicyAgent,
     TimeoutAgent,
@@ -50,7 +52,11 @@ from repro.runtime import (
 from repro.runtime.controller import _step_device_loop
 from repro.sim import rng_batched
 from repro.sim.rng import FanInSource
-from repro.sim.rng_batched import BatchedPCG64Source, batched_available
+from repro.sim.rng_batched import (
+    BatchedPCG64Source,
+    batched_available,
+    pcg64_position,
+)
 from repro.systems import disk_drive, example_system
 
 #: Headline scenario: 1024 stationary devices.
@@ -136,15 +142,21 @@ def _rng_fan_in_rates(n_lanes: int, chunk: int, seed: int = 7):
     """Source-level fan-in: serial FanInSource vs the batched source.
 
     Returns ``(fanin_rate, batched_rate, identical)`` in
-    device-slices/second.  The batched source snapshots the lane states
-    at construction, so both sources serve the *same* draws from one
-    generator set and the blocks compare byte-for-byte.  ``sync()`` —
-    the write-back that keeps the device generators canonical — is
-    charged to the batched clock.  ``batched_rate`` is ``None`` on
-    numpy builds where the vectorized path is unavailable.
+    device-slices/second.  The batched source draws from a position
+    column (the layout of a fleet's ``pcg`` column) holding the same
+    streams as the fan-in's generators, advancing it in place, so both
+    sources serve the *same* draws and the blocks compare
+    byte-for-byte.  ``batched_rate`` is ``None`` on numpy builds where
+    the vectorized path is unavailable.
     """
     generators = [device_rng(seed, i) for i in range(n_lanes)]
-    batched = BatchedPCG64Source(generators, n_kinds=4) if batched_available() else None
+    positions = np.array(
+        [pcg64_position(generator) for generator in generators],
+        dtype=np.uint64,
+    )
+    batched = (
+        BatchedPCG64Source(positions, n_kinds=4) if batched_available() else None
+    )
     fan = FanInSource(generators, n_kinds=4)
     start = time.perf_counter()
     reference = fan.random((chunk, 4, n_lanes))
@@ -153,7 +165,6 @@ def _rng_fan_in_rates(n_lanes: int, chunk: int, seed: int = 7):
         return fanin_rate, None, True
     start = time.perf_counter()
     block = batched.random((chunk, 4, n_lanes))
-    batched.sync()
     batched_rate = n_lanes * chunk / (time.perf_counter() - start)
     return fanin_rate, batched_rate, bool((block == reference).all())
 

@@ -20,8 +20,8 @@ contract machine-checked:
 :class:`~repro.sim.rng.UniformSource` implementations
 (:class:`~repro.sim.rng.FanInSource`,
 :class:`~repro.sim.rng_batched.BatchedPCG64Source`) are sanctioned
-generator carriers: they hold caller-supplied generators and re-expose
-the draw surface, so the same threading discipline applies to them —
+generator carriers: they hold caller-supplied generators or stream
+positions and re-expose the draw surface, so the same threading discipline applies to them —
 ``random``/``random_raw``/``uniform_block`` on a source count as draws
 (policed by RNG004 like any generator method), and a source must reach
 its draw site as a parameter, local, or instance attribute, never as

@@ -12,8 +12,9 @@ Module index
 
 :mod:`~repro.runtime.fleet`
     :class:`Device` / :class:`Fleet` — the device registry: per-device
-    systems, agents and RNG streams, with every device's state and
-    accumulators held as a row of fleet-owned columns; ``build_fleet``
+    systems, agents and RNG streams, with every device's state,
+    accumulators and PCG64 stream position held as a row of
+    fleet-owned columns; ``build_fleet``
     turns a JSON fleet spec (device groups x workloads x agents) into a
     registered fleet; :func:`device_rng` derives addressable per-device
     streams from one seed.
@@ -21,9 +22,10 @@ Module index
     :class:`FleetController` — tick-based stepping.  Hot path: devices
     sharing a (system, costs, policy-determinism) signature advance as
     one batch of the vector joint-state kernel, each lane
-    drawing from its own device's generator through a
+    drawing from its own device's stream through a
     :class:`~repro.sim.rng.UniformSource` (vectorized batched PCG64
-    fan-in by default, serial fan-in otherwise); stateful/adaptive/
+    over the position column by default, serial fan-in otherwise);
+    stateful/adaptive/
     stream-driven devices fall back to a resumable per-device loop.
     Results are bitwise identical however devices are grouped.
 :mod:`~repro.runtime.policy_cache`

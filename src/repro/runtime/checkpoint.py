@@ -3,7 +3,9 @@
 A checkpoint captures *everything* the controller needs to continue as
 if it had never stopped: every device's model, agent (including
 internal heuristic state), accumulators, current joint state, workload
-stream cursor and — crucially — its random generator state.  Because
+stream cursor and — crucially — its random stream: the PCG64 position
+in the fleet's ``pcg`` column, or the generator object of a device
+that keeps one (see :mod:`repro.runtime.fleet`).  Because
 fleet randomness is per-device (see
 :mod:`repro.runtime.controller`), a resumed campaign consumes each
 device's stream from exactly where the checkpoint left it, and the
@@ -12,15 +14,19 @@ run's.
 
 The format is a versioned pickle (protocol 4) of a plain payload
 mapping.  Pickle is the right tool here: device state is arbitrary
-Python (stateful agents, trackers, numpy generators), the file is a
-private save-game rather than an interchange format, and loading one
-is as trusted as importing the code that wrote it.  The ``fleet``
-entry is the :class:`~repro.runtime.fleet.Fleet` pickle — its column
-arrays plus one tuple of shared-object references per device — which
-is also what shard spools and gather replies carry.  Fleets pickled
-in the earlier per-device form (each device its own field mapping)
-still load; a build that predates the column form cannot read a new
-checkpoint and reports it as not readable.  The ``uniform_source``
+Python (stateful agents, trackers, stream-driven devices' numpy
+generators), the file is a private save-game rather than an
+interchange format, and loading one is as trusted as importing the
+code that wrote it.  The ``fleet`` entry is the
+:class:`~repro.runtime.fleet.Fleet` pickle — its column arrays, stream
+positions included, plus one tuple of shared-object references per
+device — which is also what shard spools and gather replies carry.
+Fleets pickled in the earlier per-device form (each device its own
+field mapping), and fleets pickled before stream positions were a
+column (a generator per device), still load: their clean PCG64
+generators become positions, so the resumed run continues exactly.  A
+build that predates the position column cannot read a new checkpoint
+and reports it as not readable.  The ``uniform_source``
 field that earlier payloads carried is ignored on load (the controller
 picks the uniform producer itself).  The ``backend`` field is always
 written as ``"auto"`` and otherwise ignored — the controller picks

@@ -18,13 +18,18 @@ per-device loop with the reference semantics of
 only rule: every vector-eligible device is grouped and every other
 one loops.
 
-Determinism is per-device, not per-run: each device owns its generator
+Determinism is per-device, not per-run: each device owns its stream
 and the batch draws every lane's uniforms from its own stream through
 a :class:`~repro.sim.rng.UniformSource` — the vectorized
-:class:`~repro.sim.rng_batched.BatchedPCG64Source` when this numpy
-build passed its self-check and every stream in a lane block is a
-clean PCG64, else the byte-identical serial
-:class:`~repro.sim.rng.FanInSource` — always at the fixed chunk length
+:class:`~repro.sim.rng_batched.BatchedPCG64Source`, which draws from
+and advances the lane block's rows of the fleet's ``pcg`` position
+column in place, when this numpy build passed its self-check and every
+device in the block is column-backed (see :mod:`repro.runtime.fleet`);
+else the byte-identical serial :class:`~repro.sim.rng.FanInSource`,
+which draws each column-backed lane through
+:class:`~repro.sim.rng_batched.PositionStream` (writing its position
+back after every draw) and every other lane from the device's
+generator object — always at the fixed chunk length
 :data:`FLEET_CHUNK_SLICES` (recorded in every checkpoint; a checkpoint
 stepped at another length is refused).  A device therefore consumes
 *exactly the same uniforms through the same reduction boundaries* no
@@ -49,6 +54,12 @@ from repro.runtime.telemetry import snapshot
 from repro.sim.backends.base import SimulationTables
 from repro.sim.backends.vector import CompiledPolicyBatch, VectorBackend
 from repro.sim.rng import FanInSource, sample_categorical
+from repro.sim.rng_batched import (
+    BatchedPCG64Source,
+    PositionStream,
+    batched_available,
+    holds_position,
+)
 from repro.util.validation import ValidationError
 
 __all__ = [
@@ -81,26 +92,36 @@ FLEET_LANE_BLOCK = 16_384
 _KERNEL = VectorBackend()
 
 
-def _block_uniform_source(generators, n_kinds: int, max_chunk: int):
+def _block_uniform_source(
+    devices, columns, rows, n_kinds: int, max_chunk: int
+):
     """Build one lane block's :class:`~repro.sim.rng.UniformSource`.
 
-    The vectorized batched source exactly when it is guaranteed
-    byte-identical for every stream in the block (this numpy build
-    passed the self-check and each stream is a clean PCG64), else the
-    serial :class:`FanInSource` — either way the block consumes
+    The vectorized batched source over the block's rows of the
+    ``pcg`` column exactly when it is guaranteed byte-identical (this
+    numpy build passed the self-check and every row holds a position),
+    else the serial :class:`FanInSource`: a row that holds a position
+    draws through a :class:`PositionStream`, any other lane from its
+    device's generator object.  Either way the block consumes
     identical uniforms, so the choice never changes results, only
     speed.
     """
-    from repro.sim import rng_batched
-
-    generators = list(generators)
-    if rng_batched.batched_available() and all(
-        rng_batched.supports_generator(generator) for generator in generators
-    ):
-        return rng_batched.BatchedPCG64Source(
-            generators, n_kinds=n_kinds, max_chunk=max_chunk
+    positions = columns.pcg
+    held = holds_position(positions[rows])
+    if batched_available() and held.all():
+        return BatchedPCG64Source(
+            positions, rows, n_kinds=n_kinds, max_chunk=max_chunk
         )
-    return FanInSource(generators, n_kinds=n_kinds, max_chunk=max_chunk)
+    # PositionStream reseats this one generator at a lane's row before
+    # every draw, so the seed never shows.
+    scratch = np.random.default_rng(0)
+    lanes = [
+        PositionStream(positions, row, scratch) if has_position else device.rng
+        for device, row, has_position in zip(
+            devices, rows.tolist(), held.tolist()
+        )
+    ]
+    return FanInSource(lanes, n_kinds=n_kinds, max_chunk=max_chunk)
 
 
 def _model_key(system, costs) -> tuple:
@@ -128,14 +149,11 @@ class _VectorGroup:
         self.devices = devices
         self._columns, self._rows = fleet.rows_of(devices)
         # One UniformSource per lane block, built lazily on the first
-        # step and reused while the group cache lives (the controller
-        # rebuilds groups — and therefore sources — whenever fleet
-        # membership changes).  Caching is what makes the batched
-        # producer pay: its stacked state imports once, then advances
-        # as array math with the backing generators re-synced after
-        # every step.  Device streams are runtime-owned between ticks
-        # (nothing else draws from a grouped device's generator), so a
-        # cached source never goes stale.
+        # step and reused while the group cache lives.  Both producers
+        # read the position column at every draw, so a cached source
+        # never serves a stale stream; the controller rebuilds groups
+        # (and sources) whenever fleet membership changes or a device's
+        # stream switches between a position and a generator object.
         self._sources: dict[int, object] = {}
         first = devices[0]
         self.tables = first.compile_tables()
@@ -173,34 +191,24 @@ class _VectorGroup:
             source = self._sources.get(base)
             if source is None:
                 source = _block_uniform_source(
-                    (
-                        d.rng
-                        for d in self.devices[base : base + FLEET_LANE_BLOCK]
-                    ),
+                    self.devices[base : base + FLEET_LANE_BLOCK],
+                    columns,
+                    rows,
                     n_kinds,
                     FLEET_CHUNK_SLICES,
                 )
                 self._sources[base] = source
             start = columns.state[rows]
             lengths = np.full(len(rows), int(n_slices), dtype=np.int64)
-            try:
-                acc = _KERNEL.step_lanes(
-                    self.tables,
-                    self.compiled,
-                    self.policy_of_lane[base : base + len(rows)],
-                    lengths,
-                    (start[:, 0], start[:, 1], start[:, 2]),
-                    source,
-                    chunk_slices=FLEET_CHUNK_SLICES,
-                )
-            finally:
-                # Batched sources serve draws from stacked state; the
-                # sync advances the backing generators to match so the
-                # devices' streams stay canonical even if the kernel
-                # raised mid-chunk.
-                sync = getattr(source, "sync", None)
-                if sync is not None:
-                    sync()
+            acc = _KERNEL.step_lanes(
+                self.tables,
+                self.compiled,
+                self.policy_of_lane[base : base + len(rows)],
+                lengths,
+                (start[:, 0], start[:, 1], start[:, 2]),
+                source,
+                chunk_slices=FLEET_CHUNK_SLICES,
+            )
             # Scatter: each lane's accumulators land on its device's
             # row with the same elementwise adds a per-device loop
             # would do, so every running total keeps its bits.
@@ -226,6 +234,9 @@ def _step_device_loop(
     state instead of resetting.  Stream-driven devices replace the SR
     draw with the stream's arrival counts and track the observed SR
     state (the fleet rendition of paper Section V's trace-driven mode).
+    The device's ``rng`` is read once (a column-backed device
+    materializes a generator at its position) and assigned back at the
+    end, which writes the advanced position to its row.
     """
     s, r, q = device.state
     agent, rng = device.agent, device.rng
@@ -294,6 +305,7 @@ def _step_device_loop(
 
     device.totals += totals
     device.state = (s, r, q)
+    device.rng = rng
     device.prev_arrivals = prev_arrivals
     device.slices += int(n_slices)
     device.arrivals += arrivals

@@ -19,21 +19,29 @@ private one-row column set until a fleet adopts it.
 
 A fleet pickles as its columns: each column set's arrays, the rows in
 registration order, plus one small tuple per device of references to
-its model, agent, generator and stream objects.  Pickle stores each
-shared object once, so a group of devices sharing a system, costs and
-stationary agent costs a few hundred bytes per device.  A device
-pickled on its own still pickles as its plain field mapping.
+its model, agent and stream objects.  Pickle stores each shared object
+once, so a group of devices sharing a system, costs and stationary
+agent costs a few hundred bytes per device.  A device pickled on its
+own still pickles as its plain field mapping.
 
 Device randomness is per-device by design: ``device_rng(seed, index)``
 derives statistically independent PCG64 streams from a base seed with
 :class:`numpy.random.SeedSequence` spawn keys, so device ``i`` of a
 group consumes exactly the same uniforms whether it is stepped alone,
 inside a 1000-lane batch, or after a checkpoint/resume — the property
-the fleet determinism suite pins down.  Being PCG64, these streams are
-exactly what the vectorized fan-in
-(:class:`~repro.sim.rng_batched.BatchedPCG64Source`) can stack and
-advance as array math; a device carrying any other clean generator
-still works through the serial :class:`~repro.sim.rng.FanInSource`.
+the fleet determinism suite pins down.  A stream is a column too: the
+``pcg`` column holds each device's PCG64 *position* (its 128-bit state
+and increment, see :mod:`repro.sim.rng_batched`), which the vectorized
+fan-in (:class:`~repro.sim.rng_batched.BatchedPCG64Source`) draws from
+and advances in place.  Whether a device is *column-backed* is a rule
+on the device alone — its generator is a clean PCG64 and it has no
+arrival stream — so equal devices always pickle the same bytes.  A
+column-backed device holds no :class:`numpy.random.Generator`: reading
+``device.rng`` materializes a fresh one at the row's position, and
+assigning ``device.rng`` writes the assigned generator's position back.
+Stream-driven devices keep their generator object (their stream draws
+from it too), as does a device given any other kind of generator,
+which steps through the serial :class:`~repro.sim.rng.FanInSource`.
 
 ``build_fleet`` turns a JSON fleet spec (device groups x workloads x
 agents, see :func:`parse_fleet_spec`) into a registered fleet, solving
@@ -59,6 +67,7 @@ from repro.runtime.policy_cache import (
 )
 from repro.runtime.streams import ArrivalStream, stream_from_spec
 from repro.sim.backends.base import SimulationTables, resolve_initial_state
+from repro.sim.rng_batched import pcg64_generator, pcg64_position
 from repro.sim.trace_sim import ArrivalTracker, NearestArrivalTracker
 from repro.util.validation import ValidationError
 
@@ -107,20 +116,22 @@ class ColumnSet:
     (:data:`INT_COLUMNS`; ``state``, ``slices`` and ``counters`` view
     its blocks), ``totals`` its metric sums (one column per metric
     name), ``command_counts`` and ``provider_occupancy`` its
-    histograms.  Rows ``[0, n)`` are live and ``handles[row]`` is a
-    weak reference to the device owning ``row``.  Releasing a row moves
-    the last live row into the hole, so the live rows stay one dense
-    block.  ``fleet`` is the owning :class:`Fleet`, or ``None`` for the
+    histograms, and ``pcg`` its PCG64 stream position (``[state_hi,
+    state_lo, inc_hi, inc_lo]`` uint64; zeros for a device whose
+    stream is a generator object).  Rows ``[0, n)`` are live and
+    ``handles[row]`` is a weak reference to the device owning ``row``.
+    Releasing a row moves the last live row into the hole, so the live
+    rows stay one dense block.  ``fleet`` is the owning :class:`Fleet`, or ``None`` for the
     private set of a device no fleet holds.  Both back-references are
     weak, so a fleet and its devices are freed as soon as the last
     outside reference goes, without waiting for the cycle collector.
 
-    ``arrays`` preloads the four arrays (a loading fleet passes the
+    ``arrays`` preloads the five arrays (a loading fleet passes the
     rows it unpickled); :meth:`acquire` then hands those rows out in
     order instead of blank ones.
     """
 
-    _NAMES = ("ints", "totals", "command_counts", "provider_occupancy")
+    _NAMES = ("ints", "totals", "command_counts", "provider_occupancy", "pcg")
 
     def __init__(self, layout: tuple, fleet=None, arrays=None):
         metric_names, n_commands, n_provider_states = layout
@@ -134,12 +145,14 @@ class ColumnSet:
                 np.zeros((1, len(metric_names)), dtype=np.float64),
                 np.zeros((1, n_commands), dtype=np.int64),
                 np.zeros((1, n_provider_states), dtype=np.int64),
+                np.zeros((1, 4), dtype=np.uint64),
             )
         (
             self.ints,
             self.totals,
             self.command_counts,
             self.provider_occupancy,
+            self.pcg,
         ) = arrays
 
     @property
@@ -173,6 +186,7 @@ class ColumnSet:
             self.totals,
             self.command_counts,
             self.provider_occupancy,
+            self.pcg,
         )
 
     def acquire(self, device: "Device") -> int:
@@ -210,6 +224,7 @@ class ColumnSet:
         self.totals[row] = source.totals[source_row]
         self.command_counts[row] = source.command_counts[source_row]
         self.provider_occupancy[row] = source.provider_occupancy[source_row]
+        self.pcg[row] = source.pcg[source_row]
 
 
 def _int_column(name: str, doc: str) -> property:
@@ -253,7 +268,11 @@ class Device:
     rng:
         This device's own generator — every stochastic choice the
         device makes (policy draws, transitions, service, stochastic
-        workload streams) consumes from it and nothing else does.
+        workload streams) consumes from it and nothing else does.  A
+        column-backed device (a clean PCG64 stream and no arrival
+        stream) keeps only its position in the ``pcg`` column:
+        reading ``rng`` returns a fresh generator at that position,
+        whose draws reach the device only once it is assigned back.
     stream:
         Exogenous workload (``None`` means arrivals come from the SR
         chain — the vectorizable model-driven mode).
@@ -287,7 +306,6 @@ class Device:
         self.system = system
         self.costs = costs
         self.agent = agent
-        self.rng = rng
         self.stream = stream
         self.tracker = tracker
         self.prev_arrivals = 0
@@ -304,6 +322,8 @@ class Device:
             np.zeros(system.n_commands, dtype=np.int64),
             np.zeros(system.provider.n_states, dtype=np.int64),
         )
+        self._rng = None
+        self.rng = rng
 
     def _own_row(self, ints, totals, command_counts, provider_occupancy):
         """Store the accumulators in a fresh private one-row column set."""
@@ -329,12 +349,44 @@ class Device:
         self._cols, self._row = columns, row
 
     # ------------------------------------------------------------------
+    # the stream: a position row, or a generator object
+    # ------------------------------------------------------------------
+    @property
+    def rng(self) -> np.random.Generator:
+        """This device's generator (see the class docstring)."""
+        generator = self._rng
+        if generator is None:
+            return pcg64_generator(self._cols.pcg[self._row].tolist())
+        return generator
+
+    @rng.setter
+    def rng(self, generator) -> None:
+        position = None if self.stream is not None else pcg64_position(generator)
+        if position is not None:
+            self._cols.pcg[self._row] = position
+            if self._rng is None:
+                return
+            self._rng = None
+        elif generator is self._rng:
+            return
+        else:
+            self._cols.pcg[self._row] = 0
+            self._rng = generator
+        # Switching between a position and a generator object changes
+        # which uniform producer can serve the device, so controllers
+        # regroup as after a membership change.
+        fleet = self._cols.fleet
+        if fleet is not None:
+            fleet.version += 1
+
+    # ------------------------------------------------------------------
     # pickling: the plain field mapping, materialized from the row
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         # Row views pickle exactly like the standalone arrays they
         # stand for (numpy serializes an array's shape, dtype and data,
-        # not its base), so nothing is copied here.
+        # not its base), so nothing is copied here.  ``rng`` is the
+        # position row of a column-backed device.
         columns, row = self._cols, self._row
         s, r, q, slices, arrivals, serviced, lost, loss_events = (
             columns.ints[row].tolist()
@@ -344,7 +396,7 @@ class Device:
             "system": self.system,
             "costs": self.costs,
             "agent": self.agent,
-            "rng": self.rng,
+            "rng": columns.pcg[row] if self._rng is None else self._rng,
             "stream": self.stream,
             "tracker": self.tracker,
             "state": (s, r, q),
@@ -365,7 +417,6 @@ class Device:
         self.system = state["system"]
         self.costs = state["costs"]
         self.agent = state["agent"]
-        self.rng = state["rng"]
         self.stream = state["stream"]
         self.tracker = state["tracker"]
         self.prev_arrivals = state["prev_arrivals"]
@@ -383,6 +434,15 @@ class Device:
             state["command_counts"],
             state["provider_occupancy"],
         )
+        self._rng = None
+        rng = state["rng"]
+        if isinstance(rng, np.ndarray):
+            self._cols.pcg[self._row] = rng
+        else:
+            # A generator: a clean PCG64 of a stream-less device (any
+            # device pickled before positions were a column) becomes a
+            # position.
+            self.rng = rng
 
     def __repr__(self) -> str:
         return (
@@ -524,12 +584,7 @@ class Fleet:
         # rest of its unpickled graph shares, so a resumed fleet
         # re-pickles to the bytes an uninterrupted one does.
         arrays = [
-            (
-                columns.ints[taken],
-                columns.totals[taken],
-                columns.command_counts[taken],
-                columns.provider_occupancy[taken],
-            )
+            tuple(array[taken] for array in columns._arrays())
             for columns, taken in zip(column_sets, rows)
         ]
         # The metric names travel only in the device tuples: a column
@@ -545,7 +600,7 @@ class Fleet:
                     device.system,
                     device.costs,
                     device.agent,
-                    device.rng,
+                    device._rng,
                     device.stream,
                     device.tracker,
                     device.metric_names,
@@ -565,6 +620,15 @@ class Fleet:
             self.version = state["version"]
             return
         arrays = state["columns"]
+        # Fleets pickled before stream positions were a column carry
+        # four arrays per set and a generator per device; their clean
+        # PCG64 generators become positions as the devices load.
+        legacy = bool(arrays) and len(arrays[0]) == 4
+        if legacy:
+            arrays = [
+                (*set_arrays, np.zeros((len(set_arrays[0]), 4), np.uint64))
+                for set_arrays in arrays
+            ]
         column_sets: list[ColumnSet | None] = [None] * len(arrays)
         for device_id, k, fields in zip(
             state["device_ids"], state["column_of"], state["devices"]
@@ -575,7 +639,7 @@ class Fleet:
                 device.system,
                 device.costs,
                 device.agent,
-                device.rng,
+                device._rng,
                 device.stream,
                 device.tracker,
                 device.metric_names,
@@ -583,7 +647,7 @@ class Fleet:
             ) = fields
             columns = column_sets[k]
             if columns is None:
-                _, _, command_counts, provider_occupancy = arrays[k]
+                _, _, command_counts, provider_occupancy, _ = arrays[k]
                 layout = (
                     tuple(device.metric_names),
                     command_counts.shape[1],
@@ -592,6 +656,8 @@ class Fleet:
                 columns = ColumnSet(layout, fleet=self, arrays=arrays[k])
                 column_sets[k] = self._columns[layout] = columns
             device._cols, device._row = columns, columns.acquire(device)
+            if legacy:
+                device.rng = device._rng
             self._devices[device_id] = device
         self.version = state["version"]
 

@@ -26,8 +26,10 @@ Workers talk to the supervisor over a ``multiprocessing`` pipe with
 pickled ``(command, payload)`` tuples — the JSON protocol is for
 clients.  Fleet state moves in the :class:`~repro.runtime.fleet.Fleet`
 serialization, the same one checkpoints use: a partition's column
-arrays plus one small tuple per device of references to its shared
-model, agent, stream and generator objects.  The per-tick telemetry
+arrays — device stream positions included — plus one small tuple per
+device of references to its shared model, agent and stream objects
+(only stream-driven devices carry a generator object, the one their
+stream shares).  The per-tick telemetry
 traffic is a fold, not the devices: each worker reduces its partition
 to counter sums and per-metric average arrays
 (:func:`~repro.runtime.telemetry.fleet_fold`) and the daemon merges

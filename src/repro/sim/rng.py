@@ -16,8 +16,9 @@ consume.  A source produces ``(chunk, kinds, lanes)`` uniform blocks;
   generator, serially (the reference fleet fan-in, with shape
   validation);
 * :class:`~repro.sim.rng_batched.BatchedPCG64Source` — the vectorized
-  PCG64 implementation, byte-identical to :class:`FanInSource` for
-  PCG64 streams at a fraction of the per-device overhead.
+  PCG64 implementation over a column of stream positions,
+  byte-identical to :class:`FanInSource` for PCG64 streams at a
+  fraction of the per-device overhead.
 
 The module also owns the shared categorical-sampling semantics: a
 distribution is compiled once into a normalized cumulative row
@@ -133,7 +134,10 @@ class FanInSource:
     Parameters
     ----------
     generators:
-        One generator per lane, lane order.
+        One stream per lane, lane order: a generator, or anything
+        whose ``random(shape)`` draws like one (the fleet passes a
+        :class:`~repro.sim.rng_batched.PositionStream` for a lane
+        whose stream is a position row).
     n_kinds:
         Declared uniform kinds per slice (3 for fully deterministic
         policy batches, 4 otherwise).  When given, a request with a
@@ -158,7 +162,7 @@ class FanInSource:
 
     @property
     def generators(self) -> list:
-        """The per-lane generators (authoritative stream state)."""
+        """The per-lane streams, lane order."""
         return self._generators
 
     @property

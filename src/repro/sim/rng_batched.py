@@ -9,11 +9,12 @@ which at 100k devices turns randomness plumbing into the tick's
 dominant cost.  This module replaces the loop with the *same math in
 stacked form*:
 
-* Per-lane state lives in one ``(n_lanes, 4)`` uint64 array holding
+* A stream's *position* is one row of a ``(n, 4)`` uint64 array holding
   ``[state_hi, state_lo, inc_hi, inc_lo]`` — the 128-bit LCG state and
-  increment of each device's PCG64, imported from and exported to the
-  exact ``bit_generator.state`` dicts numpy uses for pickling,
-  checkpointing and shard transport.
+  increment of its PCG64, the exact integers of the
+  ``bit_generator.state`` dict numpy pickles.  A fleet stores its
+  devices' streams as this very layout, one ``pcg`` column per column
+  set (see :mod:`repro.runtime.fleet`).
 * One draw advances every lane at once: the 128-bit multiply-add
   ``state = state * MULT + inc (mod 2**128)`` is computed with 32-bit
   limb products in uint64 arrays, then the XSL-RR output function
@@ -27,39 +28,43 @@ stacked form*:
 
 The result is **byte-identical per lane** to each device's private
 stream: the same doubles the device's own ``Generator.random`` would
-return, and the same final ``bit_generator.state`` afterwards.  The
-equivalence is self-checked at import of the first source
-(:func:`batched_available`): the PCG64 multiplier is derived from
-observed state transitions rather than hard-coded, so a numpy build
-with a different PCG variant degrades to ``batched_available() ==
-False`` instead of corrupting streams.  The fleet controller uses a
-:class:`BatchedPCG64Source` for a lane block exactly when the
-self-check passed and every stream in the block is a clean PCG64
-(:func:`supports_generator`); otherwise the block is served by the
-serial fan-in.
+return, and the same final state afterwards.  The equivalence is
+self-checked at import of the first source (:func:`batched_available`):
+the PCG64 multiplier is derived from observed state transitions rather
+than hard-coded, so a numpy build with a different PCG variant degrades
+to ``batched_available() == False`` instead of corrupting streams.
 
-Generators stay canonical through *advance-based writeback*:
-:class:`BatchedPCG64Source` counts the draws it has served and
-:meth:`~BatchedPCG64Source.sync` jumps every backing generator forward
-with ``PCG64.advance`` — a C-level ``O(log n)`` state jump that lands
-on exactly the state ``n`` serial draws would reach.  The fleet calls
-``sync`` after every block step, so checkpoint/resume, shard
-adopt/gather and the per-device reference loop observe the same
-generator objects, in the same states, as a serial run would leave.
+:class:`BatchedPCG64Source` draws from and advances the rows of a
+position column *in place*, so the column always holds every stream's
+current position and there is no generator object to bring up to
+date afterwards.  Generators and positions convert both ways:
+:func:`pcg64_position` reads a clean PCG64 generator's row (``None``
+for any other stream, see :func:`supports_generator`) and
+:func:`pcg64_generator` builds a fresh generator standing at a row.  A
+row of zeros holds no position (a PCG64 increment is always odd,
+:func:`holds_position`); the fleet gives that row to a device whose
+stream stays a generator object.  When the serial fan-in serves a
+block, a :class:`PositionStream` draws each row through one shared
+generator, so the fallback needs no generator per device either.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.util.validation import ValidationError
 
 __all__ = [
     "BatchedDeviceStreams",
     "BatchedPCG64Source",
+    "PositionStream",
     "batched_available",
     "batched_unavailable_reason",
     "derive_pcg64_multiplier",
+    "holds_position",
+    "pcg64_generator",
+    "pcg64_position",
     "supports_generator",
 ]
 
@@ -178,22 +183,86 @@ def batched_unavailable_reason() -> str | None:
     return _derived()["reason"]
 
 
+def pcg64_position(generator) -> tuple[int, int, int, int] | None:
+    """``generator``'s stream as a position row, or ``None``.
+
+    ``(state_hi, state_lo, inc_hi, inc_lo)`` for a clean PCG64 stream
+    (:func:`supports_generator`); ``None`` for any other generator,
+    which the vectorized path cannot carry.
+    """
+    try:
+        state = generator.bit_generator.state
+    except AttributeError:
+        return None
+    if state.get("bit_generator") != "PCG64" or state.get("has_uint32", 0):
+        return None
+    raw = state["state"]
+    return (
+        raw["state"] >> 64,
+        raw["state"] & _MASK64,
+        raw["inc"] >> 64,
+        raw["inc"] & _MASK64,
+    )
+
+
 def supports_generator(generator) -> bool:
     """Is ``generator`` a stream the vectorized path can carry?
 
     Requires a PCG64 bit generator with no buffered half-draw
     (``has_uint32 == 0`` — the fleet only ever draws doubles, but a
     user-injected generator could arrive mid-``integers`` call, and
-    the batched path must not discard its buffered word).
+    a position row has no room for its buffered word).
     """
-    try:
-        state = generator.bit_generator.state
-    except AttributeError:
-        return False
-    return (
-        state.get("bit_generator") == "PCG64"
-        and not state.get("has_uint32", 0)
-    )
+    return pcg64_position(generator) is not None
+
+
+def _pcg64_state(position) -> dict:
+    """The ``bit_generator.state`` dict of a clean PCG64 at ``position``
+    (four Python ints)."""
+    s_hi, s_lo, inc_hi, inc_lo = position
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": (s_hi << 64) | s_lo, "inc": (inc_hi << 64) | inc_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+class _PositionSeed(ISeedSequence):
+    """The seed sequence of a generator built at a position.
+
+    A position has no seed tree behind it, so this one seeds nothing
+    (the position is set right after) and refuses to spawn.  It also
+    spares the hashing a real :class:`numpy.random.SeedSequence` would
+    cost on every materialization.
+    """
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+_POSITION_SEED = _PositionSeed()
+
+
+def pcg64_generator(position) -> np.random.Generator:
+    """A fresh generator whose PCG64 stands at ``position``.
+
+    ``position`` is one ``[state_hi, state_lo, inc_hi, inc_lo]`` row;
+    the generator's draws continue that stream exactly.  It cannot
+    ``spawn``: a position carries no seed sequence.
+    """
+    bit_generator = np.random.PCG64(_POSITION_SEED)
+    bit_generator.state = _pcg64_state([int(value) for value in position])
+    return np.random.Generator(bit_generator)
+
+
+def holds_position(positions: np.ndarray) -> np.ndarray:
+    """Which rows of an ``(n, 4)`` position array hold a position.
+
+    A PCG64 increment is odd, so a row whose ``inc_lo`` is even (the
+    zero row) holds none.
+    """
+    return (positions[:, 3] & np.uint64(1)).astype(bool)
 
 
 def _split_mult(mult: int) -> tuple:
@@ -206,23 +275,27 @@ def _split_mult(mult: int) -> tuple:
     )
 
 
-def _draw_block(state: np.ndarray, chunk: int, n_kinds: int, mult: int):
-    """Advance every lane ``chunk * n_kinds`` steps, collecting outputs.
+def _draw_block(
+    positions: np.ndarray, rows, chunk: int, n_kinds: int, mult: int
+):
+    """Advance lanes ``chunk * n_kinds`` steps, collecting outputs.
 
-    ``state`` is the ``(n_lanes, 4)`` uint64 stack (mutated in place to
-    the post-draw states).  Returns the ``(chunk, n_kinds, n_lanes)``
+    The lanes are ``rows`` of the ``(n, 4)`` uint64 ``positions``
+    (every row when ``rows`` is None), which are overwritten with the
+    post-draw states.  Returns the ``(chunk, n_kinds, n_lanes)``
     float64 block.  All arithmetic runs on contiguous per-column
     copies; each draw is ~35 ufunc passes over ``n_lanes``-sized
     arrays, and the XSL-RR output + double conversion happen row by row
     so the working set never leaves cache.
     """
-    n_lanes = state.shape[0]
+    lanes = slice(None) if rows is None else rows
     total = chunk * n_kinds
     m_hi, m_lo, m_lo_hi, m_lo_lo = _split_mult(mult)
-    s_hi = np.ascontiguousarray(state[:, 0])
-    s_lo = np.ascontiguousarray(state[:, 1])
-    inc_hi = np.ascontiguousarray(state[:, 2])
-    inc_lo = np.ascontiguousarray(state[:, 3])
+    s_hi = np.ascontiguousarray(positions[lanes, 0])
+    s_lo = np.ascontiguousarray(positions[lanes, 1])
+    inc_hi = np.ascontiguousarray(positions[lanes, 2])
+    inc_lo = np.ascontiguousarray(positions[lanes, 3])
+    n_lanes = s_hi.shape[0]
     a_lo = np.empty(n_lanes, dtype=np.uint64)
     a_hi = np.empty(n_lanes, dtype=np.uint64)
     ll = np.empty(n_lanes, dtype=np.uint64)
@@ -276,8 +349,8 @@ def _draw_block(state: np.ndarray, chunk: int, n_kinds: int, mult: int):
         # The freshly advanced (hh, lo) become the state; the old state
         # buffers are recycled as next iteration's scratch.
         s_hi, s_lo, hh, lo = hh, lo, s_hi, s_lo
-    state[:, 0] = s_hi
-    state[:, 1] = s_lo
+    positions[lanes, 0] = s_hi
+    positions[lanes, 1] = s_lo
     # Lane l's rows are its draws in (slice, kind) order, so the
     # (total, lanes) grid *is* the (chunk, kinds, lanes) block.
     return out.reshape(chunk, n_kinds, n_lanes)
@@ -286,11 +359,11 @@ def _draw_block(state: np.ndarray, chunk: int, n_kinds: int, mult: int):
 class BatchedDeviceStreams:
     """A stacked ``(n_lanes, 4)`` uint64 array of PCG64 device streams.
 
-    The import/export boundary of the vectorized path: states come in
-    from (and go back out as) the exact ``bit_generator.state["state"]``
-    dicts numpy pickles, so ``device_rng`` spawn keys, checkpoint
-    payloads and shard gather/adopt transport interoperate without
-    knowing the stack exists.
+    Every row is one stream's position; :meth:`uniform_block` draws
+    from all of them.  The rows are the exact integers of the
+    ``bit_generator.state["state"]`` dicts numpy pickles, so
+    :meth:`from_generators` and :meth:`export_state` convert to and
+    from generator objects without loss.
     """
 
     def __init__(self, state: np.ndarray, _mult: int | None = None):
@@ -301,14 +374,7 @@ class BatchedDeviceStreams:
                 f"got shape {tuple(state.shape)}"
             )
         self._state = state
-        if _mult is None:
-            if not batched_available():
-                raise ValidationError(
-                    f"vectorized PCG64 unavailable: "
-                    f"{batched_unavailable_reason()}"
-                )
-            _mult = _derived()["mult"]
-        self._mult = _mult
+        self._mult = _mult if _mult is not None else _available_mult()
 
     @classmethod
     def from_generators(
@@ -323,17 +389,14 @@ class BatchedDeviceStreams:
         generators = list(generators)
         state = np.empty((len(generators), 4), dtype=np.uint64)
         for lane, generator in enumerate(generators):
-            if not supports_generator(generator):
+            position = pcg64_position(generator)
+            if position is None:
                 raise ValidationError(
                     f"lane {lane}: generator is not a clean PCG64 stream "
                     f"(batched fan-in carries PCG64 with no buffered "
                     f"uint32); use the serial fan-in for this group"
                 )
-            raw = generator.bit_generator.state["state"]
-            state[lane, 0] = (raw["state"] >> 64) & _MASK64
-            state[lane, 1] = raw["state"] & _MASK64
-            state[lane, 2] = (raw["inc"] >> 64) & _MASK64
-            state[lane, 3] = raw["inc"] & _MASK64
+            state[lane] = position
         return cls(state, _mult=_mult)
 
     @property
@@ -368,29 +431,28 @@ class BatchedDeviceStreams:
                 f"uniform_block needs chunk > 0 and n_kinds > 0, "
                 f"got ({chunk}, {n_kinds})"
             )
-        return _draw_block(self._state, chunk, n_kinds, self._mult)
+        return _draw_block(self._state, None, chunk, n_kinds, self._mult)
 
 
 class BatchedPCG64Source:
     """The vectorized :class:`~repro.sim.rng.UniformSource`.
 
-    Wraps a list of per-device PCG64 generators: draws are produced by
-    :class:`BatchedDeviceStreams` array math (byte-identical to each
-    device's private stream), and the backing generator objects are
-    kept canonical by :meth:`sync`, which jumps them forward with
-    ``PCG64.advance`` — so everything downstream (checkpointing, shard
-    transport, direct draws) sees exactly the states a serial fan-in
-    would have left.
-
-    Call :meth:`sync` after consuming a batch of blocks; the fleet's
-    grouped stepper does this at the end of every block step.  Between
-    ``random`` and ``sync`` the stacked state is authoritative and the
-    generator objects lag by :attr:`pending_draws` draws.
+    Lane ``l`` is row ``rows[l]`` of ``positions``, an ``(n, 4)``
+    uint64 position column (in a fleet, a column set's ``pcg``
+    column).  Each block is drawn with the array math of
+    :class:`BatchedDeviceStreams` — byte-identical to each lane's
+    private stream — and the advanced states are written straight back
+    to those rows, so the column always holds every lane's current
+    position.
 
     Parameters
     ----------
-    generators:
-        One clean PCG64 generator per lane (lane order).
+    positions:
+        The ``(n, 4)`` uint64 position column, drawn from and advanced
+        in place.
+    rows:
+        The lanes' row indices, lane order (default: every row).  Each
+        must hold a position (:func:`holds_position`).
     n_kinds / max_chunk:
         Declared request geometry, enforced like
         :class:`~repro.sim.rng.FanInSource` — a mismatched kernel
@@ -399,64 +461,94 @@ class BatchedPCG64Source:
 
     def __init__(
         self,
-        generators,
+        positions: np.ndarray,
+        rows=None,
         n_kinds: int | None = None,
         max_chunk: int | None = None,
     ):
-        if not batched_available():
+        self._mult = _available_mult()
+        if (
+            not isinstance(positions, np.ndarray)
+            or positions.dtype != np.uint64
+            or positions.ndim != 2
+            or positions.shape[1] != 4
+        ):
             raise ValidationError(
-                f"vectorized PCG64 unavailable: "
-                f"{batched_unavailable_reason()}"
+                "positions must be an (n, 4) uint64 array of PCG64 "
+                "stream positions"
             )
-        self._generators = list(generators)
-        self._streams = BatchedDeviceStreams.from_generators(self._generators)
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+        lanes = positions if rows is None else positions[rows]
+        missing = np.flatnonzero(~holds_position(lanes))
+        if missing.size:
+            raise ValidationError(
+                f"lane {int(missing[0])}: row holds no PCG64 position "
+                f"(its stream is not a clean PCG64); use the serial "
+                f"fan-in for this block"
+            )
+        self._positions = positions
+        self._rows = rows
+        self._n_lanes = lanes.shape[0]
         self._n_kinds = None if n_kinds is None else int(n_kinds)
         self._max_chunk = None if max_chunk is None else int(max_chunk)
-        self._pending = 0
-
-    @property
-    def generators(self) -> list:
-        """The backing generators (canonical after :meth:`sync`)."""
-        return self._generators
 
     @property
     def n_lanes(self) -> int:
         """Number of lanes served."""
-        return len(self._generators)
-
-    @property
-    def pending_draws(self) -> int:
-        """Draws served since the last :meth:`sync` (per lane)."""
-        return self._pending
-
-    @property
-    def streams(self) -> BatchedDeviceStreams:
-        """The stacked stream state (authoritative between syncs)."""
-        return self._streams
+        return self._n_lanes
 
     def random(self, shape) -> np.ndarray:
-        """Fill a ``(chunk, kinds, lanes)`` block from the stacked streams."""
+        """Fill a ``(chunk, kinds, lanes)`` block, advancing the rows."""
         chunk, n_kinds, _ = _validate_shape(
-            shape, len(self._generators), self._n_kinds, self._max_chunk
+            shape, self._n_lanes, self._n_kinds, self._max_chunk
         )
-        block = self._streams.uniform_block(chunk, n_kinds)
-        self._pending += chunk * n_kinds
-        return block
+        return _draw_block(
+            self._positions, self._rows, chunk, n_kinds, self._mult
+        )
 
     def sync(self) -> None:
-        """Advance the backing generators to the stacked state.
+        """Nothing to flush: every draw already advanced its rows."""
 
-        ``PCG64.advance(n)`` computes the same state ``n`` serial draws
-        reach (in ``O(log n)`` C), so after a sync the generator
-        objects are byte-for-byte what the serial fan-in would have
-        left — checkpoints, pickles and direct draws all agree.
-        """
-        if not self._pending:
-            return
-        pending = self._pending
-        for generator in self._generators:
-            generator.bit_generator.advance(pending)
-        self._pending = 0
+
+class PositionStream:
+    """One row of a position column, drawn through a shared generator.
+
+    The serial fan-in's lane for a stream kept as a position:
+    :meth:`random` seats ``generator`` (any PCG64 generator; the lanes
+    of one block share one) at row ``row`` of ``positions``, draws, and
+    writes the advanced position back.  The draws are exactly those of
+    a generator materialized at the row, and the row is current after
+    every call, so the lane needs no generator object of its own.
+    """
+
+    __slots__ = ("_positions", "_row", "_generator")
+
+    def __init__(self, positions: np.ndarray, row: int, generator):
+        self._positions = positions
+        self._row = int(row)
+        self._generator = generator
+
+    def random(self, shape) -> np.ndarray:
+        """Draw ``shape`` doubles from the row's stream, advancing it."""
+        positions, row = self._positions, self._row
+        bit_generator = self._generator.bit_generator
+        bit_generator.state = _pcg64_state(positions[row].tolist())
+        block = self._generator.random(shape)
+        # Only the state moved; the increment is the row's own.
+        state = bit_generator.state["state"]["state"]
+        positions[row, 0] = state >> 64
+        positions[row, 1] = state & _MASK64
+        return block
+
+
+def _available_mult() -> int:
+    """The self-checked multiplier, or a ValidationError saying why not."""
+    if not batched_available():
+        raise ValidationError(
+            f"vectorized PCG64 unavailable: {batched_unavailable_reason()}"
+        )
+    return _derived()["mult"]
 
 
 def _validate_shape(shape, n_lanes, n_kinds, max_chunk):

@@ -13,7 +13,10 @@ The central contracts under test:
 
 from __future__ import annotations
 
+import io
 import json
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +44,10 @@ from repro.runtime import (
 )
 from repro.runtime.streams import CallableStream
 from repro.sim.backends import LoopBackend, VectorBackend
+from repro.sim.rng_batched import holds_position
 from repro.util.validation import ValidationError
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -908,6 +914,48 @@ class TestColumnarState:
         assert device.slices == 2 * self.SLICES
 
 
+    def test_agent_switches_carry_one_stream_across_paths(
+        self, example_bundle, eager_policy, tmp_path
+    ):
+        """Eager (kernel) -> timeout (loop) -> eager, with a checkpoint
+        and resume in between: the device ends bit-equal to a solo twin
+        stepped the same way, stream position included."""
+        fleet, solo = Fleet(), Fleet()
+        for i in range(4):
+            _stationary_device(
+                example_bundle, eager_policy, fleet, f"d-{i}", 8, i
+            )
+        _stationary_device(example_bundle, eager_policy, solo, "d-2", 8, 2)
+        controller = FleetController(fleet, slices_per_tick=self.SLICES)
+        twin = FleetController(solo, slices_per_tick=self.SLICES)
+
+        def switch(make_agent):
+            for target in (controller.fleet, solo):
+                target.replace_agent("d-2", make_agent())
+
+        def tick():
+            controller.step_tick()
+            twin.step_tick()
+
+        tick()
+        switch(lambda: TimeoutAgent(3, 0, 1))
+        tick()
+        path = tmp_path / "switch.ckpt"
+        controller.save_checkpoint(path)
+        controller = FleetController.resume(path)
+        tick()
+        switch(
+            lambda: StationaryPolicyAgent(example_bundle.system, eager_policy)
+        )
+        tick()
+        device, alone = controller.fleet.device("d-2"), solo.device("d-2")
+        assert _device_fingerprint(device) == _device_fingerprint(alone)
+        assert device.slices == 4 * self.SLICES
+        assert (
+            device.rng.bit_generator.state == alone.rng.bit_generator.state
+        )
+
+
 class TestExactFold:
     """Fleet means are exactly rounded and order-independent."""
 
@@ -1091,6 +1139,34 @@ class TestFleetPickle:
             uninterrupted.fleet, protocol=4
         )
 
+    def test_pickle_holds_generators_only_for_stream_devices(self):
+        """Column-backed devices pickle their stream as a position row:
+        the only generators in a spec fleet's pickle are the
+        stream-driven devices', one each (shared with the stream)."""
+
+        class CountingPickler(pickle.Pickler):
+            generators = 0
+
+            def reducer_override(self, obj):
+                # Called once per object pickle has not memoized yet.
+                if isinstance(obj, np.random.Generator):
+                    self.generators += 1
+                return NotImplemented
+
+        raw = json.loads((DATA / "compat_fleet_spec.json").read_text())
+        fleet, _ = build_fleet(raw, base_seed=3)
+        FleetController(fleet, slices_per_tick=20).run(2)
+        streamed = [device for device in fleet if device.stream is not None]
+        assert 0 < len(streamed) < len(fleet)
+        pickler = CountingPickler(io.BytesIO(), protocol=4)
+        pickler.dump(fleet)
+        assert pickler.generators == len(streamed)
+        for device in fleet:
+            has_generator = device.stream is not None
+            assert (device._rng is not None) == has_generator
+            row = device._cols.pcg[[device._row]]
+            assert bool(holds_position(row)[0]) != has_generator
+
     def test_head_layout_state_still_loads(self, recipes, tmp_path):
         """A checkpoint whose fleet is in the per-device form resumes
         and emits the uninterrupted run's telemetry."""
@@ -1123,3 +1199,46 @@ class TestFleetPickle:
         assert [json.dumps(r) for r in resumed_sink.records] == [
             json.dumps(r) for r in reference.records[3:]
         ]
+
+
+class TestParentCheckpoint:
+    """A checkpoint written before stream positions were a fleet column
+    (``tests/data/compat_fleet_parent.ckpt``: ``repro-dpm fleet
+    tests/data/compat_fleet_spec.json --seed 3 --ticks 3 --per-device
+    --checkpoint ...`` on that build)."""
+
+    CHECKPOINT = DATA / "compat_fleet_parent.ckpt"
+
+    def test_generators_become_positions(self):
+        fleet = load_checkpoint(self.CHECKPOINT)["fleet"]
+        kinds = {device.device_id.split("-")[0] for device in fleet}
+        assert kinds == {"opt", "eager", "timeout", "mmpp"}
+        for device in fleet:
+            row = device._cols.pcg[[device._row]]
+            if device.stream is None:
+                assert device._rng is None
+                assert holds_position(row).all()
+            else:
+                # Stream-driven devices keep the generator their stream
+                # shares.
+                assert device.stream._rng is device.rng
+                assert not holds_position(row).any()
+
+    def test_resume_continues_this_builds_uninterrupted_run(
+        self, tmp_path, capsys
+    ):
+        from repro.tool.cli import main as cli_main
+
+        full = tmp_path / "full.jsonl"
+        resumed = tmp_path / "resumed.jsonl"
+        assert cli_main([
+            "fleet", str(DATA / "compat_fleet_spec.json"), "--seed", "3",
+            "--ticks", "6", "--per-device", "--telemetry", str(full),
+        ]) == 0
+        assert cli_main([
+            "fleet", "--resume", str(self.CHECKPOINT), "--ticks", "3",
+            "--telemetry", str(resumed),
+        ]) == 0
+        lines = full.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 6
+        assert resumed.read_bytes().splitlines(keepends=True) == lines[3:]

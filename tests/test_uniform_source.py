@@ -5,9 +5,9 @@ The contract under test is the tentpole of the vectorized fan-in: a
 the *same bytes* its device's private ``Generator.random`` would — for
 any chunk size, across consecutive variable-shape requests, across
 lane-block boundaries, and through checkpoint/resume and shard
-re-partitioning — with the backing generator objects landing in the
-exact states a serial fan-in leaves.  When the guarantee cannot be
-given (non-PCG64 streams, a buffered half-draw, a numpy build that
+re-partitioning — with the position rows it advances in place landing
+on the exact states a serial fan-in leaves.  When the guarantee cannot
+be given (non-PCG64 streams, a buffered half-draw, a numpy build that
 fails the self-check), the fleet controller serves the lane block from
 the serial :class:`~repro.sim.rng.FanInSource` instead, and a
 :class:`~repro.sim.rng_batched.BatchedPCG64Source` built directly
@@ -34,6 +34,9 @@ from repro.sim.rng_batched import (
     BatchedPCG64Source,
     batched_available,
     derive_pcg64_multiplier,
+    holds_position,
+    pcg64_generator,
+    pcg64_position,
     supports_generator,
 )
 from repro.util.validation import ValidationError
@@ -44,6 +47,14 @@ def _generators(n, seed=7):
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         for i in range(n)
     ]
+
+
+def _positions(generators):
+    """A position column holding ``generators``' streams (lane order)."""
+    return np.array(
+        [pcg64_position(generator) for generator in generators],
+        dtype=np.uint64,
+    )
 
 
 def _reference_block(generators, chunk, n_kinds):
@@ -60,7 +71,9 @@ class TestProtocol:
     def test_sources_satisfy_protocol(self):
         generators = _generators(3)
         assert isinstance(FanInSource(generators), UniformSource)
-        assert isinstance(BatchedPCG64Source(generators), UniformSource)
+        assert isinstance(
+            BatchedPCG64Source(_positions(generators)), UniformSource
+        )
 
     def test_plain_generator_satisfies_protocol(self):
         # Structural typing: the single-run simulate() path keeps
@@ -134,6 +147,22 @@ class TestBatchedKernel:
         assert generator.bit_generator.state["has_uint32"]
         assert not supports_generator(generator)
 
+    def test_positions_roundtrip_generators(self):
+        generator = _generators(1)[0]
+        generator.random(5)
+        position = pcg64_position(generator)
+        assert position is not None
+        twin = pcg64_generator(position)
+        assert twin.bit_generator.state == generator.bit_generator.state
+        assert (twin.random(4) == generator.random(4)).all()
+        mt = np.random.Generator(np.random.MT19937(0))
+        assert pcg64_position(mt) is None
+
+    def test_zero_rows_hold_no_position(self):
+        positions = _positions(_generators(3))
+        positions[1] = 0
+        assert holds_position(positions).tolist() == [True, False, True]
+
     def test_streams_roundtrip_state_dicts(self):
         generators = _generators(5)
         streams = BatchedDeviceStreams.from_generators(generators)
@@ -189,34 +218,43 @@ class TestBatchedKernel:
 # BatchedPCG64Source: the fleet-facing source
 # ----------------------------------------------------------------------
 class TestBatchedSource:
-    def test_sync_advances_generators_exactly(self):
+    def test_draws_advance_positions_exactly(self):
+        # Lanes are rows 5, 0 and 3 of an 8-row column: those rows
+        # advance in place by exactly the draws served, the rest stay.
         generators = _generators(8)
-        reference = _generators(8)
-        source = BatchedPCG64Source(generators, n_kinds=4)
-        source.random((11, 4, 8))
-        assert source.pending_draws == 44
-        source.random((5, 4, 8))
-        assert source.pending_draws == 64
-        source.sync()
-        assert source.pending_draws == 0
-        for generator in reference:
-            generator.random((16, 4))
-        for mine, theirs in zip(generators, reference):
-            assert mine.bit_generator.state == theirs.bit_generator.state
-        # Post-sync, the generators continue their streams directly.
-        for mine, theirs in zip(generators, reference):
-            assert (mine.random(3) == theirs.random(3)).all()
+        positions = _positions(generators)
+        untouched = positions.copy()
+        rows = [5, 0, 3]
+        source = BatchedPCG64Source(positions, rows, n_kinds=4)
+        first = source.random((11, 4, 3))
+        second = source.random((5, 4, 3))
+        for lane, row in enumerate(rows):
+            expected = generators[row].random((16, 4))
+            assert (first[:, :, lane] == expected[:11]).all()
+            assert (second[:, :, lane] == expected[11:]).all()
+            assert tuple(positions[row].tolist()) == pcg64_position(
+                generators[row]
+            )
+        others = [row for row in range(8) if row not in rows]
+        assert (positions[others] == untouched[others]).all()
+        # A generator materialized at an advanced row continues it.
+        for row in rows:
+            assert (
+                pcg64_generator(positions[row]).random(3)
+                == generators[row].random(3)
+            ).all()
 
     def test_sync_without_draws_is_noop(self):
-        generators = _generators(2)
-        before = [g.bit_generator.state for g in generators]
-        source = BatchedPCG64Source(generators)
+        positions = _positions(_generators(2))
+        before = positions.copy()
+        source = BatchedPCG64Source(positions)
         source.sync()
-        for generator, state in zip(generators, before):
-            assert generator.bit_generator.state == state
+        assert (positions == before).all()
 
     def test_validates_declared_geometry(self):
-        source = BatchedPCG64Source(_generators(6), n_kinds=4, max_chunk=32)
+        source = BatchedPCG64Source(
+            _positions(_generators(6)), n_kinds=4, max_chunk=32
+        )
         with pytest.raises(ValidationError, match="desynchronize"):
             source.random((8, 3, 6))
         with pytest.raises(ValidationError, match="chunk cap"):
@@ -225,16 +263,23 @@ class TestBatchedSource:
             source.random((8, 4, 5))
 
     def test_rejects_ineligible_generator(self):
-        generators = _generators(3)
-        generators[1] = np.random.Generator(np.random.MT19937(0))
+        # The row of a device whose stream is a generator object (here
+        # an MT19937) holds no position.
+        positions = _positions(_generators(3))
+        positions[1] = 0
         with pytest.raises(ValidationError, match="lane 1"):
-            BatchedPCG64Source(generators)
+            BatchedPCG64Source(positions)
+        with pytest.raises(ValidationError, match="lane 0"):
+            BatchedPCG64Source(positions, [1, 2])
+        with pytest.raises(ValidationError, match=r"\(n, 4\) uint64"):
+            BatchedPCG64Source(positions.astype(np.int64))
 
     def test_unavailable_build_raises_with_reason(self, monkeypatch):
+        positions = _positions(_generators(2))
         _simulate_unsupported_build(monkeypatch)
         assert not batched_available()
         with pytest.raises(ValidationError, match="simulated unsupported"):
-            BatchedPCG64Source(_generators(2))
+            BatchedPCG64Source(positions)
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +412,73 @@ class TestControllerKnob:
         producers = _producers(controller)
         assert producers
         assert set(producers) == {"BatchedPCG64Source"}
+
+
+class TestAssignedStreams:
+    """Assigning ``device.rng`` between ticks redirects the device's
+    next draws to the assigned stream, whichever producer serves it."""
+
+    SLICES = 50
+
+    def _eager_fleet(self, n):
+        from repro.policies import StationaryPolicyAgent, eager_markov_policy
+        from repro.systems import example_system
+
+        bundle = example_system.build()
+        policy = eager_markov_policy(bundle.system, "s_on", "s_off")
+        fleet = Fleet()
+        for i in range(n):
+            fleet.add_device(
+                f"dev-{i}",
+                bundle.system,
+                bundle.costs,
+                StationaryPolicyAgent(bundle.system, policy),
+                rng=device_rng(0, i),
+            )
+        return fleet
+
+    @pytest.mark.parametrize("producer", ["BatchedPCG64Source", "FanInSource"])
+    def test_next_tick_draws_from_the_assigned_stream(
+        self, monkeypatch, producer
+    ):
+        if producer == "FanInSource":
+            _simulate_unsupported_build(monkeypatch)
+        fleet = self._eager_fleet(3)
+        controller = FleetController(fleet, slices_per_tick=self.SLICES)
+        controller.step_tick()
+        assert _producers(controller) == [producer]
+        device = fleet.device("dev-0")
+        version = fleet.version
+        device.rng = device_rng(99, 0)
+        assert fleet.version == version  # a position swap, no regroup
+        controller.step_tick()
+        (group,) = controller._vector_groups
+        n_kinds = 3 if group.compiled.fully_deterministic else 4
+        expected = device_rng(99, 0)
+        expected.random((self.SLICES, n_kinds))
+        assert device.rng.bit_generator.state == expected.bit_generator.state
+
+    def test_foreign_generator_moves_the_block_to_the_fan_in(self):
+        fleet = self._eager_fleet(3)
+        controller = FleetController(fleet, slices_per_tick=self.SLICES)
+        controller.step_tick()
+        assert _producers(controller) == ["BatchedPCG64Source"]
+        device = fleet.device("dev-1")
+        mt = np.random.Generator(np.random.MT19937(5))
+        version = fleet.version
+        device.rng = mt
+        assert fleet.version == version + 1
+        assert device.rng is mt
+        controller.step_tick()
+        assert _producers(controller) == ["FanInSource"]
+        expected = np.random.Generator(np.random.MT19937(5))
+        expected.random((self.SLICES, 3))
+        assert (mt.random(4) == expected.random(4)).all()
+        # A clean PCG64 again: back to a position and the batched path.
+        device.rng = device_rng(7, 1)
+        assert fleet.version == version + 2
+        controller.step_tick()
+        assert _producers(controller) == ["BatchedPCG64Source"]
 
 
 # ----------------------------------------------------------------------
