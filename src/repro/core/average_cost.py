@@ -51,8 +51,8 @@ class AverageCostOptimizer(_FrequencyLP):
     ----------
     system / costs:
         The composed system and its metrics.
-    backend / cross_check:
-        LP backend options (see :func:`repro.lp.solve_lp`).
+    backend:
+        LP backend name (see :func:`repro.lp.solve_lp`).
     fallback:
         Completion rule for states with zero stationary probability
         (see :class:`PolicyOptimizer`).
@@ -79,14 +79,13 @@ class AverageCostOptimizer(_FrequencyLP):
         system: PowerManagedSystem,
         costs: CostModel,
         backend: str = "scipy",
-        cross_check: bool = False,
         fallback: str = "greedy-service",
         action_mask=None,
         sparse: bool | None = None,
     ):
         # The average-cost balance equations are the gamma = 1 case.
         super().__init__(
-            system, costs, 1.0, backend, cross_check, fallback, action_mask, sparse
+            system, costs, 1.0, backend, fallback, action_mask, sparse
         )
 
     @property

@@ -206,7 +206,6 @@ class _FrequencyLP(_SolveEntryPoints):
         costs: CostModel,
         balance_gamma: float,
         backend: str,
-        cross_check: bool,
         fallback: str,
         action_mask,
         sparse: bool | None,
@@ -220,7 +219,6 @@ class _FrequencyLP(_SolveEntryPoints):
         self._system = system
         self._costs = costs
         self._backend = backend
-        self._cross_check = bool(cross_check)
         self._fallback = fallback
         self._mask = self._check_action_mask(system, action_mask)
 
@@ -267,11 +265,6 @@ class _FrequencyLP(_SolveEntryPoints):
     def backend(self) -> str:
         """LP backend name this optimizer solves with."""
         return self._backend
-
-    @property
-    def cross_check(self) -> bool:
-        """Whether every LP solve is cross-checked on a second backend."""
-        return self._cross_check
 
     @property
     def sparse(self) -> bool:
@@ -403,7 +396,7 @@ class _FrequencyLP(_SolveEntryPoints):
             bound (e.g. a minimum-throughput requirement).
         """
         lp, recorded = self.build_lp(objective, sense, upper_bounds, lower_bounds)
-        lp_result = solve_lp(lp, backend=self._backend, cross_check=self._cross_check)
+        lp_result = solve_lp(lp, backend=self._backend)
         return self.result_from_lp(lp_result, objective, recorded)
 
     # ------------------------------------------------------------------
@@ -496,9 +489,6 @@ class PolicyOptimizer(_FrequencyLP):
         Initial joint-state distribution ``p0``; defaults to uniform.
     backend:
         LP backend name (see :func:`repro.lp.available_backends`).
-    cross_check:
-        Forwarded to :func:`repro.lp.solve_lp` — solve every LP twice
-        with independent backends and compare.
     fallback:
         Completion rule for states the optimal flow never visits:
         ``"greedy-service"`` (default: command with the highest service
@@ -539,7 +529,6 @@ class PolicyOptimizer(_FrequencyLP):
         gamma: float,
         initial_distribution=None,
         backend: str = "scipy",
-        cross_check: bool = False,
         fallback: str = "greedy-service",
         action_mask=None,
         sparse: bool | None = None,
@@ -548,7 +537,7 @@ class PolicyOptimizer(_FrequencyLP):
         if not 0.0 < gamma < 1.0:
             raise ValidationError(f"gamma must be in (0, 1), got {gamma!r}")
         super().__init__(
-            system, costs, gamma, backend, cross_check, fallback, action_mask, sparse
+            system, costs, gamma, backend, fallback, action_mask, sparse
         )
         self._gamma = gamma
         if initial_distribution is None:

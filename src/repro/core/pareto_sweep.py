@@ -29,7 +29,7 @@ structure instead:
 
 The engine is duck-typed over the optimizer: anything exposing
 ``build_lp`` / ``result_from_lp`` / ``bound_scale`` / ``backend`` /
-``cross_check`` / ``costs`` works — both
+``costs`` works — both
 :class:`~repro.core.optimizer.PolicyOptimizer` (discounted, LP3/LP4)
 and :class:`~repro.core.average_cost.AverageCostOptimizer` qualify.
 """
@@ -252,10 +252,7 @@ class ParetoSweepSolver:
             else None
         )
         lp_result = solve_lp(
-            self._lp,
-            backend=self._optimizer.backend,
-            cross_check=self._optimizer.cross_check,
-            warm_start=use_warm,
+            self._lp, backend=self._optimizer.backend, warm_start=use_warm
         )
         constraints = dict(self._base_constraints)
         constraints[self._constraint] = (self._sense, float(bound))

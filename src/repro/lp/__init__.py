@@ -16,11 +16,12 @@ point LP solver.  This package provides the equivalent layer:
 * :mod:`~repro.lp.scipy_backend` — scipy's HiGHS, the default
   production backend (CSR passed straight through on sparse problems);
 * :func:`~repro.lp.solve.solve_lp` — the single entry point used by the
-  optimizer, with backend selection and optional cross-checking.
+  optimizer: one solve on the selected backend.
 
 All three backends are interchangeable on the policy-optimization LPs
-and are cross-validated in the test suite; the sparse simplex and
-HiGHS paths scale to deep-queue systems with thousands of states.
+and are compared against each other in the test suite; the sparse
+simplex and HiGHS paths scale to deep-queue systems with thousands of
+states.
 """
 
 from repro.lp.problem import LinearProgram, StandardFormLP

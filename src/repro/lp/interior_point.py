@@ -37,7 +37,8 @@ DEFAULT_TOL = 1e-8
 #: Accept the best iterate seen when progress stalls, provided its
 #: worst relative error is below this (badly conditioned instances
 #: cannot reach DEFAULT_TOL in double precision; the LP optimum is
-#: still accurate to ~6 digits, which the cross-check tolerance allows).
+#: still accurate to ~6 digits, the tolerance the backend-agreement
+#: tests compare objectives at).
 FALLBACK_TOL = 1e-6
 #: Stop when the merit has not improved for this many iterations.
 STALL_LIMIT = 10

@@ -80,10 +80,8 @@ class LinearProgram:
     stays sparse end to end (:attr:`is_sparse`).
 
     The container is sweep-friendly: the stacked constraint matrices are
-    cached between solves, existing inequality rows can be mutated in
-    place (:meth:`set_inequality_rhs`, :meth:`set_inequality`), and
-    :meth:`with_upper_bound_row` produces a cheap shallow copy that
-    shares the already-assembled equality block — so a Pareto sweep
+    cached between solves and an inequality row's right-hand side can be
+    changed in place (:meth:`set_inequality_rhs`) — so a Pareto sweep
     assembles the balance equations exactly once.
 
     Parameters
@@ -209,15 +207,6 @@ class LinearProgram:
     # ------------------------------------------------------------------
     # cheap mutation (the Pareto sweep hot path)
     # ------------------------------------------------------------------
-    def _check_inequality_index(self, index: int) -> int:
-        index = int(index)
-        if not -len(self._ub_rows) <= index < len(self._ub_rows):
-            raise ValidationError(
-                f"inequality index {index} out of range "
-                f"(have {len(self._ub_rows)} rows)"
-            )
-        return index % len(self._ub_rows) if self._ub_rows else index
-
     def set_inequality_rhs(self, index: int, rhs: float) -> None:
         """Replace the right-hand side of inequality ``index`` in place.
 
@@ -225,41 +214,13 @@ class LinearProgram:
         any warm-start state keyed on the matrix structure) stays valid.
         This is the sweep engine's per-bound mutation.
         """
-        index = self._check_inequality_index(index)
+        index = int(index)
+        if not -len(self._ub_rows) <= index < len(self._ub_rows):
+            raise ValidationError(
+                f"inequality index {index} out of range "
+                f"(have {len(self._ub_rows)} rows)"
+            )
         self._ub_rhs[index] = self._check_rhs(rhs, "inequality")
-
-    def set_inequality(self, index: int, row, rhs: float) -> None:
-        """Replace inequality ``index`` (row and right-hand side)."""
-        index = self._check_inequality_index(index)
-        self._ub_rows[index] = self._check_row(row)
-        self._ub_rhs[index] = self._check_rhs(rhs, "inequality")
-        self._A_ub_cache = None
-
-    def copy(self) -> "LinearProgram":
-        """Cheap shallow copy: constraint blocks (never mutated in
-        place) are shared, the block lists and caches are independent."""
-        clone = LinearProgram.__new__(LinearProgram)
-        clone._c = self._c
-        clone._eq_blocks = list(self._eq_blocks)
-        clone._n_eq = self._n_eq
-        clone._ub_rows = list(self._ub_rows)
-        clone._ub_rhs = list(self._ub_rhs)
-        clone._A_eq_cache = self._A_eq_cache
-        clone._A_eq_sparse_cache = self._A_eq_sparse_cache
-        clone._A_ub_cache = self._A_ub_cache
-        return clone
-
-    def with_upper_bound_row(self, row, rhs: float) -> "LinearProgram":
-        """A cheap copy of this LP with one extra ``row . x <= rhs``.
-
-        The equality block (for the policy LPs: the balance equations,
-        by far the largest part) is shared with the original, including
-        its cached stacked matrix — only the inequality list is new.
-        The original is not modified.
-        """
-        clone = self.copy()
-        clone.add_inequality(row, rhs)
-        return clone
 
     # ------------------------------------------------------------------
     # accessors
@@ -349,7 +310,7 @@ class LinearProgram:
         Cached and read-only, like :attr:`A_eq`; RHS-only mutation via
         :meth:`set_inequality_rhs` keeps the cache valid.
         """
-        if self._A_ub_cache is None or self._A_ub_cache.shape[0] != len(self._ub_rows):
+        if self._A_ub_cache is None:
             if not self._ub_rows:
                 stacked = np.zeros((0, self._c.size))
             else:
@@ -368,7 +329,7 @@ class LinearProgram:
         return float(self._c @ np.asarray(x, dtype=float))
 
     # ------------------------------------------------------------------
-    # feasibility checking (used by tests and the cross-check harness)
+    # feasibility checking
     # ------------------------------------------------------------------
     def residuals(self, x) -> dict[str, float]:
         """Worst-case constraint violations of a candidate point.

@@ -2,7 +2,7 @@
 
 The default production backend: HiGHS is an exact, mature dual-simplex /
 interior-point code, used here both as the everyday solver and as the
-reference the from-scratch backends are cross-checked against in tests.
+reference the from-scratch backends are compared against in tests.
 Sparse problems (:attr:`LinearProgram.is_sparse`) are handed to
 ``linprog`` as CSR matrices without densifying — HiGHS consumes them
 natively, which is what keeps the deep-queue policy LPs tractable.

@@ -82,12 +82,10 @@ class AdaptivePolicyAgent(PolicyAgent):
         window whose refit LP is content-identical to a previous one
         (common once a stationary workload's model converges, or across
         a fleet of devices seeing the same regime) costs a lookup
-        instead of a solve, and near-identical refits ("the model
-        barely moved") warm-start the simplex backend from the last
-        optimal basis via ``LPResult.warm_start``.  Cache traffic from
-        this agent is reported by :attr:`cache_hits` /
-        :attr:`cache_warm_hints` next to :attr:`refits` /
-        :attr:`failed_refits`.
+        instead of a solve.  Any other refit solves cold, so a refit's
+        policy depends only on its window, not on the cache's history.
+        Cache traffic from this agent is reported by :attr:`cache_hits`
+        next to :attr:`refits` / :attr:`failed_refits`.
     """
 
     def __init__(
@@ -147,7 +145,6 @@ class AdaptivePolicyAgent(PolicyAgent):
         self._refits = 0
         self._failed_refits = 0
         self._cache_hits = 0
-        self._cache_warm_hints = 0
 
     # ------------------------------------------------------------------
     # bookkeeping accessors (for experiments and tests)
@@ -166,11 +163,6 @@ class AdaptivePolicyAgent(PolicyAgent):
     def cache_hits(self) -> int:
         """Refit solves answered by the policy cache without an LP solve."""
         return self._cache_hits
-
-    @property
-    def cache_warm_hints(self) -> int:
-        """Refit solves that carried a warm-start basis into the backend."""
-        return self._cache_warm_hints
 
     @property
     def current_policy(self) -> MarkovPolicy | None:
@@ -197,7 +189,6 @@ class AdaptivePolicyAgent(PolicyAgent):
         self._refits = 0
         self._failed_refits = 0
         self._cache_hits = 0
-        self._cache_warm_hints = 0
 
     # ------------------------------------------------------------------
     # the refit step
@@ -229,13 +220,9 @@ class AdaptivePolicyAgent(PolicyAgent):
                 fallback="greedy-service",
             )
             if self._policy_cache is not None:
-                # Cached refits: content-identical windows hit, barely
-                # moved ones warm-start the previous optimal basis.
-                stats = self._policy_cache.stats
-                hits, hints = stats.hits, stats.warm_hinted
+                hits = self._policy_cache.stats.hits
                 result = self._optimize(self._policy_cache.wrap(optimizer))
-                self._cache_hits += stats.hits - hits
-                self._cache_warm_hints += stats.warm_hinted - hints
+                self._cache_hits += self._policy_cache.stats.hits - hits
             else:
                 result = self._optimize(optimizer)
         except Exception:

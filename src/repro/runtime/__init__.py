@@ -30,9 +30,9 @@ Module index
     Results are bitwise identical however devices are grouped.
 :mod:`~repro.runtime.policy_cache`
     :class:`PolicyCache` — content-addressed dedupe of LP solves
-    (identical specs hit the cache; near-identical ones warm-start the
-    simplex basis) plus the content-signature helpers the grouping and
-    the adaptive agent's refit path share.
+    (identical LPs hit the cache; every miss solves cold) plus the
+    content-signature helpers the grouping and the adaptive agent's
+    refit path share.
 :mod:`~repro.runtime.streams`
     :class:`ArrivalStream` — exogenous workloads: trace replay
     (``TraceStream.load``), online synthetic generators (Poisson,

@@ -35,10 +35,10 @@ stepped at another length is refused).  A device therefore consumes
 *exactly the same uniforms through the same reduction boundaries* no
 matter how it is grouped, what else is in the fleet, or whether the
 campaign was checkpoint/resumed — fleet results are bitwise
-reproducible from per-device seeds alone.  (One documented exception:
-adaptive devices sharing a *warm-starting* policy cache can pick
-different tied-optimal vertices depending on cache history — see the
-determinism note on :class:`~repro.runtime.policy_cache.PolicyCache`.)
+reproducible from per-device seeds alone.  Policies solved on the way
+(optimal groups, policy pushes, adaptive refits) are functions of
+their LP's content and backend, whatever the
+:class:`~repro.runtime.policy_cache.PolicyCache` solved before.
 """
 
 from __future__ import annotations

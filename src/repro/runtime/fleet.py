@@ -931,8 +931,13 @@ def parse_fleet_spec(raw: dict) -> dict:
     return raw
 
 
-def _compose_group_system(source, lp_backend: str):
-    """Resolve a group's ``system`` field to (system, costs, gamma, p0)."""
+def _compose_group_system(source):
+    """Resolve a group's ``system`` field to (system, costs, gamma, p0, mask).
+
+    ``mask`` is a named case study's hardware action mask (the CPU's
+    reactive wake, paper Section VI-C), ``None`` for the others and
+    for inline specs.
+    """
     if isinstance(source, str):
         if source not in _NAMED_SYSTEMS:
             raise ValidationError(
@@ -947,13 +952,14 @@ def _compose_group_system(source, lp_backend: str):
             bundle.costs,
             bundle.gamma,
             bundle.initial_distribution,
+            bundle.action_mask,
         )
     if isinstance(source, dict):
         from repro.tool.spec import parse_spec
 
         spec = parse_spec(source)
         system, costs, p0 = spec.compose()
-        return system, costs, spec.gamma, p0
+        return system, costs, spec.gamma, p0, None
     raise ValidationError(
         f"group 'system' must be a name or an inline spec mapping, "
         f"got {type(source).__name__}"
@@ -1005,12 +1011,14 @@ def _group_policy(
     p0,
     cache: PolicyCache,
     lp_backend: str,
+    action_mask=None,
 ):
     """The stationary policy one group's agents share, if its kind has one.
 
-    ``optimal`` groups solve it through the cache and ``eager`` groups
-    build it; every device of the group then wraps the same policy
-    object.  Other agent kinds return ``None``.
+    ``optimal`` groups solve it through the cache (with the system's
+    ``action_mask``, if it has one) and ``eager`` groups build it;
+    every device of the group then wraps the same policy object.
+    Other agent kinds return ``None``.
     """
     kind = str(agent_spec.get("type", "optimal"))
     if kind == "eager":
@@ -1025,7 +1033,9 @@ def _group_policy(
     if formulation == "average":
         from repro.core.average_cost import AverageCostOptimizer
 
-        optimizer = AverageCostOptimizer(system, costs, backend=lp_backend)
+        optimizer = AverageCostOptimizer(
+            system, costs, backend=lp_backend, action_mask=action_mask
+        )
     elif formulation == "discounted":
         from repro.core.optimizer import PolicyOptimizer
 
@@ -1035,6 +1045,7 @@ def _group_policy(
             gamma=gamma,
             initial_distribution=p0,
             backend=lp_backend,
+            action_mask=action_mask,
         )
     else:
         raise ValidationError(
@@ -1165,12 +1176,10 @@ def _build_group(
     prefix = str(group.get("id", f"g{gi}"))
     count = int(group.get("count", 1))
     seed = int(group.get("seed", base_seed * 7919 + gi))
-    system, costs, gamma, p0 = _compose_group_system(
-        group["system"], lp_backend
-    )
+    system, costs, gamma, p0, mask = _compose_group_system(group["system"])
     agent_spec = dict(group["agent"])
     group_policy = _group_policy(
-        agent_spec, system, costs, gamma, p0, cache, lp_backend
+        agent_spec, system, costs, gamma, p0, cache, lp_backend, mask
     )
     initial_state = group.get("initial_state")
     if initial_state is not None:

@@ -4,15 +4,10 @@ A fleet of a thousand identical devices does not need a thousand LP
 solves: the optimal policy is a pure function of the LP content
 (objective row, balance matrix, bound rows, backend).  The
 :class:`PolicyCache` addresses solves by a SHA-256 digest of exactly
-that content, so
-
-* devices with *identical* specs share one solve (exact hits), and
-* devices (or adaptive refits) with *near-identical* specs — same
-  shapes and constraint structure, slightly different coefficients —
-  reuse the previous optimal simplex basis through
-  :attr:`~repro.lp.result.LPResult.warm_start` (the PR-2 dual-simplex
-  restart path; backends without warm-start support accept and ignore
-  the hint).
+that content, so devices (or adaptive refits) with *identical* LPs
+share one solve.  Every miss is a cold solve on the optimizer's own
+backend, so what the cache returns never depends on what it solved
+before.
 
 The module also owns the content-signature helpers
 (:func:`system_signature`, :func:`costs_signature`,
@@ -140,28 +135,6 @@ def _lp_signature(lp, backend: str) -> str:
     )
 
 
-def _family_signature(lp, backend: str, objective: str, sense: str) -> str:
-    """Structural address: problems that can share a warm-start basis.
-
-    Warm starts only require matching dimensions and constraint
-    structure — coefficients may drift (an adaptive refit's requester
-    rows move a little every window), which is exactly the case the
-    dual-simplex restart path handles, falling back to a cold solve
-    when the old basis is unusable.
-    """
-    return _hash_arrays(
-        [
-            backend,
-            objective,
-            sense,
-            "sparse" if lp.is_sparse else "dense",
-            str((lp.n_variables,)),
-            str((lp.n_equalities, lp.n_variables)),
-            str((lp.n_inequalities, lp.n_variables)),
-        ]
-    )
-
-
 @dataclass
 class CacheStats:
     """Counters describing how a :class:`PolicyCache` has been used.
@@ -172,8 +145,6 @@ class CacheStats:
         Solves answered from the cache without touching a backend.
     misses:
         Solves that went to the LP backend.
-    warm_hinted:
-        Misses that carried a warm-start basis from the same family.
     evictions:
         Entries dropped by the LRU bound.
     solve_seconds:
@@ -184,7 +155,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    warm_hinted: int = 0
     evictions: int = 0
     solve_seconds: float = 0.0
 
@@ -193,7 +163,6 @@ class CacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "warm_hinted": self.warm_hinted,
             "evictions": self.evictions,
             "solve_seconds": self.solve_seconds,
         }
@@ -205,9 +174,7 @@ class PolicyCache:
     Parameters
     ----------
     max_entries:
-        LRU bound on cached results (``None`` means unbounded).  The
-        per-family warm-start hints are tiny (one simplex basis each)
-        and are not counted.
+        LRU bound on cached results (``None`` means unbounded).
 
     Notes
     -----
@@ -215,16 +182,12 @@ class PolicyCache:
     evaluations are treated as immutable, which every consumer in this
     package honours.
 
-    *Determinism.*  Exact hits are order-independent: the same LP on
-    the same backend always yields the same result, so it does not
-    matter which device solved it first.  Warm-started *misses* are
-    weaker: on a vertex-degenerate LP, a dual-simplex restart from
-    another solve's basis may terminate at a different (equally
-    optimal) vertex than a cold solve would, so the extracted policy
-    can depend on what the cache saw earlier.  Every such policy is
-    optimal — but a fleet that needs adaptive devices to be bitwise
-    reproducible in isolation should give each its own cache or use a
-    backend that ignores warm starts (the default ``scipy`` does).
+    *Determinism.*  A result is a function of the LP's content and
+    the backend alone: a miss solves cold, and a hit returns what that
+    cold solve returned.  So it does not matter which device solved an
+    LP first, or what else the cache solved before — a fresh cache, a
+    shared one and one restored from a checkpoint answer bit for bit
+    alike.
 
     Examples
     --------
@@ -247,7 +210,6 @@ class PolicyCache:
             )
         self._max_entries = None if max_entries is None else int(max_entries)
         self._results: OrderedDict[str, object] = OrderedDict()
-        self._warm: dict[str, object] = {}
         self._stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -262,9 +224,8 @@ class PolicyCache:
         return len(self._results)
 
     def clear(self) -> None:
-        """Drop every cached result and warm-start hint."""
+        """Drop every cached result."""
         self._results.clear()
-        self._warm.clear()
 
     # ------------------------------------------------------------------
     # the cached solve
@@ -283,7 +244,7 @@ class PolicyCache:
         :class:`~repro.core.optimizer.PolicyOptimizer` or an
         :class:`~repro.core.average_cost.AverageCostOptimizer` — both
         expose the ``build_lp``/``result_from_lp`` split this cache
-        needs to address and warm-start the raw LP solve.
+        needs to address the raw LP solve.
         """
         lp, recorded = optimizer.build_lp(
             objective, sense, upper_bounds, lower_bounds
@@ -296,21 +257,10 @@ class PolicyCache:
             self._stats.hits += 1
             return cached
 
-        family = _family_signature(lp, backend, objective, sense)
-        warm = self._warm.get(family)
-        if warm is not None:
-            self._stats.warm_hinted += 1
         solve_start = time.perf_counter()
-        lp_result = solve_lp(
-            lp,
-            backend=backend,
-            cross_check=optimizer.cross_check,
-            warm_start=warm,
-        )
+        lp_result = solve_lp(lp, backend=backend)
         self._stats.solve_seconds += time.perf_counter() - solve_start
         self._stats.misses += 1
-        if lp_result.warm_start is not None:
-            self._warm[family] = lp_result.warm_start
         result = optimizer.result_from_lp(lp_result, objective, recorded)
         self._results[key] = result
         if (

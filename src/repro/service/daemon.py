@@ -39,14 +39,19 @@ re-partitioning, and across mid-run worker restarts:
   object graph a single-process fleet would.  Stateless stationary
   agents — one per spec group — come from the registry; stateful
   agents (timeout, adaptive) keep the worker-evolved copy, whose state
-  is itself deterministic.
+  is itself deterministic;
+* policy solves — live pushes, registrations and adaptive refits solve
+  cold on a cache miss (see
+  :class:`~repro.runtime.policy_cache.PolicyCache`), so a sharded run
+  (whose workers each hold their own cache) and a resumed daemon
+  (which starts with an empty one) solve to the same bits.
 
-Documented exception: adaptive devices sharing a *warm-starting*
-policy cache keep their existing caveat (see
-:class:`~repro.runtime.policy_cache.PolicyCache`) — a sharded run
-splits the shared cache per worker, so tied-optimal vertex selection
-may differ exactly as it already may between two single-process runs
-with different cache histories.
+One gap remains in the checkpoint half: an adaptive agent shares
+objects with other devices that the gather does not re-attach — the
+:class:`~repro.runtime.policy_cache.PolicyCache` it refits through
+(split per worker, entries and hit/miss counters included) and its
+provider model — so checkpoints of fleets holding adaptive agents
+differ across shard counts (their telemetry does not).
 """
 
 from __future__ import annotations

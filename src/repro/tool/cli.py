@@ -810,8 +810,7 @@ def _cmd_fleet(args) -> int:
         if cache is not None and (cache.stats.hits or cache.stats.misses):
             print(
                 f"policy cache: {cache.stats.misses} solve(s), "
-                f"{cache.stats.hits} hit(s), "
-                f"{cache.stats.warm_hinted} warm-started"
+                f"{cache.stats.hits} hit(s)"
             )
 
         controller.run(args.ticks)

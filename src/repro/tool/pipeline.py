@@ -102,7 +102,6 @@ class PipelineReport:
 def optimize_spec(
     spec: SystemSpec,
     backend: str = "scipy",
-    cross_check: bool = False,
     formulation: str = "discounted",
 ) -> tuple[PolicyOptimizer, OptimizationResult]:
     """Solve the optimization a spec describes (spec-supplied requester).
@@ -115,9 +114,7 @@ def optimize_spec(
         gamma and initial state are ignored).
     """
     system, costs, p0 = spec.compose()
-    optimizer = _make_optimizer(
-        spec, system, costs, p0, backend, cross_check, formulation
-    )
+    optimizer = _make_optimizer(spec, system, costs, p0, backend, formulation)
     result = optimizer.optimize(
         spec.objective,
         "min",
@@ -127,7 +124,7 @@ def optimize_spec(
     return optimizer, result
 
 
-def _make_optimizer(spec, system, costs, p0, backend, cross_check, formulation):
+def _make_optimizer(spec, system, costs, p0, backend, formulation):
     if formulation == "discounted":
         return PolicyOptimizer(
             system,
@@ -135,14 +132,11 @@ def _make_optimizer(spec, system, costs, p0, backend, cross_check, formulation):
             gamma=spec.gamma,
             initial_distribution=p0,
             backend=backend,
-            cross_check=cross_check,
         )
     if formulation == "average":
         from repro.core.average_cost import AverageCostOptimizer
 
-        return AverageCostOptimizer(
-            system, costs, backend=backend, cross_check=cross_check
-        )
+        return AverageCostOptimizer(system, costs, backend=backend)
     raise ValidationError(
         f"unknown formulation {formulation!r}; use 'discounted' or 'average'"
     )
@@ -180,7 +174,6 @@ def sweep_tradeoff(
     refine: int = 0,
     n_jobs: int = 1,
     backend: str = "scipy",
-    cross_check: bool = False,
     formulation: str = "discounted",
 ) -> SweepReport:
     """Sweep a spec's trade-off curve through the incremental engine.
@@ -192,9 +185,7 @@ def sweep_tradeoff(
     This is the CLI's ``pareto`` engine.
     """
     system, costs, p0 = spec.compose()
-    optimizer = _make_optimizer(
-        spec, system, costs, p0, backend, cross_check, formulation
-    )
+    optimizer = _make_optimizer(spec, system, costs, p0, backend, formulation)
     solver = ParetoSweepSolver(
         optimizer,
         objective=objective,
@@ -214,7 +205,6 @@ def run_pipeline(
     rng: np.random.Generator | None = None,
     verify_slices: int = 50_000,
     backend: str = "scipy",
-    cross_check: bool = False,
     formulation: str = "discounted",
 ) -> PipelineReport:
     """Run the full Fig. 7 flow.
@@ -234,8 +224,8 @@ def run_pipeline(
         them (pure optimization).
     verify_slices:
         Length of the Markov-driven verification run.
-    backend / cross_check:
-        LP backend options (see :func:`repro.lp.solve_lp`).
+    backend:
+        LP backend name (see :func:`repro.lp.solve_lp`).
     formulation:
         ``"discounted"`` (paper Eq. 9) or ``"average"`` (paper Eq. 7).
     """
@@ -267,9 +257,7 @@ def run_pipeline(
             requester_state = requester.state_names[0]
         p0 = system.point_distribution(provider_state, requester_state, int(queue))
 
-    optimizer = _make_optimizer(
-        spec, system, costs, p0, backend, cross_check, formulation
-    )
+    optimizer = _make_optimizer(spec, system, costs, p0, backend, formulation)
     result = optimizer.optimize(
         spec.objective,
         "min",

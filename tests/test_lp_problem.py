@@ -113,7 +113,7 @@ class TestStandardForm:
 
 
 class TestMutation:
-    """Cheap RHS/row mutation for the sweep engine's shared LP."""
+    """Cheap RHS mutation for the sweep engine's shared LP."""
 
     def test_set_inequality_rhs(self):
         lp = small_lp()
@@ -127,12 +127,6 @@ class TestMutation:
             lp.set_inequality_rhs(5, 0.1)
         with pytest.raises(ValidationError, match="finite"):
             lp.set_inequality_rhs(0, float("inf"))
-
-    def test_set_inequality_replaces_row(self):
-        lp = small_lp()
-        lp.set_inequality(0, [0.0, 1.0, 0.0], 0.5)
-        assert lp.A_ub[0].tolist() == [0.0, 1.0, 0.0]
-        assert lp.b_ub[0] == 0.5
 
     def test_matrix_cache_reused_and_invalidated(self):
         lp = small_lp()
@@ -148,26 +142,3 @@ class TestMutation:
         lp.set_inequality_rhs(0, 0.1)
         assert lp.A_ub is cached
 
-    def test_with_upper_bound_row_shares_equality_block(self):
-        lp = small_lp()
-        eq_cache = lp.A_eq
-        clone = lp.with_upper_bound_row([0.0, 0.0, 1.0], 0.9)
-        assert clone.n_inequalities == lp.n_inequalities + 1
-        assert lp.n_inequalities == 1  # original untouched
-        assert clone.A_eq is eq_cache  # shared assembly
-        assert clone.b_ub[-1] == 0.9
-
-    def test_with_upper_bound_row_isolated_after_clone(self):
-        lp = small_lp()
-        clone = lp.with_upper_bound_row([0.0, 0.0, 1.0], 0.9)
-        clone.set_inequality_rhs(0, 0.1)
-        assert lp.b_ub[0] == 0.75  # original rhs unchanged
-
-    def test_copy_solves_identically(self):
-        from repro.lp.solve import solve_lp
-
-        lp = small_lp()
-        clone = lp.copy()
-        assert solve_lp(lp).objective == pytest.approx(
-            solve_lp(clone).objective
-        )

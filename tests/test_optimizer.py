@@ -249,13 +249,19 @@ class TestBackends:
         result.require_feasible()
         assert result.average(POWER) == pytest.approx(1.7383, abs=2e-3)
 
-    def test_cross_check_mode(self, example_bundle):
-        opt = PolicyOptimizer(
-            example_bundle.system,
-            example_bundle.costs,
-            gamma=example_bundle.gamma,
-            initial_distribution=example_bundle.initial_distribution,
-            cross_check=True,
+    def test_scipy_and_interior_point_agree_on_example_a2(self, example_bundle):
+        results = [
+            PolicyOptimizer(
+                example_bundle.system,
+                example_bundle.costs,
+                gamma=example_bundle.gamma,
+                initial_distribution=example_bundle.initial_distribution,
+                backend=backend,
+            ).minimize_power(penalty_bound=0.5, loss_bound=0.2)
+            for backend in ("scipy", "interior-point")
+        ]
+        scipy_lp, ipm_lp = (result.lp_result for result in results)
+        assert scipy_lp.is_optimal and ipm_lp.is_optimal
+        assert ipm_lp.objective == pytest.approx(
+            scipy_lp.objective, rel=1e-6, abs=1e-6
         )
-        result = opt.minimize_power(penalty_bound=0.5, loss_bound=0.2)
-        assert result.feasible

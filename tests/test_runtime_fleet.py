@@ -36,6 +36,7 @@ from repro.runtime import (
     MMPP2Stream,
     PeriodicBurstStream,
     build_fleet,
+    build_group_devices,
     device_record,
     device_rng,
     load_checkpoint,
@@ -725,6 +726,40 @@ class TestBuildFleet:
         }
         with pytest.raises(ValidationError, match="infeasible"):
             build_fleet(raw)
+
+    @pytest.mark.parametrize("formulation", ["average", "discounted"])
+    def test_cpu_group_keeps_the_reactive_wake_mask(self, formulation):
+        from repro.core.average_cost import AverageCostOptimizer
+        from repro.core.optimizer import PolicyOptimizer
+        from repro.systems import cpu
+
+        agent = {
+            "type": "optimal",
+            "penalty_bound": 0.3,
+            "formulation": formulation,
+        }
+        fleet, _ = build_fleet(
+            {"groups": [{"system": "cpu", "count": 2, "agent": agent}]}
+        )
+        (device,) = build_group_devices({"system": "cpu", "agent": agent})
+        bundle = cpu.build()
+        if formulation == "average":
+            optimizer = AverageCostOptimizer(
+                bundle.system, bundle.costs, action_mask=bundle.action_mask
+            )
+        else:
+            optimizer = PolicyOptimizer(
+                bundle.system,
+                bundle.costs,
+                gamma=bundle.gamma,
+                initial_distribution=bundle.initial_distribution,
+                action_mask=bundle.action_mask,
+            )
+        expected = optimizer.minimize_power(penalty_bound=0.3).policy.matrix
+        for built in (*fleet, device):
+            matrix = built.agent.policy.matrix
+            assert not matrix[~bundle.action_mask].any()
+            assert np.array_equal(matrix, expected)
 
 
 # ----------------------------------------------------------------------

@@ -298,6 +298,73 @@ def test_live_ops_match_single_process():
     assert _dump(records) == _dump(sink.records)
 
 
+PUSH_SPEC = {
+    "name": "push-test",
+    "groups": [
+        {
+            "id": "disks",
+            "count": 8,
+            "system": "disk_drive",
+            "agent": {"type": "optimal", "penalty_bound": 0.0522},
+        }
+    ],
+}
+
+
+def test_policy_push_after_resume_matches_uninterrupted(tmp_path):
+    # A policy push solves one LP of the fleet's own LP family on the
+    # simplex.  The uninterrupted run pushes through the cache that
+    # built the fleet (as `serve` does); the resumed one through a
+    # fresh cache (as `serve --resume` does).  The pushed policy, and
+    # so every checkpoint byte, must not depend on that history.
+    def push(supervisor, cache):
+        system, costs = supervisor.canonical_model("disks-0003")
+        agent = build_agent_from_spec(
+            {"type": "optimal", "penalty_bound": 0.0877},
+            system,
+            costs,
+            cache=cache,
+            lp_backend="simplex",
+        )
+        supervisor.replace_agents([("disks-0003", agent)])
+
+    def started(n_shards, fleet, tick=0):
+        supervisor = ShardSupervisor(
+            n_shards, slices_per_tick=SLICES, lp_backend="simplex"
+        )
+        supervisor.start(fleet, tick=tick)
+        return supervisor
+
+    fleet, cache = build_fleet(PUSH_SPEC, base_seed=7, lp_backend="simplex")
+    supervisor = started(2, fleet)
+    try:
+        supervisor.run(2)
+        push(supervisor, cache)
+        supervisor.run(2)
+        supervisor.save_checkpoint(tmp_path / "uninterrupted.ckpt")
+    finally:
+        supervisor.stop()
+
+    fleet, _ = build_fleet(PUSH_SPEC, base_seed=7, lp_backend="simplex")
+    supervisor = started(2, fleet)
+    try:
+        supervisor.run(2)
+        supervisor.save_checkpoint(tmp_path / "mid.ckpt")
+    finally:
+        supervisor.stop()
+    payload = load_checkpoint(tmp_path / "mid.ckpt")
+    supervisor = started(3, payload["fleet"], tick=payload["tick"])
+    try:
+        push(supervisor, None)
+        supervisor.run(2)
+        supervisor.save_checkpoint(tmp_path / "resumed.ckpt")
+    finally:
+        supervisor.stop()
+    assert (tmp_path / "resumed.ckpt").read_bytes() == (
+        tmp_path / "uninterrupted.ckpt"
+    ).read_bytes()
+
+
 def test_supervisor_rejects_bad_operations():
     supervisor = _start_supervisor(2)
     try:
