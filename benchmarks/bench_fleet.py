@@ -12,7 +12,9 @@ the controller picks and once on the serial fan-in fallback; the same
 scale doubles as the RNG fan-in comparison — the serial per-device
 :class:`~repro.sim.rng.FanInSource` against the vectorized
 :class:`~repro.sim.rng_batched.BatchedPCG64Source` — whose blocks must
-be byte-identical everywhere.  The final contract —
+be byte-identical everywhere.  Construction is timed at the same scale:
+``build_fleet`` on a 100,000-device spec, the path ``repro-dpm fleet``
+and ``serve`` start with.  The final contract —
 a checkpoint/resume campaign reproduces an uninterrupted run's
 telemetry *exactly* — is asserted alongside, on a mixed fleet (batch
 group + timeout heuristics + a stream-driven device) so every stepping
@@ -47,6 +49,7 @@ from repro.runtime import (
     FleetController,
     MemoryTelemetry,
     MMPP2Stream,
+    build_fleet,
     device_rng,
 )
 from repro.runtime.controller import _step_device_loop
@@ -81,6 +84,66 @@ def _stationary_fleet(bundle, n_devices: int, seed: int = 0) -> Fleet:
             initial_state=("active", "0", 0),
         )
     return fleet
+
+
+def _build_spec(n_devices: int) -> dict:
+    """A fleet spec shaped like ``examples/fleet_spec.json``, scaled.
+
+    Half optimal disks (one average-cost LP solve), a quarter eager
+    disks, eager running-example devices, and 1% on the per-device loop:
+    timeout disks and MMPP2-driven examples.
+    """
+    n_loop = max(2, n_devices // 100)
+    n_opt, n_eager = n_devices // 2, n_devices // 4
+    disk_eager = {"type": "eager", "active": "go_active", "sleep": "go_standby"}
+    edge_eager = {"type": "eager", "active": "s_on", "sleep": "s_off"}
+    return {
+        "groups": [
+            {
+                "id": "disk-opt",
+                "count": n_opt,
+                "system": "disk_drive",
+                "agent": {"type": "optimal", "penalty_bound": 0.5},
+                "initial_state": ["active", "0", 0],
+            },
+            {"id": "disk-eager", "count": n_eager, "system": "disk_drive",
+             "agent": disk_eager},
+            {"id": "edge", "count": n_devices - n_opt - n_eager - n_loop,
+             "system": "example", "agent": edge_eager},
+            {
+                "id": "disk-timeout",
+                "count": n_loop // 2,
+                "system": "disk_drive",
+                "agent": dict(disk_eager, type="timeout", timeout=200),
+            },
+            {
+                "id": "edge-mmpp",
+                "count": n_loop - n_loop // 2,
+                "system": "example",
+                "agent": edge_eager,
+                "workload": {"type": "mmpp2"},
+            },
+        ]
+    }
+
+
+def _build_rate(n_devices: int, repeats: int) -> tuple[float, float]:
+    """Median ``build_fleet`` wall clock and devices/second.
+
+    The first build solves the spec's LP; the timed builds reuse its
+    policy cache, so they measure construction alone.
+    """
+    spec = _build_spec(n_devices)
+    _, cache = build_fleet(spec, base_seed=1)
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fleet, _ = build_fleet(spec, base_seed=1, cache=cache)
+        times.append(time.perf_counter() - start)
+        assert len(fleet) == n_devices
+        del fleet
+    seconds = sorted(times)[len(times) // 2]
+    return seconds, n_devices / seconds
 
 
 def _mixed_fleet(seed: int = 3) -> Fleet:
@@ -246,6 +309,16 @@ def bench_fleet_batched_vs_fanin_100000lane(benchmark):
     )
 
 
+def bench_fleet_build_spec_100000dev(benchmark):
+    """``build_fleet`` on a 100,000-device spec (construction only)."""
+    seconds, rate = benchmark.pedantic(
+        lambda: _build_rate(N_DEVICES_SMOKE, 1), rounds=1, iterations=1
+    )
+    benchmark.extra_info.update(
+        n_devices=N_DEVICES_SMOKE, devices_per_sec=round(rate)
+    )
+
+
 def bench_fleet_checkpoint_roundtrip(benchmark, tmp_path):
     """Acceptance: resumed telemetry == uninterrupted telemetry."""
     exact = benchmark.pedantic(
@@ -306,6 +379,18 @@ def collect(quick: bool = False) -> dict:
             "seconds": round(seconds, 4),
             "device_slices_per_sec": round(rate),
             "fanin_device_slices_per_sec": round(fanin_fleet_rate),
+        }
+    )
+    # Construction at the same scale: the spec path CLI fleets start with.
+    build_seconds, build_rate = _build_rate(
+        N_DEVICES_SMOKE, 1 if quick else 3
+    )
+    records.append(
+        {
+            "name": f"build_spec_{N_DEVICES_SMOKE}dev",
+            "n_devices": N_DEVICES_SMOKE,
+            "seconds": round(build_seconds, 4),
+            "devices_per_sec": round(build_rate),
         }
     )
     # Source-level half: raw uniform-block production at 10^5 lanes.

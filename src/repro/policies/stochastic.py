@@ -17,6 +17,8 @@ dispatch prove the agent vectorizable.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.policy import MarkovPolicy
@@ -49,16 +51,28 @@ class StationaryPolicyAgent(StationaryAgent):
         self._system = system
         self._policy = policy
         self._matrix = policy.matrix
-        self._cumsum = categorical_cumsum(self._matrix, axis=1)
         self._n_requesters = system.requester.n_states
         self._n_queue = system.queue.n_states
+
+    # The sampling tables are built on the first ``select_command``, so
+    # building or unpickling an agent the batch kernel steps (it reads
+    # only the policy) costs no compilation.
+    @functools.cached_property
+    def _cumsum(self) -> np.ndarray:
+        return categorical_cumsum(self._matrix, axis=1)
+
+    @functools.cached_property
+    def _deterministic_row(self) -> np.ndarray:
         # Deterministic rows short-circuit the RNG draw.
-        self._deterministic_row = self._matrix.max(axis=1) > 1.0 - 1e-12
-        self._greedy = np.argmax(self._matrix, axis=1)
+        return self._matrix.max(axis=1) > 1.0 - 1e-12
+
+    @functools.cached_property
+    def _greedy(self) -> np.ndarray:
+        return np.argmax(self._matrix, axis=1)
 
     def __reduce__(self):
-        # The agent holds no state: pickle its inputs and rebuild the
-        # derived lookup arrays on load.
+        # The agent holds no state: pickle its inputs; the lookup tables
+        # are rebuilt on first use after load.
         return type(self), (self._system, self._policy)
 
     @property

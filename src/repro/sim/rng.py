@@ -47,6 +47,7 @@ __all__ = [
     "UniformSource",
     "categorical_cumsum",
     "child_rngs",
+    "device_rng",
     "make_rng",
     "sample_categorical",
     "sample_categorical_batch",
@@ -197,6 +198,19 @@ def spawn_rngs(seed: int | None, count: int) -> list[np.random.Generator]:
         raise ValueError(f"count must be >= 0, got {count}")
     sequence = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in sequence.spawn(int(count))]
+
+
+def device_rng(seed: int, index: int) -> np.random.Generator:
+    """The canonical per-device generator: ``(seed, device index)``.
+
+    Spawn keys make the streams statistically independent and — more
+    importantly for the fleet — *addressable*: any device can be
+    re-created in isolation with the exact stream it had inside the
+    fleet.  :func:`repro.sim.rng_batched.device_positions` computes
+    the starting positions of a whole block of these streams at once.
+    """
+    sequence = np.random.SeedSequence(int(seed), spawn_key=(int(index),))
+    return np.random.default_rng(sequence)
 
 
 def child_rngs(

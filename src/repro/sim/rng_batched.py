@@ -46,6 +46,16 @@ row of zeros holds no position (a PCG64 increment is always odd,
 stream stays a generator object.  When the serial fan-in serves a
 block, a :class:`PositionStream` draws each row through one shared
 generator, so the fallback needs no generator per device either.
+
+Streams are *seeded* in stacked form too: :func:`device_positions`
+returns the starting positions of ``device_rng(seed, i)`` for a block
+of indices without building a generator per device.  It runs numpy's
+:class:`~numpy.random.SeedSequence` hash mixing on uint32 lanes — only
+the spawn-key word differs between devices, so everything mixed before
+it is computed once per seed — then PCG64's two seeding steps with the
+same 128-bit limb math the draws use.  The same self-check compares it
+with ``device_rng``; where the check fails, every position comes from
+a per-device ``device_rng``.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from repro.sim.rng import device_rng
 from repro.util.validation import ValidationError
 
 __all__ = [
@@ -62,6 +73,7 @@ __all__ = [
     "batched_available",
     "batched_unavailable_reason",
     "derive_pcg64_multiplier",
+    "device_positions",
     "holds_position",
     "pcg64_generator",
     "pcg64_position",
@@ -78,6 +90,17 @@ _MOD128 = 1 << 128
 _MASK64 = (1 << 64) - 1
 #: ``Generator.random`` double conversion: ``(next64 >> 11) * 2**-53``.
 _DOUBLE_SCALE = 1.0 / 9007199254740992.0
+
+# numpy's SeedSequence hashing constants (``numpy/random/bit_generator``).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_WORD = 0xFFFFFFFF
 
 
 def derive_pcg64_multiplier() -> int | None:
@@ -162,9 +185,34 @@ def _derived() -> dict:
                 "Generator.random on this numpy build"
             ),
         }
+    elif not _seeding_matches(mult):
+        _DERIVED = {
+            "mult": None,
+            "reason": (
+                "vectorized stream seeding diverged from device_rng on "
+                "this numpy build"
+            ),
+        }
     else:
         _DERIVED = {"mult": mult, "reason": None}
     return _DERIVED
+
+
+#: Seeds the seeding self-check covers (one to five entropy words) and
+#: the indices it seeds each at (the first and last one-word keys).
+_CHECK_SEEDS = (0, 12345, 2**32, 2**130 + 99)
+_CHECK_INDICES = (0, 1, _WORD)
+
+
+def _seeding_matches(mult: int) -> bool:
+    """Does :func:`_seed_block` start where ``device_rng`` does?"""
+    indices = np.array(_CHECK_INDICES, dtype=np.uint32)
+    for seed in _CHECK_SEEDS:
+        block = _seed_block(seed, indices, mult)
+        for row, index in zip(block.tolist(), _CHECK_INDICES):
+            if tuple(row) != pcg64_position(device_rng(seed, index)):
+                return False
+    return True
 
 
 def batched_available() -> bool:
@@ -275,6 +323,52 @@ def _split_mult(mult: int) -> tuple:
     )
 
 
+def _lcg_step(s_hi, s_lo, inc_hi, inc_lo, limbs, scratch, hh, lo) -> None:
+    """``hh:lo = (s_hi:s_lo * MULT + inc_hi:inc_lo) mod 2**128``, per lane.
+
+    The 128-bit product is schoolbook multiplication over 32-bit limbs
+    in uint64 arrays.  ``limbs`` is :func:`_split_mult`'s output,
+    ``scratch`` six lane-sized uint64 buffers; ``hh`` and ``lo`` must
+    not alias the inputs.
+    """
+    m_hi, m_lo, m_lo_hi, m_lo_lo = limbs
+    a_lo, a_hi, ll, lh, hl, t = scratch
+    # --- state * MULT ---
+    np.bitwise_and(s_lo, _M32, out=a_lo)
+    np.right_shift(s_lo, _S32, out=a_hi)
+    np.multiply(a_lo, m_lo_lo, out=ll)
+    np.multiply(a_lo, m_lo_hi, out=lh)
+    np.multiply(a_hi, m_lo_lo, out=hl)
+    np.multiply(a_hi, m_lo_hi, out=hh)
+    np.right_shift(ll, _S32, out=t)
+    np.bitwise_and(lh, _M32, out=a_lo)
+    t += a_lo
+    np.bitwise_and(hl, _M32, out=a_lo)
+    t += a_lo
+    np.bitwise_and(ll, _M32, out=lo)
+    np.left_shift(t, _S32, out=a_lo)  # (t & M32) << 32 == t << 32
+    lo |= a_lo
+    lh >>= _S32
+    hh += lh
+    hl >>= _S32
+    hh += hl
+    t >>= _S32
+    hh += t
+    np.multiply(s_lo, m_hi, out=a_lo)  # cross terms into the hi limb
+    hh += a_lo
+    np.multiply(s_hi, m_lo, out=a_lo)
+    hh += a_lo
+    # --- + inc (with carry) ---
+    lo += inc_lo
+    carry = lo < inc_lo
+    hh += inc_hi
+    hh += carry
+
+
+def _lane_buffers(n_lanes: int, count: int) -> list:
+    return [np.empty(n_lanes, dtype=np.uint64) for _ in range(count)]
+
+
 def _draw_block(
     positions: np.ndarray, rows, chunk: int, n_kinds: int, mult: int
 ):
@@ -290,52 +384,18 @@ def _draw_block(
     """
     lanes = slice(None) if rows is None else rows
     total = chunk * n_kinds
-    m_hi, m_lo, m_lo_hi, m_lo_lo = _split_mult(mult)
+    limbs = _split_mult(mult)
     s_hi = np.ascontiguousarray(positions[lanes, 0])
     s_lo = np.ascontiguousarray(positions[lanes, 1])
     inc_hi = np.ascontiguousarray(positions[lanes, 2])
     inc_lo = np.ascontiguousarray(positions[lanes, 3])
     n_lanes = s_hi.shape[0]
-    a_lo = np.empty(n_lanes, dtype=np.uint64)
-    a_hi = np.empty(n_lanes, dtype=np.uint64)
-    ll = np.empty(n_lanes, dtype=np.uint64)
-    lh = np.empty(n_lanes, dtype=np.uint64)
-    hl = np.empty(n_lanes, dtype=np.uint64)
-    t = np.empty(n_lanes, dtype=np.uint64)
-    hh = np.empty(n_lanes, dtype=np.uint64)
-    lo = np.empty(n_lanes, dtype=np.uint64)
+    scratch = _lane_buffers(n_lanes, 6)
+    a_lo, a_hi, ll, _, _, t = scratch
+    hh, lo = _lane_buffers(n_lanes, 2)
     out = np.empty((total, n_lanes))
     for row in range(total):
-        # --- state * MULT (128-bit schoolbook, 32-bit limbs) ---
-        np.bitwise_and(s_lo, _M32, out=a_lo)
-        np.right_shift(s_lo, _S32, out=a_hi)
-        np.multiply(a_lo, m_lo_lo, out=ll)
-        np.multiply(a_lo, m_lo_hi, out=lh)
-        np.multiply(a_hi, m_lo_lo, out=hl)
-        np.multiply(a_hi, m_lo_hi, out=hh)
-        np.right_shift(ll, _S32, out=t)
-        np.bitwise_and(lh, _M32, out=a_lo)
-        t += a_lo
-        np.bitwise_and(hl, _M32, out=a_lo)
-        t += a_lo
-        np.bitwise_and(ll, _M32, out=lo)
-        np.left_shift(t, _S32, out=a_lo)  # (t & M32) << 32 == t << 32
-        lo |= a_lo
-        lh >>= _S32
-        hh += lh
-        hl >>= _S32
-        hh += hl
-        t >>= _S32
-        hh += t
-        np.multiply(s_lo, m_hi, out=a_lo)  # cross terms into the hi limb
-        hh += a_lo
-        np.multiply(s_hi, m_lo, out=a_lo)
-        hh += a_lo
-        # --- + inc (with carry) ---
-        lo += inc_lo
-        carry = lo < inc_lo
-        hh += inc_hi
-        hh += carry
+        _lcg_step(s_hi, s_lo, inc_hi, inc_lo, limbs, scratch, hh, lo)
         # --- XSL-RR output + double conversion, this row only ---
         np.bitwise_xor(hh, lo, out=a_lo)  # xored halves
         np.right_shift(hh, _S58, out=a_hi)  # rotation counts
@@ -354,6 +414,112 @@ def _draw_block(
     # Lane l's rows are its draws in (slice, kind) order, so the
     # (total, lanes) grid *is* the (chunk, kinds, lanes) block.
     return out.reshape(chunk, n_kinds, n_lanes)
+
+
+# ----------------------------------------------------------------------
+# seeding: SeedSequence + PCG64 initialization on lanes
+# ----------------------------------------------------------------------
+# The hash steps below take a Python int (a word every device shares)
+# or a uint32 array (one word per lane) alike: uint32 lanes wrap on
+# their own, and the ``& _WORD`` masks reduce Python ints the same way.
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """SeedSequence's ``hashmix``: the mixed value and the next constant."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _WORD
+    value = value * hash_const & _WORD
+    return value ^ value >> _XSHIFT, hash_const
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two 32-bit words."""
+    result = ((_MIX_MULT_L * x & _WORD) - _MIX_MULT_R * y) & _WORD
+    return result ^ result >> _XSHIFT
+
+
+def _entropy_words(value: int) -> list:
+    """``value`` as SeedSequence entropy: little-endian 32-bit words."""
+    words = [value & _WORD]
+    value >>= 32
+    while value:
+        words.append(value & _WORD)
+        value >>= 32
+    return words
+
+
+def _seed_block(seed: int, words: np.ndarray, mult: int) -> np.ndarray:
+    """Starting positions of ``device_rng(seed, i)`` for each ``i`` in
+    ``words`` (a uint32 array of one-word spawn keys), ``(n, 4)``."""
+    # SeedSequence.mix_entropy: the run entropy, padded to the pool size
+    # because a spawn key follows, then the spawn-key word.  Only that
+    # last word differs between lanes.
+    entropy = _entropy_words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    hash_const = _INIT_A
+    pool: list = []
+    for word in entropy[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in [*entropy[_POOL_SIZE:], words]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    # SeedSequence.generate_state(4, uint64): eight words off the pool,
+    # paired little-endian into PCG64's seed and stream words.
+    hash_const = _INIT_B
+    halves: list = []
+    for k in range(8):
+        value, hash_const = _hashmix(pool[k % _POOL_SIZE], hash_const, _MULT_B)
+        halves.append(value.astype(np.uint64))
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        halves[k] | halves[k + 1] << _S32 for k in range(0, 8, 2)
+    )
+    # PCG64 seeding: inc = seq << 1 | 1, then state = (inc + seed) * MULT
+    # + inc, the second of its two LCG steps from a zero state.
+    inc_hi = seq_hi << np.uint64(1) | seq_lo >> _S63
+    inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
+    s_lo = inc_lo + seed_lo
+    s_hi = inc_hi + seed_hi + (s_lo < inc_lo)
+    n_lanes = words.shape[0]
+    hh, lo = _lane_buffers(n_lanes, 2)
+    _lcg_step(
+        s_hi, s_lo, inc_hi, inc_lo, _split_mult(mult),
+        _lane_buffers(n_lanes, 6), hh, lo,
+    )
+    return np.stack([hh, lo, inc_hi, inc_lo], axis=1)
+
+
+def device_positions(seed: int, indices) -> np.ndarray:
+    """The positions ``device_rng(seed, i)`` starts at, one row per ``i``.
+
+    ``indices`` are non-negative device indices; returns their
+    ``(n, 4)`` uint64 position rows, byte-identical to
+    ``pcg64_position(device_rng(seed, i))``.  Indices below 2**32 (one
+    spawn-key word) are seeded in one array pass once the self-check
+    (:func:`batched_available`) passes.  A larger index, and every
+    index on a build failing the check, takes a per-device
+    ``device_rng``.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValidationError(f"stream seed must be >= 0, got {seed}")
+    indices = np.asarray(indices, dtype=np.uint64)
+    mult = _derived()["mult"]
+    batched = indices <= _WORD
+    if mult is None:
+        batched[:] = False
+    positions = np.empty((indices.shape[0], 4), dtype=np.uint64)
+    if batched.any():
+        positions[batched] = _seed_block(
+            seed, indices[batched].astype(np.uint32), mult
+        )
+    for k in np.flatnonzero(~batched):
+        positions[k] = pcg64_position(device_rng(seed, int(indices[k])))
+    return positions
 
 
 class BatchedDeviceStreams:

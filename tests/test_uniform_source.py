@@ -20,6 +20,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import (
     Fleet,
@@ -34,6 +36,7 @@ from repro.sim.rng_batched import (
     BatchedPCG64Source,
     batched_available,
     derive_pcg64_multiplier,
+    device_positions,
     holds_position,
     pcg64_generator,
     pcg64_position,
@@ -280,6 +283,80 @@ class TestBatchedSource:
         assert not batched_available()
         with pytest.raises(ValidationError, match="simulated unsupported"):
             BatchedPCG64Source(positions)
+
+
+# ----------------------------------------------------------------------
+# seeding: device_positions == device_rng
+# ----------------------------------------------------------------------
+def _device_rng_rows(seed, indices):
+    return np.array(
+        [pcg64_position(device_rng(seed, int(i))) for i in indices],
+        dtype=np.uint64,
+    )
+
+
+class TestDevicePositions:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**130),
+        index=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(seed=0, index=0)
+    @example(seed=2**32, index=0)
+    @example(seed=5 * 2**32, index=2**32 - 1)
+    @example(seed=2**128, index=1)
+    @example(seed=2**130, index=0)
+    def test_kernel_matches_device_rng(self, seed, index):
+        # One-word indices are seeded by the array kernel.
+        assert batched_available()
+        got = device_positions(seed, [index, 0])
+        assert (got == _device_rng_rows(seed, [index, 0])).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**31 - 1, 2**40 + 7])
+    def test_block_matches_device_rng(self, seed):
+        indices = np.arange(3000)
+        assert (
+            device_positions(seed, indices) == _device_rng_rows(seed, indices)
+        ).all()
+
+    def test_two_word_indices_take_device_rng(self):
+        # An index >= 2**32 is a two-word spawn key: the rows the kernel
+        # cannot seed come from device_rng, in place among the others.
+        indices = [2**32, 3, 2**32 + 7, 2**40 + 1, 2**32 - 1]
+        assert (
+            device_positions(99, indices) == _device_rng_rows(99, indices)
+        ).all()
+
+    def test_failed_self_check_falls_back_to_device_rng(self, monkeypatch):
+        _simulate_unsupported_build(monkeypatch)
+        indices = np.arange(50)
+        assert (
+            device_positions(11, indices) == _device_rng_rows(11, indices)
+        ).all()
+
+    def test_self_check_covers_seeding(self, monkeypatch):
+        # A kernel that seeds one lane wrong fails the first-use check,
+        # which switches the vectorized paths off and says why; the
+        # positions still come out right, through device_rng.
+        seed_block = rng_batched._seed_block
+
+        def off_by_one(seed, words, mult):
+            block = seed_block(seed, words, mult)
+            block[-1, 0] ^= np.uint64(1)
+            return block
+
+        monkeypatch.setattr(rng_batched, "_DERIVED", None)
+        monkeypatch.setattr(rng_batched, "_seed_block", off_by_one)
+        assert not batched_available()
+        assert "seeding" in rng_batched.batched_unavailable_reason()
+        indices = np.arange(20)
+        assert (
+            device_positions(5, indices) == _device_rng_rows(5, indices)
+        ).all()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match=">= 0"):
+            device_positions(-1, [0])
 
 
 # ----------------------------------------------------------------------
