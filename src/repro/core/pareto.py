@@ -149,9 +149,6 @@ def trade_off_curve(
     *,
     refine: int = 0,
     n_jobs: int = 1,
-    warm_start: bool = True,
-    bracket: bool = True,
-    dedupe_rtol: float | None = None,
 ) -> ParetoCurve:
     """Sweep ``constraint`` over ``bounds`` minimizing ``objective``.
 
@@ -184,9 +181,6 @@ def trade_off_curve(
     n_jobs:
         Process-parallel fan-out for the cold solves (1 = incremental
         serial sweep with warm starts, the default).
-    warm_start / bracket / dedupe_rtol:
-        Engine toggles, mainly for benchmarking the cold path; see
-        :class:`~repro.core.pareto_sweep.ParetoSweepSolver`.
 
     Returns
     -------
@@ -196,16 +190,12 @@ def trade_off_curve(
     """
     from repro.core.pareto_sweep import ParetoSweepSolver
 
-    kwargs = {} if dedupe_rtol is None else {"dedupe_rtol": dedupe_rtol}
     solver = ParetoSweepSolver(
         optimizer,
         objective=objective,
         constraint=constraint,
         extra_upper_bounds=extra_upper_bounds,
-        warm_start=warm_start,
-        bracket=bracket,
         n_jobs=n_jobs,
-        **kwargs,
     )
     return solver.solve(bounds, refine=refine)
 

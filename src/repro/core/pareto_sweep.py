@@ -47,7 +47,9 @@ from repro.core.pareto import ParetoCurve, ParetoPoint
 from repro.lp.solve import solve_lp, supports_warm_start
 from repro.util.validation import ValidationError
 
-#: Default relative tolerance for treating two swept bounds as equal.
+#: Relative tolerance for treating two swept bounds as equal: bounds
+#: within ``DEDUPE_RTOL * max(1, |bound|)`` of each other collapse into
+#: one solved point.
 DEDUPE_RTOL = 1e-9
 
 #: Refinement stops once the largest adjacent objective gap is below
@@ -153,15 +155,6 @@ class ParetoSweepSolver:
         ``">="`` — and bracketing adapts.
     extra_upper_bounds:
         Fixed per-slice upper bounds applied at every point.
-    dedupe_rtol:
-        Bounds within ``dedupe_rtol * max(1, |bound|)`` of each other
-        collapse into one solved point.
-    warm_start:
-        Chain the previous bound's optimal basis into the next solve on
-        warm-capable backends (no-op on scipy/interior-point).
-    bracket:
-        Locate the feasibility frontier by bisection instead of solving
-        every infeasible bound.
     n_jobs:
         Number of worker processes for cold-point fan-out; 1 (default)
         keeps the serial warm-chained sweep.
@@ -187,9 +180,6 @@ class ParetoSweepSolver:
         *,
         constraint_sense: str = "<=",
         extra_upper_bounds: dict[str, float] | None = None,
-        dedupe_rtol: float = DEDUPE_RTOL,
-        warm_start: bool = True,
-        bracket: bool = True,
         n_jobs: int = 1,
     ):
         for attr in ("build_lp", "result_from_lp", "optimize"):
@@ -211,9 +201,6 @@ class ParetoSweepSolver:
         self._extra_upper = {
             str(k): float(v) for k, v in (extra_upper_bounds or {}).items()
         }
-        self._dedupe_rtol = float(dedupe_rtol)
-        self._warm_start = bool(warm_start)
-        self._bracket = bool(bracket)
         self._n_jobs = n_jobs
         self.stats = SweepStats()
         # Lazily-built shared LP (balance block assembled exactly once).
@@ -246,11 +233,7 @@ class ParetoSweepSolver:
         if self._sense == ">=":
             rhs = -rhs  # lower bounds are stored as -row.x <= -rhs
         self._lp.set_inequality_rhs(self._row_index, rhs)
-        use_warm = (
-            warm
-            if self._warm_start and supports_warm_start(self._optimizer.backend)
-            else None
-        )
+        use_warm = warm if supports_warm_start(self._optimizer.backend) else None
         lp_result = solve_lp(
             self._lp, backend=self._optimizer.backend, warm_start=use_warm
         )
@@ -326,7 +309,7 @@ class ParetoSweepSolver:
         unique = [sorted_bounds[0]]
         for bound in sorted_bounds[1:]:
             scale = max(1.0, abs(unique[-1]))
-            if abs(bound - unique[-1]) > self._dedupe_rtol * scale:
+            if abs(bound - unique[-1]) > DEDUPE_RTOL * scale:
                 unique.append(bound)
         return unique
 
@@ -355,7 +338,7 @@ class ParetoSweepSolver:
             loose_to_tight = list(range(k - 1, -1, -1))
         else:
             loose_to_tight = list(range(k))
-        if not self._bracket or k == 1:
+        if k == 1:
             return sorted(loose_to_tight)
 
         class _UnprovenStatus(Exception):
@@ -478,8 +461,8 @@ class ParetoSweepSolver:
             bound = 0.5 * (left.bound + right.bound)
             scale = max(1.0, abs(bound))
             if (
-                abs(bound - left.bound) <= self._dedupe_rtol * scale
-                or abs(right.bound - bound) <= self._dedupe_rtol * scale
+                abs(bound - left.bound) <= DEDUPE_RTOL * scale
+                or abs(right.bound - bound) <= DEDUPE_RTOL * scale
             ):
                 return  # the gap is too narrow to bisect meaningfully
             result, warm = self._solve_bound(

@@ -21,11 +21,11 @@ contract machine-checked:
 (:class:`~repro.sim.rng.FanInSource`,
 :class:`~repro.sim.rng_batched.BatchedPCG64Source`) are sanctioned
 generator carriers: they hold caller-supplied generators or stream
-positions and re-expose the draw surface, so the same threading discipline applies to them —
-``random``/``random_raw``/``uniform_block`` on a source count as draws
-(policed by RNG004 like any generator method), and a source must reach
-its draw site as a parameter, local, or instance attribute, never as
-module state.
+positions and re-expose the draw surface, so the same threading
+discipline applies to them — ``random``/``random_raw`` on a source
+count as draws (policed by RNG004 like any generator method), and a
+source must reach its draw site as a parameter, local, or instance
+attribute, never as module state.
 """
 
 from __future__ import annotations
@@ -84,16 +84,13 @@ ENTROPY_SOURCES = frozenset(
 
 #: Generator (and :class:`~repro.sim.rng.UniformSource`) methods that
 #: consume a stream.  ``random`` doubles as the UniformSource protocol
-#: method; ``random_raw`` consumes the underlying bit generator;
-#: ``uniform_block`` is the stacked draw of
-#: :class:`~repro.sim.rng_batched.BatchedDeviceStreams` — all three
+#: method; ``random_raw`` consumes the underlying bit generator — both
 #: advance caller-owned stream state, so drawing them through an
 #: ambient name is exactly the leak RNG004 exists to catch.
 DRAW_METHODS = frozenset(
     {
         "random",
         "random_raw",
-        "uniform_block",
         "integers",
         "choice",
         "shuffle",
@@ -283,8 +280,8 @@ class UnthreadedGeneratorRule(Rule):
     that is none of these means the randomness comes from module/global
     state the caller cannot control or checkpoint.  The same applies to
     :class:`~repro.sim.rng.UniformSource` objects — a fan-in or batched
-    source *is* a bundle of caller-owned generators, and its ``random``
-    / ``uniform_block`` draws advance their streams just as directly.
+    source *is* a bundle of caller-owned streams, and its ``random``
+    draws advance them just as directly.
     """
 
     rule_id = "RNG004"

@@ -43,8 +43,6 @@ their LP's content and backend, whatever the
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.policies.base import Observation
@@ -325,16 +323,6 @@ class FleetController:
         recompiles lazily.
     slices_per_tick:
         Slices every device advances per :meth:`step_tick`.
-    record_timing:
-        Stamp each emitted telemetry record with per-tick wall-clock
-        (``timing``: tick/step/solve seconds).  Opt-in because wall
-        times are *not* a pure function of fleet state — enabling it
-        forfeits byte-identical telemetry across machines and resumed
-        runs (the determinism suite's contract).
-    policy_cache:
-        The :class:`~repro.runtime.policy_cache.PolicyCache` adaptive
-        devices solve through, if any — lets ``record_timing``
-        attribute a tick's wall-clock to stepping vs LP solving.
     telemetry:
         Optional sink with a ``record(dict)`` method
         (:class:`~repro.runtime.telemetry.MemoryTelemetry` /
@@ -343,6 +331,12 @@ class FleetController:
         Ticks between snapshots.
     telemetry_per_device:
         Include per-device sub-records in each snapshot.
+    policy_cache:
+        Accepted and ignored.  The controller keeps no handle on the
+        :class:`~repro.runtime.policy_cache.PolicyCache`: telemetry and
+        checkpoints are functions of fleet state alone, and wall-clock
+        readouts belong to the caller (``repro-dpm fleet`` prints one).
+        The keyword stays because ``perfbench/workloads.py`` passes it.
     initial_tick:
         Tick counter to start from (default 0).  :meth:`resume` and the
         service shard workers use it so a rebuilt controller's tick —
@@ -375,7 +369,6 @@ class FleetController:
         telemetry=None,
         telemetry_every: int = 1,
         telemetry_per_device: bool = False,
-        record_timing: bool = False,
         policy_cache=None,
         initial_tick: int = 0,
     ):
@@ -396,9 +389,6 @@ class FleetController:
             )
         self._fleet = fleet
         self._slices_per_tick = slices_per_tick
-        self._record_timing = bool(record_timing)
-        self._policy_cache = policy_cache
-        self._last_timing: dict | None = None
         self._telemetry = telemetry
         self._telemetry_every = telemetry_every
         self._telemetry_per_device = bool(telemetry_per_device)
@@ -426,14 +416,6 @@ class FleetController:
     def slices_per_tick(self) -> int:
         """Slices every device advances per tick."""
         return self._slices_per_tick
-
-    @property
-    def last_timing(self) -> dict | None:
-        """Wall-clock of the most recent tick (None before any tick or
-        when ``record_timing`` is off): ``tick_seconds`` total,
-        ``step_seconds`` stepping, ``solve_seconds`` LP time the policy
-        cache attributed during the tick."""
-        return self._last_timing
 
     def grouping(self) -> dict:
         """How the current fleet splits into batches (for reporting)."""
@@ -517,38 +499,14 @@ class FleetController:
         if len(self._fleet) == 0:
             raise ValidationError("cannot step an empty fleet")
         self._refresh_groups()
-        timing = self._record_timing
-        if timing:
-            solve_before = (
-                self._policy_cache.stats.solve_seconds
-                if self._policy_cache is not None
-                else 0.0
-            )
-            tick_start = time.perf_counter()
         for group in self._vector_groups:
             group.step(self._slices_per_tick)
         for device in self._loop_devices:
             tables = self._loop_tables[device.device_id]
             _step_device_loop(device, tables, self._slices_per_tick)
-        if timing:
-            tick_seconds = time.perf_counter() - tick_start
-            solve_seconds = (
-                self._policy_cache.stats.solve_seconds - solve_before
-                if self._policy_cache is not None
-                else 0.0
-            )
-            # Adaptive-device solves run *inside* the stepping loop, so
-            # the split subtracts them back out of the step share.
-            self._last_timing = {
-                "tick_seconds": tick_seconds,
-                "step_seconds": max(tick_seconds - solve_seconds, 0.0),
-                "solve_seconds": solve_seconds,
-            }
         self._tick += 1
         if self._tick % self._telemetry_every == 0:
             record = self.snapshot()
-            if timing:
-                record["timing"] = dict(self._last_timing)
             if self._telemetry is not None:
                 self._telemetry.record(record)
             return record
@@ -578,8 +536,6 @@ class FleetController:
         telemetry=None,
         telemetry_every: int | None = None,
         telemetry_per_device: bool | None = None,
-        record_timing: bool = False,
-        policy_cache=None,
     ) -> "FleetController":
         """Rebuild a controller from a checkpoint and continue.
 
@@ -608,7 +564,5 @@ class FleetController:
                 if telemetry_per_device is None
                 else telemetry_per_device
             ),
-            record_timing=record_timing,
-            policy_cache=policy_cache,
             initial_tick=payload["tick"],
         )

@@ -1249,7 +1249,7 @@ def build_agent_from_spec(
     agent_spec = dict(agent_spec)
     if not isinstance(agent_spec.get("type", "optimal"), str):
         raise ValidationError("agent spec 'type' must be a string")
-    cache = cache or PolicyCache()
+    cache = PolicyCache() if cache is None else cache
     group_policy = _group_policy(
         agent_spec, system, costs, gamma, initial_distribution, cache,
         lp_backend,
@@ -1360,7 +1360,7 @@ def build_group_devices(
     solves) as :func:`build_fleet`, then distributes them to shards.
     """
     _check_group(group, "group spec")
-    cache = cache or PolicyCache()
+    cache = PolicyCache() if cache is None else cache
     staging = Fleet()
     _build_group(
         staging, group, int(group_index), int(base_seed), cache, lp_backend
@@ -1382,7 +1382,7 @@ def build_fleet(
     report dedupe statistics.
     """
     raw = parse_fleet_spec(raw)
-    cache = cache or PolicyCache()
+    cache = PolicyCache() if cache is None else cache
     fleet = Fleet()
     for gi, group in enumerate(raw["groups"]):
         _build_group(fleet, group, gi, base_seed, cache, lp_backend)

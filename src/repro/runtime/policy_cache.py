@@ -19,7 +19,6 @@ pass over a fleet hash each distinct model once.
 from __future__ import annotations
 
 import hashlib
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -147,25 +146,11 @@ class CacheStats:
         Solves that went to the LP backend.
     evictions:
         Entries dropped by the LRU bound.
-    solve_seconds:
-        Wall-clock spent inside the LP backend (misses only; hits are
-        free).  The fleet controller reads deltas of this to attribute
-        a tick's time to stepping vs solving.
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    solve_seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        """Plain-dict view for telemetry/JSON reporting."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "solve_seconds": self.solve_seconds,
-        }
 
 
 class PolicyCache:
@@ -257,9 +242,7 @@ class PolicyCache:
             self._stats.hits += 1
             return cached
 
-        solve_start = time.perf_counter()
         lp_result = solve_lp(lp, backend=backend)
-        self._stats.solve_seconds += time.perf_counter() - solve_start
         self._stats.misses += 1
         result = optimizer.result_from_lp(lp_result, objective, recorded)
         self._results[key] = result

@@ -64,8 +64,7 @@ DEVICE_RECORD_FIELDS = frozenset(
 
 #: The complete field set of a fleet snapshot record, including the
 #: optional fields stamped by the controller (``devices`` under
-#: ``per_device=True``, ``timing`` under ``record_timing=True``) and
-#: by the fleet daemon
+#: ``per_device=True``) and by the fleet daemon
 #: (``quarantined`` — shard indices parked by the supervisor's
 #: crash-loop breaker, only present when non-empty so fault-free
 #: snapshots stay byte-identical to single-process ones).
@@ -80,7 +79,6 @@ SNAPSHOT_FIELDS = frozenset(
         "metrics",
         "counters",
         "devices",
-        "timing",
         "quarantined",
     }
 )

@@ -1043,7 +1043,7 @@ class FleetDaemon:
         self._telemetry = telemetry
         self._telemetry_every = telemetry_every
         self._telemetry_per_device = bool(telemetry_per_device)
-        self._cache = policy_cache or PolicyCache()
+        self._cache = PolicyCache() if policy_cache is None else policy_cache
         self._next_group_index = (
             None if next_group_index is None else int(next_group_index)
         )

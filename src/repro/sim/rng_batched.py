@@ -39,13 +39,13 @@ position column *in place*, so the column always holds every stream's
 current position and there is no generator object to bring up to
 date afterwards.  Generators and positions convert both ways:
 :func:`pcg64_position` reads a clean PCG64 generator's row (``None``
-for any other stream, see :func:`supports_generator`) and
-:func:`pcg64_generator` builds a fresh generator standing at a row.  A
-row of zeros holds no position (a PCG64 increment is always odd,
-:func:`holds_position`); the fleet gives that row to a device whose
-stream stays a generator object.  When the serial fan-in serves a
-block, a :class:`PositionStream` draws each row through one shared
-generator, so the fallback needs no generator per device either.
+for any other stream) and :func:`pcg64_generator` builds a fresh
+generator standing at a row.  A row of zeros holds no position (a
+PCG64 increment is always odd, :func:`holds_position`); the fleet
+gives that row to a device whose stream stays a generator object.
+When the serial fan-in serves a block, a :class:`PositionStream`
+draws each row through one shared generator, so the fallback needs
+no generator per device either.
 
 Streams are *seeded* in stacked form too: :func:`device_positions`
 returns the starting positions of ``device_rng(seed, i)`` for a block
@@ -67,7 +67,6 @@ from repro.sim.rng import device_rng
 from repro.util.validation import ValidationError
 
 __all__ = [
-    "BatchedDeviceStreams",
     "BatchedPCG64Source",
     "PositionStream",
     "batched_available",
@@ -77,7 +76,6 @@ __all__ = [
     "holds_position",
     "pcg64_generator",
     "pcg64_position",
-    "supports_generator",
 ]
 
 _M32 = np.uint64(0xFFFFFFFF)
@@ -167,14 +165,16 @@ def _derived() -> dict:
     # the serial per-generator draws *and* land on the same final
     # bit-generator states.
     reference = [np.random.default_rng(20_000 + i) for i in range(3)]
-    stacked = BatchedDeviceStreams.from_generators(reference, _mult=mult)
-    block = stacked.uniform_block(5, 4)
+    rows = np.array(
+        [pcg64_position(generator) for generator in reference],
+        dtype=np.uint64,
+    )
+    block = _draw_block(rows, None, 5, 4, mult)
     expected = np.empty_like(block)
     for lane, generator in enumerate(reference):
         expected[:, :, lane] = generator.random((5, 4))
     states_match = all(
-        stacked.export_state(lane)
-        == reference[lane].bit_generator.state["state"]
+        tuple(rows[lane].tolist()) == pcg64_position(reference[lane])
         for lane in range(3)
     )
     if not (block == expected).all() or not states_match:
@@ -234,9 +234,12 @@ def batched_unavailable_reason() -> str | None:
 def pcg64_position(generator) -> tuple[int, int, int, int] | None:
     """``generator``'s stream as a position row, or ``None``.
 
-    ``(state_hi, state_lo, inc_hi, inc_lo)`` for a clean PCG64 stream
-    (:func:`supports_generator`); ``None`` for any other generator,
-    which the vectorized path cannot carry.
+    ``(state_hi, state_lo, inc_hi, inc_lo)`` for a clean PCG64 stream;
+    ``None`` for any other generator, which the vectorized path cannot
+    carry: another bit generator, or a PCG64 holding a buffered
+    half-draw (``has_uint32`` — the fleet only ever draws doubles, but
+    a user-injected generator could arrive mid-``integers`` call, and
+    a position row has no room for its buffered word).
     """
     try:
         state = generator.bit_generator.state
@@ -251,17 +254,6 @@ def pcg64_position(generator) -> tuple[int, int, int, int] | None:
         raw["inc"] >> 64,
         raw["inc"] & _MASK64,
     )
-
-
-def supports_generator(generator) -> bool:
-    """Is ``generator`` a stream the vectorized path can carry?
-
-    Requires a PCG64 bit generator with no buffered half-draw
-    (``has_uint32 == 0`` — the fleet only ever draws doubles, but a
-    user-injected generator could arrive mid-``integers`` call, and
-    a position row has no room for its buffered word).
-    """
-    return pcg64_position(generator) is not None
 
 
 def _pcg64_state(position) -> dict:
@@ -522,92 +514,14 @@ def device_positions(seed: int, indices) -> np.ndarray:
     return positions
 
 
-class BatchedDeviceStreams:
-    """A stacked ``(n_lanes, 4)`` uint64 array of PCG64 device streams.
-
-    Every row is one stream's position; :meth:`uniform_block` draws
-    from all of them.  The rows are the exact integers of the
-    ``bit_generator.state["state"]`` dicts numpy pickles, so
-    :meth:`from_generators` and :meth:`export_state` convert to and
-    from generator objects without loss.
-    """
-
-    def __init__(self, state: np.ndarray, _mult: int | None = None):
-        state = np.asarray(state, dtype=np.uint64)
-        if state.ndim != 2 or state.shape[1] != 4:
-            raise ValidationError(
-                f"stream stack must be (n_lanes, 4) uint64, "
-                f"got shape {tuple(state.shape)}"
-            )
-        self._state = state
-        self._mult = _mult if _mult is not None else _available_mult()
-
-    @classmethod
-    def from_generators(
-        cls, generators, _mult: int | None = None
-    ) -> "BatchedDeviceStreams":
-        """Stack the PCG64 states of ``generators`` (lane order).
-
-        Raises :class:`~repro.util.validation.ValidationError` naming
-        the first lane whose generator the vectorized path cannot
-        carry (non-PCG64 bit generator, or a buffered half-draw).
-        """
-        generators = list(generators)
-        state = np.empty((len(generators), 4), dtype=np.uint64)
-        for lane, generator in enumerate(generators):
-            position = pcg64_position(generator)
-            if position is None:
-                raise ValidationError(
-                    f"lane {lane}: generator is not a clean PCG64 stream "
-                    f"(batched fan-in carries PCG64 with no buffered "
-                    f"uint32); use the serial fan-in for this group"
-                )
-            state[lane] = position
-        return cls(state, _mult=_mult)
-
-    @property
-    def n_lanes(self) -> int:
-        """Number of stacked streams."""
-        return self._state.shape[0]
-
-    @property
-    def state(self) -> np.ndarray:
-        """The live ``(n_lanes, 4)`` uint64 state stack."""
-        return self._state
-
-    def export_state(self, lane: int) -> dict:
-        """Lane ``lane``'s state as a PCG64 ``state["state"]`` dict."""
-        row = self._state[int(lane)]
-        return {
-            "state": (int(row[0]) << 64) | int(row[1]),
-            "inc": (int(row[2]) << 64) | int(row[3]),
-        }
-
-    def uniform_block(self, chunk: int, n_kinds: int) -> np.ndarray:
-        """Draw the next ``(chunk, n_kinds, n_lanes)`` uniform block.
-
-        Advances every stacked stream by ``chunk * n_kinds`` steps;
-        byte-identical to each lane's own ``Generator.random((chunk,
-        n_kinds))``.
-        """
-        chunk = int(chunk)
-        n_kinds = int(n_kinds)
-        if chunk <= 0 or n_kinds <= 0:
-            raise ValidationError(
-                f"uniform_block needs chunk > 0 and n_kinds > 0, "
-                f"got ({chunk}, {n_kinds})"
-            )
-        return _draw_block(self._state, None, chunk, n_kinds, self._mult)
-
-
 class BatchedPCG64Source:
     """The vectorized :class:`~repro.sim.rng.UniformSource`.
 
     Lane ``l`` is row ``rows[l]`` of ``positions``, an ``(n, 4)``
     uint64 position column (in a fleet, a column set's ``pcg``
-    column).  Each block is drawn with the array math of
-    :class:`BatchedDeviceStreams` — byte-identical to each lane's
-    private stream — and the advanced states are written straight back
+    column).  Each block is drawn with the stacked PCG64 math of
+    :func:`_draw_block` — byte-identical to each lane's private
+    stream — and the advanced states are written straight back
     to those rows, so the column always holds every lane's current
     position.
 

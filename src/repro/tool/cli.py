@@ -24,8 +24,9 @@ Subcommands:
   continues a saved campaign (refusing, with exit code 2, one stepped
   at a chunk length other than the fixed fleet one or saved with
   ``backend: "loop"``); vector-eligible devices step in grouped
-  batches and the rest on the per-device loop, and ``--timing``
-  stamps telemetry with per-tick wall-clock;
+  batches and the rest on the per-device loop, and the run's
+  wall-clock time is printed, never written to telemetry or
+  checkpoints;
 * ``serve SPEC.json --socket /tmp/fleet.sock --shards 4`` — run the
   sharded fleet daemon (:mod:`repro.service`): the fleet is dealt
   across worker processes by device-group content signature and
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -204,12 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="slices per tick (default: the spec's slices_per_tick, or 1000)",
-    )
-    p_fleet.add_argument(
-        "--timing",
-        action="store_true",
-        help="stamp telemetry with per-tick wall-clock (step/solve "
-        "split); forfeits byte-identical telemetry across machines",
     )
     p_fleet.add_argument(
         "--lp-backend",
@@ -758,7 +754,6 @@ def _cmd_fleet(args) -> int:
                 telemetry=telemetry,
                 telemetry_every=args.telemetry_every,
                 telemetry_per_device=args.per_device or None,
-                record_timing=args.timing,
             )
             cache = None
             print(
@@ -785,8 +780,6 @@ def _cmd_fleet(args) -> int:
                     1 if args.telemetry_every is None else args.telemetry_every
                 ),
                 telemetry_per_device=args.per_device,
-                record_timing=args.timing,
-                policy_cache=cache,
             )
             print(
                 f"built fleet {raw.get('name', 'unnamed')!r}: "
@@ -813,7 +806,13 @@ def _cmd_fleet(args) -> int:
                 f"{cache.stats.hits} hit(s)"
             )
 
+        started = time.perf_counter()
         controller.run(args.ticks)
+        seconds = time.perf_counter() - started
+        print(
+            f"ran {args.ticks} tick(s) in {seconds:.3f} s "
+            f"({1000 * seconds / max(args.ticks, 1):.1f} ms/tick)"
+        )
 
         record = controller.snapshot(per_device=False)
         rows = [
@@ -835,13 +834,6 @@ def _cmd_fleet(args) -> int:
             f"requests: {counters['arrivals']} arrived, "
             f"{counters['serviced']} serviced, {counters['lost']} lost"
         )
-        if args.timing and controller.last_timing is not None:
-            timing = controller.last_timing
-            print(
-                f"last tick: {timing['tick_seconds']:.3f}s "
-                f"({timing['step_seconds']:.3f}s stepping, "
-                f"{timing['solve_seconds']:.3f}s solving)"
-            )
         if args.checkpoint:
             controller.save_checkpoint(args.checkpoint)
             print(f"checkpoint saved to {args.checkpoint}")

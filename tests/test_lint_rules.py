@@ -307,15 +307,16 @@ class TestUnthreadedGenerator:
     def test_module_global_uniform_block_fires(self):
         assert_fires(
             """\
-            from repro.sim.rng_batched import BatchedDeviceStreams
+            import numpy as np
+            from repro.sim.rng_batched import BatchedPCG64Source
 
-            _STREAMS = BatchedDeviceStreams.from_generators([])
+            _SOURCE = BatchedPCG64Source(np.load("positions.npy"))
 
-            def block(chunk, kinds):
-                return _STREAMS.uniform_block(chunk, kinds)
+            def block(chunk, kinds, lanes):
+                return _SOURCE.random((chunk, kinds, lanes))
             """,
             "RNG004",
-            line=6,
+            line=7,
         )
 
     def test_parameter_uniform_source_is_clean(self):
@@ -329,9 +330,9 @@ class TestUnthreadedGenerator:
     def test_attribute_uniform_block_is_clean(self):
         assert_clean(
             """\
-            class Source:
-                def random(self, shape):
-                    return self._streams.uniform_block(shape[0], shape[1])
+            class Stepper:
+                def block(self, chunk, kinds, lanes):
+                    return self._source.random((chunk, kinds, lanes))
             """
         )
 

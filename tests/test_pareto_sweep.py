@@ -86,28 +86,6 @@ class TestEquivalence:
                 assert point.objective is None
                 assert point.policy is None
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_warm_matches_cold_engine(self, example_bundle, backend):
-        cold = trade_off_curve(
-            _make_optimizer(example_bundle, backend),
-            SWEEP_BOUNDS,
-            warm_start=False,
-            bracket=False,
-        )
-        warm = trade_off_curve(
-            _make_optimizer(example_bundle, backend), SWEEP_BOUNDS
-        )
-        assert [p.bound for p in cold.points] == [p.bound for p in warm.points]
-        for p_cold, p_warm in zip(cold.points, warm.points):
-            assert p_cold.feasible == p_warm.feasible
-            if p_cold.feasible:
-                assert p_warm.objective == pytest.approx(
-                    p_cold.objective, abs=1e-8
-                )
-                assert np.allclose(
-                    p_warm.policy.matrix, p_cold.policy.matrix, atol=1e-6
-                )
-
     def test_parallel_matches_serial(self, example_bundle):
         serial = trade_off_curve(_make_optimizer(example_bundle), SWEEP_BOUNDS)
         parallel = trade_off_curve(
@@ -171,9 +149,7 @@ class TestLowerBoundSweep:
 class TestDedupe:
     def test_duplicate_bounds_solved_once(self, example_bundle, spy_backend):
         optimizer = _make_optimizer(example_bundle)
-        curve = trade_off_curve(
-            optimizer, [0.5, 0.5, 0.5, 0.5 + 1e-12, 0.9], bracket=False
-        )
+        curve = trade_off_curve(optimizer, [0.5, 0.5, 0.5, 0.5 + 1e-12, 0.9])
         # 0.5 appears four times (one within tolerance); one point each.
         assert [p.bound for p in curve.points] == [0.5, 0.9]
         assert spy_backend["solves"] == 2
@@ -214,13 +190,14 @@ class TestBracketing:
     def test_bracketing_results_match_unbracketed(self, example_bundle):
         bounds = list(np.linspace(0.01, 0.15, 6)) + [0.2, 0.5, 0.9]
         bracketed = trade_off_curve(_make_optimizer(example_bundle), bounds)
-        plain = trade_off_curve(
-            _make_optimizer(example_bundle), bounds, bracket=False
-        )
-        for p_b, p_p in zip(bracketed.points, plain.points):
+        plain = _cold_reference(_make_optimizer(example_bundle), bounds)
+        assert len(bracketed.points) == len(plain)
+        for p_b, p_p in zip(bracketed.points, plain):
             assert p_b.feasible == p_p.feasible
             if p_b.feasible:
-                assert p_b.objective == pytest.approx(p_p.objective, abs=1e-8)
+                assert p_b.objective == pytest.approx(
+                    p_p.objective_average, abs=1e-8
+                )
 
 
 class TestRefine:
@@ -300,9 +277,7 @@ class TestSweepStats:
 
 class TestSimulateCurveTaggedError:
     def test_feasible_point_without_policy_raises(self, example_bundle):
-        curve = trade_off_curve(
-            _make_optimizer(example_bundle), [0.3, 0.6], bracket=False
-        )
+        curve = trade_off_curve(_make_optimizer(example_bundle), [0.3, 0.6])
         curve.points[1].policy = None  # corrupt: feasible but no policy
         with pytest.raises(ValidationError, match="feasible but"):
             simulate_curve(

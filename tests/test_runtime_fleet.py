@@ -17,6 +17,7 @@ import io
 import json
 import pickle
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from repro.runtime import (
     MemoryTelemetry,
     MMPP2Stream,
     PeriodicBurstStream,
+    PolicyCache,
+    build_agent_from_spec,
     build_fleet,
     build_group_devices,
     device_record,
@@ -552,33 +555,6 @@ class TestTelemetry:
         assert len(synced) == 3
 
 
-class TestTimingTelemetry:
-    """The opt-in wall-clock stamp."""
-
-    def _controller(self, example_bundle, eager_policy, **kwargs):
-        fleet = Fleet()
-        for i in range(3):
-            _stationary_device(
-                example_bundle, eager_policy, fleet, f"dev-{i}", 0, i
-            )
-        return FleetController(fleet, slices_per_tick=100, **kwargs)
-
-    def test_timing_off_by_default(self, example_bundle, eager_policy):
-        controller = self._controller(example_bundle, eager_policy)
-        record = controller.step_tick()
-        assert "timing" not in record
-        assert controller.last_timing is None
-
-    def test_timing_opt_in(self, example_bundle, eager_policy):
-        controller = self._controller(example_bundle, eager_policy, record_timing=True)
-        record = controller.step_tick()
-        timing = record["timing"]
-        assert set(timing) == {"tick_seconds", "step_seconds", "solve_seconds"}
-        assert timing["tick_seconds"] >= timing["step_seconds"] >= 0.0
-        assert timing["solve_seconds"] == 0.0  # no policy cache attached
-        assert controller.last_timing == timing
-
-
 def _mixed_fleet(example_bundle, eager_policy):
     """All three stepping paths: vector group, loop, stream-driven."""
     fleet = Fleet()
@@ -654,6 +630,40 @@ class TestCheckpoint:
         assert resumed._telemetry_every == 2
         assert resumed.fleet.device_ids == controller.fleet.device_ids
         assert resumed.fleet.total_slices == controller.fleet.total_slices
+
+    def test_adaptive_fleet_pickles_are_a_function_of_state(self):
+        """Two runs of one spec and seed pickle to the same bytes, also
+        after adaptive refits solved LPs through the policy cache."""
+        spec = {
+            "groups": [
+                {
+                    "id": "adaptive", "count": 2, "system": "example",
+                    "agent": {
+                        "type": "adaptive", "window": 200,
+                        "refit_every": 100, "penalty_bound": 0.5,
+                    },
+                },
+                {
+                    "id": "optimal", "count": 2, "system": "example",
+                    "agent": {"type": "optimal", "penalty_bound": 0.5},
+                },
+            ]
+        }
+
+        def run():
+            fleet, cache = build_fleet(spec, base_seed=1)
+            FleetController(fleet, slices_per_tick=100).run(3)
+            refits = [
+                fleet.device(f"adaptive-{i:04d}").agent.refits
+                for i in range(2)
+            ]
+            return pickle.dumps(fleet, protocol=4), cache, refits
+
+        first, cache, refits = run()
+        second, _, _ = run()
+        assert min(refits) >= 1
+        assert cache.stats.misses > 1
+        assert first == second
 
     def test_callable_stream_refused(self, example_bundle, tmp_path):
         fleet = Fleet()
@@ -847,6 +857,58 @@ class TestBuildFleet:
             assert np.array_equal(matrix, expected)
 
 
+class TestCallerCache:
+    """A caller's policy cache is used even while it is empty (and so
+    falsy, since ``PolicyCache`` has a length)."""
+
+    GROUP: ClassVar[dict] = {
+        "id": "opt", "count": 2, "system": "example",
+        "agent": {"type": "optimal", "penalty_bound": 0.5},
+    }
+
+    def test_build_fleet_keeps_an_empty_cache(self):
+        cache = PolicyCache()
+        _, used = build_fleet({"groups": [self.GROUP]}, cache=cache)
+        assert used is cache
+        assert (cache.stats.misses, cache.stats.hits) == (1, 0)
+
+    def test_build_group_devices_keeps_an_empty_cache(self):
+        cache = PolicyCache()
+        build_group_devices(self.GROUP, cache=cache)
+        assert (cache.stats.misses, cache.stats.hits) == (1, 0)
+        build_group_devices(self.GROUP, group_index=1, cache=cache)
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+
+    def test_build_agent_from_spec_keeps_an_empty_cache(self, example_bundle):
+        cache = PolicyCache()
+        build_agent_from_spec(
+            self.GROUP["agent"],
+            example_bundle.system,
+            example_bundle.costs,
+            cache=cache,
+        )
+        assert (cache.stats.misses, cache.stats.hits) == (1, 0)
+
+    def test_daemon_keeps_an_empty_cache(self, example_bundle):
+        from types import SimpleNamespace
+
+        from repro.service.daemon import FleetDaemon
+
+        supervisor = SimpleNamespace(
+            lp_backend="scipy",
+            canonical_model=lambda device_id: (
+                example_bundle.system, example_bundle.costs,
+            ),
+            replace_agents=lambda pairs: None,
+        )
+        cache = PolicyCache()
+        daemon = FleetDaemon("unused.sock", supervisor, policy_cache=cache)
+        params = {"device_id": "opt-0000", "agent": self.GROUP["agent"]}
+        for _ in range(2):
+            daemon._dispatch("update_policy", 1, params, channel=None)
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+
+
 # ----------------------------------------------------------------------
 # bulk construction: byte-identical to device-by-device registration
 # ----------------------------------------------------------------------
@@ -969,29 +1031,19 @@ class TestBulkConstruction:
     ``tests/data/bulk_build_parent.pkl.xz`` holds that construction's
     bytes, ``{"fleet": _fleet_bytes(spec, 3), "groups": _group_bytes(spec,
     3)}`` for ``spec = _every_kind_spec(...)``, pickled (protocol 4) and
-    lzma-compressed.  It was written with the policy cache's clock
-    frozen as below, on the build before groups registered in bulk,
-    whose ``_build_group`` registered each device with its own
+    lzma-compressed (``preset=9 | lzma.PRESET_EXTREME``).  It was written
+    on the build before groups registered in bulk, whose
+    ``_build_group`` registered each device with its own
     ``add_device(rng=device_rng(seed, i))`` call: a ``Device`` record
     built on a private one-row column set, then moved into the fleet.
-    (The trace file's path does not reach the pickles.)
+    That build's ``CacheStats`` had a wall-clock ``solve_seconds``
+    field, which the adaptive agents' policy cache pickled; it was
+    deleted there before writing, as it is here.  (The trace file's
+    path does not reach the pickles.)
     """
 
     PARENT = DATA / "bulk_build_parent.pkl.xz"
     BASE_SEED = 3
-
-    @pytest.fixture(autouse=True)
-    def _frozen_solve_clock(self, monkeypatch):
-        # The adaptive agents pickle the policy cache they refit
-        # through, whose stats hold the wall clock its LP solves took:
-        # that differs between any two builds unless the clock stands.
-        from types import SimpleNamespace
-
-        from repro.runtime import policy_cache
-
-        monkeypatch.setattr(
-            policy_cache, "time", SimpleNamespace(perf_counter=lambda: 0.0)
-        )
 
     @pytest.fixture(scope="class")
     def parent(self) -> dict:

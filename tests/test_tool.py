@@ -341,6 +341,7 @@ class TestCLI:
         assert code == 0
         assert "3 devices" in out
         assert "1 batch group(s)" in out
+        assert "ran 2 tick(s) in " in out and " ms/tick)" in out
         assert len(telemetry.read_text().splitlines()) == 2
         assert checkpoint.exists()
 

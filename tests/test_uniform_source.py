@@ -32,7 +32,6 @@ from repro.runtime import (
 from repro.sim import rng_batched
 from repro.sim.rng import FanInSource, UniformSource
 from repro.sim.rng_batched import (
-    BatchedDeviceStreams,
     BatchedPCG64Source,
     batched_available,
     derive_pcg64_multiplier,
@@ -40,7 +39,6 @@ from repro.sim.rng_batched import (
     holds_position,
     pcg64_generator,
     pcg64_position,
-    supports_generator,
 )
 from repro.util.validation import ValidationError
 
@@ -139,16 +137,16 @@ class TestBatchedKernel:
         assert batched_available()
 
     def test_supports_generator(self):
-        assert supports_generator(np.random.default_rng(0))
+        assert pcg64_position(np.random.default_rng(0)) is not None
         mt = np.random.Generator(np.random.MT19937(0))
-        assert not supports_generator(mt)
-        assert not supports_generator(object())
+        assert pcg64_position(mt) is None
+        assert pcg64_position(object()) is None
 
     def test_buffered_half_draw_is_unsupported(self):
         generator = np.random.default_rng(0)
         generator.integers(0, 10, dtype=np.uint32)  # buffers a uint32
         assert generator.bit_generator.state["has_uint32"]
-        assert not supports_generator(generator)
+        assert pcg64_position(generator) is None
 
     def test_positions_roundtrip_generators(self):
         generator = _generators(1)[0]
@@ -167,54 +165,61 @@ class TestBatchedKernel:
         assert holds_position(positions).tolist() == [True, False, True]
 
     def test_streams_roundtrip_state_dicts(self):
+        # A row is [state_hi, state_lo, inc_hi, inc_lo]: the integers of
+        # the generator's pickled ``bit_generator.state`` dict.
         generators = _generators(5)
-        streams = BatchedDeviceStreams.from_generators(generators)
-        assert streams.n_lanes == 5
-        for lane, generator in enumerate(generators):
-            assert (
-                streams.export_state(lane)
-                == generator.bit_generator.state["state"]
-            )
+        positions = _positions(generators)
+        assert BatchedPCG64Source(positions).n_lanes == 5
+        for (s_hi, s_lo, inc_hi, inc_lo), generator in zip(
+            positions.tolist(), generators
+        ):
+            assert {
+                "state": s_hi << 64 | s_lo,
+                "inc": inc_hi << 64 | inc_lo,
+            } == generator.bit_generator.state["state"]
 
     def test_streams_reject_bad_stack_shape(self):
-        with pytest.raises(ValidationError, match=r"\(n_lanes, 4\)"):
-            BatchedDeviceStreams(np.zeros((3, 3), dtype=np.uint64))
+        with pytest.raises(ValidationError, match=r"\(n, 4\) uint64"):
+            BatchedPCG64Source(np.zeros((3, 3), dtype=np.uint64))
 
     def test_streams_reject_non_pcg64_naming_lane(self):
+        # A non-PCG64 stream has no position, so its row stays zero.
         generators = _generators(3)
         generators[2] = np.random.Generator(np.random.MT19937(0))
+        assert pcg64_position(generators[2]) is None
+        positions = np.zeros((3, 4), dtype=np.uint64)
+        positions[:2] = _positions(generators[:2])
         with pytest.raises(ValidationError, match="lane 2"):
-            BatchedDeviceStreams.from_generators(generators)
+            BatchedPCG64Source(positions)
 
     def test_uniform_block_rejects_empty_request(self):
-        streams = BatchedDeviceStreams.from_generators(_generators(3))
-        with pytest.raises(ValidationError, match="chunk > 0"):
-            streams.uniform_block(0, 4)
+        source = BatchedPCG64Source(_positions(_generators(3)))
+        with pytest.raises(ValidationError, match="chunk must be > 0"):
+            source.random((0, 4, 3))
+        with pytest.raises(ValidationError, match="kinds must be > 0"):
+            source.random((4, 0, 3))
 
     @pytest.mark.parametrize("chunk", [1, 2, 17, 64, 256])
     def test_byte_identity_across_chunk_sizes(self, chunk):
         generators = _generators(33)
         reference = _generators(33)
-        streams = BatchedDeviceStreams.from_generators(generators)
-        block = streams.uniform_block(chunk, 4)
+        source = BatchedPCG64Source(_positions(generators))
+        block = source.random((chunk, 4, 33))
         assert block.shape == (chunk, 4, 33)
         assert (block == _reference_block(reference, chunk, 4)).all()
 
     def test_consecutive_variable_shape_calls(self):
-        generators = _generators(21)
         reference = _generators(21)
-        streams = BatchedDeviceStreams.from_generators(generators)
+        positions = _positions(_generators(21))
+        source = BatchedPCG64Source(positions)
         for chunk, kinds in ((17, 4), (5, 3), (1, 1), (30, 4)):
-            block = streams.uniform_block(chunk, kinds)
+            block = source.random((chunk, kinds, 21))
             assert (
                 block == _reference_block(reference, chunk, kinds)
             ).all()
-        # After all draws the stacked state equals the generators'.
+        # After all draws every row is its generator's position.
         for lane, generator in enumerate(reference):
-            assert (
-                streams.export_state(lane)
-                == generator.bit_generator.state["state"]
-            )
+            assert tuple(positions[lane].tolist()) == pcg64_position(generator)
 
 
 # ----------------------------------------------------------------------
