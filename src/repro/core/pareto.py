@@ -148,7 +148,6 @@ def trade_off_curve(
     extra_upper_bounds: dict[str, float] | None = None,
     *,
     refine: int = 0,
-    n_jobs: int = 1,
 ) -> ParetoCurve:
     """Sweep ``constraint`` over ``bounds`` minimizing ``objective``.
 
@@ -178,9 +177,6 @@ def trade_off_curve(
         Additionally bisect the ``refine`` largest objective gaps
         between adjacent feasible points, densifying the curve where it
         bends.
-    n_jobs:
-        Process-parallel fan-out for the cold solves (1 = incremental
-        serial sweep with warm starts, the default).
 
     Returns
     -------
@@ -195,7 +191,6 @@ def trade_off_curve(
         objective=objective,
         constraint=constraint,
         extra_upper_bounds=extra_upper_bounds,
-        n_jobs=n_jobs,
     )
     return solver.solve(bounds, refine=refine)
 

@@ -1,4 +1,4 @@
-"""Incremental, parallel Pareto sweep engine (the tool's curve factory).
+"""Incremental Pareto sweep engine (the tool's curve factory).
 
 The paper's headline artifacts (Figs. 6, 8b, 9a) are trade-off curves:
 one constrained LP (LP3/LP4) per swept bound.  The naive loop re-solves
@@ -20,9 +20,6 @@ structure instead:
   simplex) each solve chains the previous bound's optimal basis: the
   basis stays dual feasible under an RHS change, so a few dual-simplex
   pivots replace a cold two-phase solve.
-* **Parallel fan-out** — ``n_jobs > 1`` solves the remaining cold
-  points across processes (the LPs are independent); warm chaining is
-  inherently serial, so the two modes are alternatives, not a stack.
 * **Adaptive refinement** — ``refine=N`` bisects the ``N`` largest
   objective gaps between adjacent feasible points, densifying the curve
   where it bends most.
@@ -110,33 +107,6 @@ class SweepStats:
         }
 
 
-# ----------------------------------------------------------------------
-# process-parallel worker (state installed per process by the initializer)
-# ----------------------------------------------------------------------
-_WORKER: dict = {}
-
-
-def _init_worker(optimizer, objective, constraint, sense, extra_upper) -> None:
-    _WORKER["optimizer"] = optimizer
-    _WORKER["objective"] = objective
-    _WORKER["constraint"] = constraint
-    _WORKER["sense"] = sense
-    _WORKER["extra_upper"] = extra_upper
-
-
-def _solve_bound_in_worker(bound: float) -> OptimizationResult:
-    optimizer = _WORKER["optimizer"]
-    upper = dict(_WORKER["extra_upper"])
-    lower = None
-    if _WORKER["sense"] == "<=":
-        upper[_WORKER["constraint"]] = bound
-    else:
-        lower = {_WORKER["constraint"]: bound}
-    return optimizer.optimize(
-        _WORKER["objective"], "min", upper_bounds=upper or None, lower_bounds=lower
-    )
-
-
 class ParetoSweepSolver:
     """Incremental constrained-LP sweep producing a :class:`ParetoCurve`.
 
@@ -156,8 +126,8 @@ class ParetoSweepSolver:
     extra_upper_bounds:
         Fixed per-slice upper bounds applied at every point.
     n_jobs:
-        Number of worker processes for cold-point fan-out; 1 (default)
-        keeps the serial warm-chained sweep.
+        Must be 1: the sweep is serial and warm-chained.  The keyword
+        stays for callers that pass it.
 
     Examples
     --------
@@ -191,9 +161,10 @@ class ParetoSweepSolver:
             raise ValidationError(
                 f"constraint_sense must be '<=' or '>=', got {constraint_sense!r}"
             )
-        n_jobs = int(n_jobs)
-        if n_jobs < 1:
-            raise ValidationError(f"n_jobs must be >= 1, got {n_jobs}")
+        if n_jobs != 1:
+            raise ValidationError(
+                f"n_jobs must be 1, got {n_jobs}: the process fan-out was removed"
+            )
         self._optimizer = optimizer
         self._objective = str(objective)
         self._constraint = str(constraint)
@@ -201,7 +172,6 @@ class ParetoSweepSolver:
         self._extra_upper = {
             str(k): float(v) for k, v in (extra_upper_bounds or {}).items()
         }
-        self._n_jobs = n_jobs
         self.stats = SweepStats()
         # Lazily-built shared LP (balance block assembled exactly once).
         self._lp = None
@@ -387,12 +357,6 @@ class ParetoSweepSolver:
         solved: dict[int, tuple[OptimizationResult, object]],
     ) -> None:
         """Solve every possibly-feasible bound not already solved."""
-        pending = [i for i in feasible_idx if i not in solved]
-        if not pending:
-            return
-        if self._n_jobs > 1 and len(pending) > 1:
-            self._fan_out(unique, pending, solved)
-            return
         # Serial incremental pass: ascending bound order, chaining the
         # warm basis from the nearest already-solved neighbour.
         warm = None
@@ -402,42 +366,6 @@ class ParetoSweepSolver:
                 continue
             solved[i] = self._solve_bound(unique[i], warm=warm)
             warm = solved[i][1]
-
-    def _fan_out(
-        self,
-        unique: list[float],
-        pending: list[int],
-        solved: dict[int, tuple[OptimizationResult, object]],
-    ) -> None:
-        """Cold-solve ``pending`` bounds across worker processes."""
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-        initargs = (
-            self._optimizer,
-            self._objective,
-            self._constraint,
-            self._sense,
-            self._extra_upper,
-        )
-        n_workers = min(self._n_jobs, len(pending))
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=initargs,
-        ) as pool:
-            results = list(
-                pool.map(_solve_bound_in_worker, [unique[i] for i in pending])
-            )
-        for i, result in zip(pending, results):
-            solved[i] = (result, None)
-            self.stats.n_solves += 1
-            self.stats.n_cold += 1
 
     def _refine(
         self,

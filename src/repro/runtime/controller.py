@@ -12,9 +12,11 @@ chunk instead of a thousand Python loops.  The kernel is
 :mod:`~repro.sim.backends.vector`'s lane stepper; groups of 100k+
 devices are sharded into :data:`FLEET_LANE_BLOCK`-lane blocks to bound
 buffer sizes.  Devices the kernel cannot express (stateful heuristics,
-adaptive agents, stream-driven workloads) fall back to a resumable
-per-device loop with the reference semantics of
-:class:`~repro.sim.backends.loop.LoopBackend`.  That split is the
+adaptive agents, stream-driven workloads) fall back to a per-device
+loop that resumes each device through the loop path's one per-slice
+interpreter, :func:`~repro.sim.backends.loop.run_slices` — the same
+loop :class:`~repro.sim.backends.loop.LoopBackend` and
+:func:`~repro.sim.trace_sim.simulate_trace` run.  That split is the
 only rule: every vector-eligible device is grouped and every other
 one loops.
 
@@ -45,13 +47,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.policies.base import Observation
 from repro.runtime.fleet import Device, Fleet
 from repro.runtime.policy_cache import memoized_by_identity
 from repro.runtime.telemetry import snapshot
 from repro.sim.backends.base import SimulationTables
+from repro.sim.backends.loop import run_slices
 from repro.sim.backends.vector import CompiledPolicyBatch, VectorBackend
-from repro.sim.rng import FanInSource, sample_categorical
+from repro.sim.rng import FanInSource
 from repro.sim.rng_batched import (
     BatchedPCG64Source,
     PositionStream,
@@ -225,87 +227,50 @@ def _step_device_loop(
 ) -> None:
     """Resumable reference loop: one device, ``n_slices`` slices.
 
-    Model-driven devices reproduce
-    :class:`~repro.sim.backends.loop.LoopBackend` semantics slice for
-    slice (agent draw if any, SP draw, SR draw, service Bernoulli only
-    when work is pending) but continue from the device's persisted
-    state instead of resetting.  Stream-driven devices replace the SR
-    draw with the stream's arrival counts and track the observed SR
-    state (the fleet rendition of paper Section V's trace-driven mode).
-    The device's ``rng`` is read once (a column-backed device
-    materializes a generator at its position) and assigned back at the
-    end, which writes the advanced position to its row.
+    Steps the device through :func:`~repro.sim.backends.loop.run_slices`
+    from its persisted state, previous-slice arrivals and slice index
+    instead of a reset.  Model-driven devices draw their arrivals from
+    the SR chain, as :class:`~repro.sim.backends.loop.LoopBackend`
+    does; stream-driven devices take their stream's counts and track
+    the observed SR state, as
+    :func:`~repro.sim.trace_sim.simulate_trace` does (the fleet
+    rendition of paper Section V's trace-driven mode).  The device's
+    ``rng`` is read once (a column-backed device materializes a
+    generator at its position) and assigned back at the end, which
+    writes the advanced position to its row.
     """
-    s, r, q = device.state
-    agent, rng = device.agent, device.rng
-    metric_stack = tables.metric_stack
-    sp_cum, sr_cum = tables.sp_cum, tables.sr_cum
-    rates = tables.rates
-    arrivals_of, issuing = tables.arrivals_of, tables.issuing
-    capacity, n_sr, n_sq = tables.capacity, tables.n_sr, tables.n_sq
-    n_commands = tables.n_commands
+    n_slices = int(n_slices)
+    rng = device.rng
     counts = (
         device.stream.next_counts(n_slices)
         if device.stream is not None
         else None
     )
-    prev_arrivals = device.prev_arrivals
-    base_slice = device.slices
-    command_counts = device.command_counts
-    provider_occupancy = device.provider_occupancy
-    arrivals = serviced = lost = loss_events = 0
-
     totals = np.zeros(len(device.metric_names))
-    for t in range(int(n_slices)):
-        observation = Observation(
-            provider_state=s,
-            requester_state=r,
-            queue_length=q,
-            arrivals=prev_arrivals,
-            slice_index=base_slice + t,
+    try:
+        state, prev_arrivals, counters = run_slices(
+            tables,
+            device.agent,
+            rng,
+            device.state,
+            n_slices,
+            totals,
+            device.command_counts,
+            device.provider_occupancy,
+            prev_arrivals=device.prev_arrivals,
+            first_slice=device.slices,
+            counts=counts,
+            tracker=device.tracker,
         )
-        a = int(agent.select_command(observation, rng))
-        if not 0 <= a < n_commands:
-            raise ValidationError(
-                f"device {device.device_id!r}: agent returned command {a}, "
-                f"valid range is [0, {n_commands})"
-            )
-
-        joint = (s * n_sr + r) * n_sq + q
-        totals += metric_stack[:, joint, a]
-        command_counts[a] += 1
-        provider_occupancy[s] += 1
-        if counts is None:
-            at_risk = issuing[r] and q == capacity
-        else:
-            at_risk = prev_arrivals > 0 and q == capacity
-        if at_risk:
-            loss_events += 1
-
-        s_next = sample_categorical(sp_cum[a, s], rng)
-        if counts is None:
-            r_next = sample_categorical(sr_cum[r], rng)
-            z = int(arrivals_of[r_next])
-        else:
-            z = int(counts[t])
-            r_next = device.tracker.update(z)
-        pending = q + z
-        served = 0
-        if pending > 0 and rng.random() < rates[s, a]:
-            served = 1
-        q_next = min(pending - served, capacity)
-
-        arrivals += z
-        serviced += served
-        lost += max(pending - served - capacity, 0)
-        prev_arrivals = z
-        s, r, q = s_next, r_next, q_next
+    except ValidationError as error:
+        raise ValidationError(f"device {device.device_id!r}: {error}") from error
+    arrivals, serviced, lost, loss_events = counters
 
     device.totals += totals
-    device.state = (s, r, q)
+    device.state = state
     device.rng = rng
     device.prev_arrivals = prev_arrivals
-    device.slices += int(n_slices)
+    device.slices += n_slices
     device.arrivals += arrivals
     device.serviced += serviced
     device.lost += lost

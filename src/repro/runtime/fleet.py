@@ -1164,9 +1164,6 @@ def _group_policy(
 def _build_agent(
     agent_spec: dict,
     system: PowerManagedSystem,
-    costs: CostModel,
-    gamma: float,
-    p0,
     cache: PolicyCache,
     lp_backend: str,
     group_policy,
@@ -1254,10 +1251,7 @@ def build_agent_from_spec(
         agent_spec, system, costs, gamma, initial_distribution, cache,
         lp_backend,
     )
-    return _build_agent(
-        agent_spec, system, costs, gamma, initial_distribution, cache,
-        lp_backend, group_policy,
-    )
+    return _build_agent(agent_spec, system, cache, lp_backend, group_policy)
 
 
 def _build_group(
@@ -1299,10 +1293,7 @@ def _build_group(
         )
 
     def agent() -> PolicyAgent:
-        return _build_agent(
-            agent_spec, system, costs, gamma, p0, cache, lp_backend,
-            group_policy,
-        )
+        return _build_agent(agent_spec, system, cache, lp_backend, group_policy)
 
     # Stationary agents hold no state: the group's devices share one.
     if group_policy is not None:

@@ -17,7 +17,9 @@ batch shape.  The entry points:
 * :func:`~repro.sim.engine.simulate_sessions` — geometric-session
   simulation estimating the *discounted* totals of Section IV directly;
 * :func:`~repro.sim.trace_sim.simulate_trace` — trace-driven simulation
-  where arrivals are replayed from a discretized request trace.
+  where arrivals are replayed from a discretized request trace; it
+  steps through the loop path's interpreter and returns the same
+  :class:`~repro.sim.result.SimulationResult`.
 """
 
 from repro.sim.backends import LoopBackend, VectorBackend
@@ -37,7 +39,7 @@ from repro.sim.rng import (
     spawn_rngs,
 )
 from repro.sim.stats import SampleStats, confidence_interval
-from repro.sim.trace_sim import TraceSimulationResult, simulate_trace
+from repro.sim.trace_sim import simulate_trace
 
 __all__ = [
     "simulate",
@@ -46,7 +48,6 @@ __all__ = [
     "simulate_sessions",
     "simulate_trace",
     "SimulationResult",
-    "TraceSimulationResult",
     "SampleStats",
     "confidence_interval",
     "make_rng",

@@ -10,8 +10,7 @@ Subcommands:
   sweep a constraint through the incremental sweep engine (bound
   dedupe, feasibility bracketing, warm-started re-solves) and print the
   trade-off curve; ``--refine N`` densifies the curve where it bends,
-  ``--jobs N`` fans cold solves out across processes, ``--lp-backend``
-  picks the LP solver (warm starts need ``simplex``) and
+  ``--lp-backend`` picks the LP solver (warm starts need ``simplex``) and
   ``--simulate N`` verifies every feasible point with one batched
   simulation run;
 * ``experiment ID [--full]`` — regenerate a paper table/figure
@@ -140,14 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="adaptively bisect the N largest objective gaps to densify "
         "the curve where it bends (default: 0)",
-    )
-    p_pareto.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="solve cold sweep points across N processes (default: 1, "
-        "the incremental warm-started sweep)",
     )
     p_pareto.add_argument(
         "--lp-backend",
@@ -645,7 +636,6 @@ def _cmd_pareto(args) -> int:
         objective=args.objective,
         constraint=args.constraint,
         refine=args.refine,
-        n_jobs=args.jobs,
         backend=args.lp_backend,
     )
     curve = report.curve

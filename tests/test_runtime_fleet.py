@@ -46,8 +46,9 @@ from repro.runtime import (
     snapshot,
     snapshot_from_records,
 )
-from repro.runtime.streams import CallableStream
+from repro.runtime.streams import CallableStream, TraceStream
 from repro.sim.backends import LoopBackend, VectorBackend
+from repro.sim.trace_sim import simulate_trace
 from repro.sim.rng_batched import device_positions, holds_position
 from repro.util.validation import ValidationError
 
@@ -429,6 +430,21 @@ class TestControllerBackends:
     def test_empty_fleet_rejected(self):
         controller = FleetController(Fleet())
         with pytest.raises(ValidationError, match="empty fleet"):
+            controller.step_tick()
+
+    def test_loop_device_bad_command_names_the_device(self, example_bundle):
+        fleet = Fleet()
+        fleet.add_device(
+            "bad-0",
+            example_bundle.system,
+            example_bundle.costs,
+            TimeoutAgent(0, 9, 9),
+            rng=device_rng(0, 0),
+        )
+        controller = FleetController(fleet, slices_per_tick=5)
+        with pytest.raises(
+            ValidationError, match=r"device 'bad-0': agent returned command 9"
+        ):
             controller.step_tick()
 
     def test_membership_change_regroups(self, example_bundle, eager_policy):
@@ -1141,6 +1157,16 @@ class TestSeedValidation:
 # ----------------------------------------------------------------------
 # columnar state: row bookkeeping and the exactly-rounded fold
 # ----------------------------------------------------------------------
+class _ClockedTimeoutAgent(TimeoutAgent):
+    """A timeout agent that also reads the slice index: every 16th
+    slice it issues the active command whatever the timeout says, so a
+    device whose slice count restarted at a tick would step otherwise."""
+
+    def select_command(self, observation, rng):
+        command = super().select_command(observation, rng)
+        return self._active if observation.slice_index % 16 == 15 else command
+
+
 @pytest.fixture
 def recipes(example_bundle, disk_bundle, eager_policy):
     """Device kinds by name: both layouts, vector and loop paths."""
@@ -1165,6 +1191,12 @@ def recipes(example_bundle, disk_bundle, eager_policy):
             bundle = example_bundle
             agent = TimeoutAgent(3, 0, 1)
             stream = MMPP2Stream(0.9, 0.8, rng)
+        elif kind == "ex-trace":
+            bundle = example_bundle
+            agent = _ClockedTimeoutAgent(3, 0, 1)
+            # Three ticks' worth at TestColumnarState.SLICES per tick.
+            counts = np.random.default_rng(index).integers(0, 3, size=120)
+            stream = TraceStream(counts, cycle=False)
         else:  # "disk-loop"
             bundle = disk_bundle
             agent = TimeoutAgent(
@@ -1268,24 +1300,17 @@ class TestColumnarState:
     def test_tick_lands_single_run_results_on_rows(self, recipes):
         """One tick puts exactly what a single-run simulation of each
         device produces into its row: kernel lanes for vector devices,
-        the reference loop for the rest."""
-        kinds = ["disk-vec", "ex-vec", "disk-loop", "ex-loop", "disk-vec"]
+        the reference loop for the rest.  A trace-fed device stepped
+        over three ticks, carrying its previous-slice arrivals and slice
+        index across them, lands what one trace-driven run over the
+        concatenated counts produces."""
+        kinds = ["disk-vec", "ex-vec", "disk-loop", "ex-loop", "disk-vec", "ex-trace"]
         fleet, reference = Fleet(), Fleet()
         for i, kind in enumerate(kinds):
             recipes(fleet, f"d-{i}", kind, i)
             recipes(reference, f"d-{i}", kind, i)
-        FleetController(fleet, slices_per_tick=self.SLICES).run(1)
-        for i, kind in enumerate(kinds):
-            device, twin = fleet.device(f"d-{i}"), reference.device(f"d-{i}")
-            if kind.endswith("vec"):
-                policy = twin.agent.stationary_policy(twin.system)
-                result = VectorBackend().simulate_batch(
-                    twin.system, twin.costs, [policy], self.SLICES, twin.rng
-                )[0][0]
-            else:
-                result = LoopBackend().simulate(
-                    twin.system, twin.costs, twin.agent, self.SLICES, twin.rng
-                )
+
+        def assert_lands(device, result, n_slices):
             assert device.state == result.final_state
             assert device.totals.tolist() == [
                 result.totals[name] for name in device.metric_names
@@ -1300,9 +1325,42 @@ class TestColumnarState:
                 device.slices, device.arrivals, device.serviced,
                 device.lost, device.loss_event_slices,
             ) == (
-                self.SLICES, result.arrivals, result.serviced,
+                n_slices, result.arrivals, result.serviced,
                 result.lost, result.loss_event_slices,
             )
+
+        controller = FleetController(fleet, slices_per_tick=self.SLICES)
+        controller.run(1)
+        for i, kind in enumerate(kinds):
+            device, twin = fleet.device(f"d-{i}"), reference.device(f"d-{i}")
+            if kind.endswith("vec"):
+                policy = twin.agent.stationary_policy(twin.system)
+                result = VectorBackend().simulate_batch(
+                    twin.system, twin.costs, [policy], self.SLICES, twin.rng
+                )[0][0]
+            elif kind.endswith("loop"):
+                result = LoopBackend().simulate(
+                    twin.system, twin.costs, twin.agent, self.SLICES, twin.rng
+                )
+            else:
+                continue
+            assert_lands(device, result, self.SLICES)
+
+        controller.run(2)
+        device, twin = fleet.device("d-5"), reference.device("d-5")
+        assert device.stream.position == 3 * self.SLICES
+        result = simulate_trace(
+            twin.system,
+            twin.costs,
+            twin.agent,
+            twin.stream.counts,
+            twin.rng,
+            tracker=twin.tracker,
+        )
+        assert result.n_slices == 3 * self.SLICES
+        assert_lands(device, result, 3 * self.SLICES)
+        assert device.prev_arrivals == int(twin.stream.counts[-1])
+        assert device.rng.bit_generator.state == twin.rng.bit_generator.state
 
     def test_device_pickles_as_its_field_mapping(self, recipes):
         fleet = Fleet()
