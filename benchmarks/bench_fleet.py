@@ -14,10 +14,13 @@ scale doubles as the RNG fan-in comparison — the serial per-device
 :class:`~repro.sim.rng_batched.BatchedPCG64Source` — whose blocks must
 be byte-identical everywhere.  Construction is timed at the same scale:
 ``build_fleet`` on a 100,000-device spec, the path ``repro-dpm fleet``
-and ``serve`` start with.  The final contract —
+and ``serve`` start with, and so is a steady (second) tick of that
+spec's fleet.  The lane kinds are compared head to head: a tick of
+2,000 timeout disks (timeout lanes) against one of 2,000 eager disks
+(policy lanes).  The final contract —
 a checkpoint/resume campaign reproduces an uninterrupted run's
-telemetry *exactly* — is asserted alongside, on a mixed fleet (batch
-group + timeout heuristics + a stream-driven device) so every stepping
+telemetry *exactly* — is asserted alongside, on a mixed fleet (policy
+lanes, timeout lanes, stream lanes and a loop device) so every stepping
 path crosses the checkpoint.
 
 Run under pytest-benchmark::
@@ -69,6 +72,8 @@ SPEEDUP_TARGET = 10.0
 N_DEVICES_SMOKE = 100_000
 #: RNG fan-in comparison: one 10^5-lane uniform block.
 N_LANES_RNG = N_DEVICES_SMOKE
+#: Lane-kind comparison: timeout disks against eager disks.
+N_LANE_KIND_DEVICES = 2_000
 
 
 def _stationary_fleet(bundle, n_devices: int, seed: int = 0) -> Fleet:
@@ -90,8 +95,9 @@ def _build_spec(n_devices: int) -> dict:
     """A fleet spec shaped like ``examples/fleet_spec.json``, scaled.
 
     Half optimal disks (one average-cost LP solve), a quarter eager
-    disks, eager running-example devices, and 1% on the per-device loop:
-    timeout disks and MMPP2-driven examples.
+    disks, eager running-example devices, and 1% timeout disks and
+    MMPP2-driven examples, which step as timeout lanes of the disk
+    batch and as a stream-driven batch.
     """
     n_loop = max(2, n_devices // 100)
     n_opt, n_eager = n_devices // 2, n_devices // 4
@@ -146,8 +152,72 @@ def _build_rate(n_devices: int, repeats: int) -> tuple[float, float]:
     return seconds, n_devices / seconds
 
 
+def _disk_fleet(agent_spec: dict, n_devices: int) -> Fleet:
+    """``n_devices`` disks of one spec group under ``agent_spec``."""
+    fleet, _ = build_fleet(
+        {
+            "groups": [
+                {
+                    "id": "disk",
+                    "count": n_devices,
+                    "system": "disk_drive",
+                    "agent": agent_spec,
+                    "initial_state": ["active", "0", 0],
+                }
+            ]
+        },
+        base_seed=1,
+    )
+    return fleet
+
+
+def _steady_tick_seconds(fleet: Fleet, ticks: int, slices_per_tick: int):
+    """Median wall clock of ``ticks`` ticks after the first.
+
+    The first tick groups the fleet and compiles its batches, so it is
+    stepped but not timed.  Returns ``(seconds, loop_devices)``.
+    """
+    controller = FleetController(fleet, slices_per_tick=slices_per_tick)
+    controller.step_tick()
+    times = []
+    for _ in range(ticks):
+        start = time.perf_counter()
+        controller.step_tick()
+        times.append(time.perf_counter() - start)
+    seconds = sorted(times)[len(times) // 2]
+    return seconds, controller.grouping()["loop_devices"]
+
+
+def _lane_kind_records(n_devices: int, ticks: int, slices_per_tick: int):
+    """Tick records for timeout disks and eager disks, and the ratio of
+    the timeout tick to the eager one."""
+    disk_eager = {"type": "eager", "active": "go_active", "sleep": "go_standby"}
+    records = []
+    seconds = {}
+    for kind, agent_spec in (
+        ("timeout", dict(disk_eager, type="timeout", timeout=200)),
+        ("eager", disk_eager),
+    ):
+        seconds[kind], loop_devices = _steady_tick_seconds(
+            _disk_fleet(agent_spec, n_devices), ticks, slices_per_tick
+        )
+        records.append(
+            {
+                "name": f"tick_{kind}_disk66_{n_devices}dev",
+                "n_devices": n_devices,
+                "slices_per_tick": slices_per_tick,
+                "tick_seconds": round(seconds[kind], 5),
+                "loop_devices": loop_devices,
+                "device_slices_per_sec": round(
+                    n_devices * slices_per_tick / seconds[kind]
+                ),
+            }
+        )
+    return records, round(seconds["timeout"] / seconds["eager"], 2)
+
+
 def _mixed_fleet(seed: int = 3) -> Fleet:
-    """Vector group + loop heuristics + a stream-driven device."""
+    """Policy lanes with timeout lanes, a stream lane and a loop device."""
     bundle = example_system.build()
     policy = eager_markov_policy(bundle.system, "s_on", "s_off")
     fleet = Fleet()
@@ -167,15 +237,21 @@ def _mixed_fleet(seed: int = 3) -> Fleet:
             TimeoutAgent(5, 0, 1),
             rng=device_rng(seed + 1, i),
         )
-    rng = device_rng(seed + 2, 0)
-    fleet.add_device(
-        "stream-00",
-        bundle.system,
-        bundle.costs,
-        TimeoutAgent(3, 0, 1),
-        rng=rng,
-        stream=MMPP2Stream(0.95, 0.85, rng),
-    )
+    # A stationary agent on a stream is a stream lane; a timeout agent
+    # on one stays on the loop.
+    for name, agent, index in (
+        ("stream-00", TimeoutAgent(3, 0, 1), 0),
+        ("stream-01", StationaryPolicyAgent(bundle.system, policy), 1),
+    ):
+        rng = device_rng(seed + 2, index)
+        fleet.add_device(
+            name,
+            bundle.system,
+            bundle.costs,
+            agent,
+            rng=rng,
+            stream=MMPP2Stream(0.95, 0.85, rng),
+        )
     return fleet
 
 
@@ -393,6 +469,28 @@ def collect(quick: bool = False) -> dict:
             "devices_per_sec": round(build_rate),
         }
     )
+    # A steady tick of the spec's fleet at the same scale, at the
+    # fleet-steady benchmark's 8 slices a tick.
+    spec_tick, spec_loop_devices = _steady_tick_seconds(
+        build_fleet(_build_spec(N_DEVICES_SMOKE), base_seed=1)[0],
+        1 if quick else 3,
+        8,
+    )
+    records.append(
+        {
+            "name": f"steady_tick_spec_{N_DEVICES_SMOKE}dev",
+            "n_devices": N_DEVICES_SMOKE,
+            "slices_per_tick": 8,
+            "tick_seconds": round(spec_tick, 4),
+            "loop_devices": spec_loop_devices,
+            "device_slices_per_sec": round(N_DEVICES_SMOKE * 8 / spec_tick),
+        }
+    )
+    # Lane kinds head to head: timeout lanes against policy lanes.
+    lane_records, timeout_vs_eager = _lane_kind_records(
+        N_LANE_KIND_DEVICES, 3 if quick else 10, 64
+    )
+    records.extend(lane_records)
     # Source-level half: raw uniform-block production at 10^5 lanes.
     rng_chunk = 8 if quick else 16
     fanin_rate, batched_rate, rng_identical = _rng_fan_in_rates(
@@ -420,6 +518,8 @@ def collect(quick: bool = False) -> dict:
         "batched_available": batched_available(),
         "rng_blocks_identical": rng_identical,
         "checkpoint_resume_exact": exact,
+        # Timeout-disk tick over eager-disk tick, equal fleet sizes.
+        "timeout_tick_vs_eager": timeout_vs_eager,
     }
     if batched_rate is not None:
         document["speedup_batched_vs_fanin"] = round(

@@ -8,11 +8,13 @@ setting — a long-lived controller stepping a heterogeneous fleet:
   **once** through the content-addressed :class:`PolicyCache` and
   stepped as a single vectorized batch (one group, one compiled
   kernel, 256 lanes);
-* 4 disks under a classic timeout heuristic (stateful, so each runs on
-  the per-device reference loop);
-* 4 example devices fed by a bursty synthetic *workload stream*
-  instead of their Markov SR model (the fleet rendition of the paper's
-  trace-driven mode).
+* 4 disks under a classic timeout heuristic, stepped as timeout lanes
+  of the disk batch (the kernel applies the timeout rule, the idle
+  counters stay in the agents);
+* 4 example devices under a timeout heuristic, fed by a bursty
+  synthetic *workload stream* instead of their Markov SR model (the
+  fleet rendition of the paper's trace-driven mode); a timeout agent
+  with a stream runs on the per-device reference loop.
 
 Halfway through the campaign the fleet is checkpointed — RNG streams,
 agent state, stream cursors and all — then resumed, and the final
@@ -68,7 +70,7 @@ def build_fleet() -> tuple[Fleet, PolicyCache]:
             initial_state=("active", "0", 0),
         )
 
-    # --- a few timeout-managed disks (stateful -> per-device loop) ----
+    # --- a few timeout-managed disks (timeout lanes of the disk batch)
     active = disk.system.chain.command_index("go_active")
     standby = disk.system.chain.command_index("go_standby")
     for i in range(N_TIMEOUT_DISKS):
@@ -81,7 +83,7 @@ def build_fleet() -> tuple[Fleet, PolicyCache]:
             initial_state=("active", "0", 0),
         )
 
-    # --- stream-driven edge devices (exogenous bursty workload) -------
+    # --- stream-driven timeout devices (bursty workload; per-device loop)
     edge = example_system.build()
     for i in range(N_STREAM_DEVICES):
         rng = device_rng(seed=2, index=i)

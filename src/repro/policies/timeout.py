@@ -46,6 +46,29 @@ class TimeoutAgent(PolicyAgent):
         """The configured timeout, in slices."""
         return self._timeout
 
+    @property
+    def active_command(self) -> int:
+        """The command issued while work is pending or the timeout runs."""
+        return self._active
+
+    @property
+    def sleep_command(self) -> int:
+        """The command issued once the timeout has expired."""
+        return self._sleep
+
+    @property
+    def idle_slices(self) -> int:
+        """Consecutive idle slices observed so far (the countdown).
+
+        Settable, so a stepper that applies this agent's rule outside
+        :meth:`select_command` (the fleet's vector kernel) can carry it.
+        """
+        return self._idle_slices
+
+    @idle_slices.setter
+    def idle_slices(self, value: int) -> None:
+        self._idle_slices = int(value)
+
     def reset(self) -> None:
         self._idle_slices = 0
 

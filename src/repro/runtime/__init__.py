@@ -24,9 +24,11 @@ Module index
     one batch of the vector joint-state kernel, each lane
     drawing from its own device's stream through a
     :class:`~repro.sim.rng.UniformSource` (vectorized batched PCG64
-    over the position column by default, serial fan-in otherwise);
-    stateful/adaptive/
-    stream-driven devices fall back to a resumable per-device loop.
+    over the position column by default, serial fan-in otherwise).
+    Fixed-timeout devices step as timeout lanes of their model's
+    batch, and stationary stream-driven devices as counts-driven
+    batches of their own; adaptive agents, other stateful heuristics
+    and custom trackers fall back to a resumable per-device loop.
     Results are bitwise identical however devices are grouped.
 :mod:`~repro.runtime.policy_cache`
     :class:`PolicyCache` — content-addressed dedupe of LP solves

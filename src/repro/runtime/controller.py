@@ -11,14 +11,31 @@ thousand stationary devices advance in a handful of fused calls per
 chunk instead of a thousand Python loops.  The kernel is
 :mod:`~repro.sim.backends.vector`'s lane stepper; groups of 100k+
 devices are sharded into :data:`FLEET_LANE_BLOCK`-lane blocks to bound
-buffer sizes.  Devices the kernel cannot express (stateful heuristics,
-adaptive agents, stream-driven workloads) fall back to a per-device
-loop that resumes each device through the loop path's one per-slice
-interpreter, :func:`~repro.sim.backends.loop.run_slices` — the same
-loop :class:`~repro.sim.backends.loop.LoopBackend` and
-:func:`~repro.sim.trace_sim.simulate_trace` run.  That split is the
-only rule: every vector-eligible device is grouped and every other
-one loops.
+buffer sizes.  One rule on the device alone picks its lane kind
+(:func:`_lane_key`):
+
+* a *policy lane*: a stationary agent and model-driven arrivals
+  (:attr:`~repro.runtime.fleet.Device.vector_eligible`);
+* a *timeout lane*: exactly a
+  :class:`~repro.policies.timeout.TimeoutAgent` (not a subclass, which
+  may read more of the observation) and model-driven arrivals.  It
+  joins its model's deterministic policy group and steps on the
+  kernel's timeout rule
+  (:class:`~repro.sim.backends.vector.TimeoutLanes`), its idle counter
+  kept in the agent;
+* a *stream lane*: a stationary agent, an arrival stream and exactly a
+  :class:`~repro.sim.trace_sim.NearestArrivalTracker`.  Stream lanes
+  form groups of their own and step on the kernel's counts-driven
+  mode, fed each tick's ``next_counts`` block;
+* everything else (adaptive agents, other heuristics, timeout agents
+  with a stream, custom trackers) steps on a per-device loop that
+  resumes each device through the loop path's one per-slice
+  interpreter, :func:`~repro.sim.backends.loop.run_slices` — the same
+  loop :class:`~repro.sim.backends.loop.LoopBackend` and
+  :func:`~repro.sim.trace_sim.simulate_trace` run.
+
+Timeout and stream lanes carry the device's previous-slice arrivals
+(``Device.prev_arrivals``) across ticks, as the loop does.
 
 Determinism is per-device, not per-run: each device owns its stream
 and the batch draws every lane's uniforms from its own stream through
@@ -47,12 +64,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.policy import MarkovPolicy
+from repro.policies.base import StationaryAgent
+from repro.policies.timeout import TimeoutAgent
 from repro.runtime.fleet import Device, Fleet
 from repro.runtime.policy_cache import memoized_by_identity
 from repro.runtime.telemetry import snapshot
 from repro.sim.backends.base import SimulationTables
 from repro.sim.backends.loop import run_slices
-from repro.sim.backends.vector import CompiledPolicyBatch, VectorBackend
+from repro.sim.backends.vector import (
+    CompiledPolicyBatch,
+    TimeoutLanes,
+    VectorBackend,
+)
 from repro.sim.rng import FanInSource
 from repro.sim.rng_batched import (
     BatchedPCG64Source,
@@ -60,6 +84,7 @@ from repro.sim.rng_batched import (
     batched_available,
     holds_position,
 )
+from repro.sim.trace_sim import NearestArrivalTracker
 from repro.util.validation import ValidationError
 
 __all__ = [
@@ -125,19 +150,61 @@ def _block_uniform_source(
 
 
 def _model_key(system, costs) -> tuple:
-    """Content key of a ``(system, costs)`` pair (loop-table cache)."""
+    """Content key of a ``(system, costs)`` pair."""
     from repro.runtime.policy_cache import costs_signature, system_signature
 
     return system_signature(system), costs_signature(costs)
 
 
-class _VectorGroup:
-    """One compiled batch: devices sharing a group signature.
+def _stream_key(system, costs, policy) -> tuple:
+    """A stream lane's batch key, less its tracker's table: the model,
+    the policy's determinism (it fixes the uniform kinds a slice draws)
+    and a stream marker, so stream and model-driven lanes never mix."""
+    return (*_model_key(system, costs), policy.is_deterministic, "stream")
 
-    Each lane block steps through
-    :meth:`~repro.sim.backends.vector.VectorBackend.step_lanes`.  The
-    devices' rows in the fleet's column set are cached here, valid for
-    the fleet version the group was built at.
+
+def _lane_key(device: Device, memos: tuple) -> tuple | None:
+    """The key of the batch ``device`` steps in, or ``None`` (the loop).
+
+    Content signatures are memoized by object identity in ``memos``
+    (one dict per lane kind): devices of one group share their model
+    and policy objects, so each distinct one is hashed once.
+    """
+    policy_memo, timeout_memo, stream_memo = memos
+    agent, system, costs = device.agent, device.system, device.costs
+    if device.stream is None:
+        if device.vector_eligible:
+            policy = agent.stationary_policy(system)
+            return memoized_by_identity(
+                policy_memo, (system, costs, policy), device.group_key
+            )
+        if type(agent) is TimeoutAgent:
+            # The key of the model's deterministic policy lanes.
+            return memoized_by_identity(
+                timeout_memo, (system, costs), _model_key, system, costs
+            ) + (True,)
+        return None
+    if (
+        isinstance(agent, StationaryAgent)
+        and type(device.tracker) is NearestArrivalTracker
+    ):
+        policy = agent.stationary_policy(system)
+        key = memoized_by_identity(
+            stream_memo, (system, costs, policy), _stream_key,
+            system, costs, policy,
+        )
+        return key + (tuple(device.tracker.state_table().tolist()),)
+    return None
+
+
+class _VectorGroup:
+    """One compiled batch: devices sharing a group key.
+
+    A model-driven group holds policy lanes and timeout lanes; a
+    stream-driven group holds stream lanes only.  Each lane block steps
+    through :meth:`~repro.sim.backends.vector.VectorBackend.step_lanes`.
+    The devices' rows in the fleet's column set are cached here, valid
+    for the fleet version the group was built at.
     """
 
     def __init__(
@@ -156,7 +223,12 @@ class _VectorGroup:
         # stream switches between a position and a generator object.
         self._sources: dict[int, object] = {}
         first = devices[0]
+        system = first.system
         self.tables = first.compile_tables()
+        self.stream_driven = first.stream is not None
+        self._count_states = (
+            first.tracker.state_table() if self.stream_driven else None
+        )
         # Distinct policies within the group are stacked once; lanes
         # index into the stack (1024 identical devices compile one row).
         from repro.runtime.policy_cache import policy_signature
@@ -166,7 +238,12 @@ class _VectorGroup:
         unique: dict[str, int] = {}
         policies = []
         policy_of_lane = []
-        for device in devices:
+        timeout_lanes = []
+        for lane, device in enumerate(devices):
+            if type(device.agent) is TimeoutAgent:
+                timeout_lanes.append(lane)
+                policy_of_lane.append(0)  # switched every slice
+                continue
             policy = device.agent.stationary_policy(device.system)
             signature = memoized_by_identity(
                 policy_signatures, (policy,), policy_signature, policy
@@ -175,31 +252,95 @@ class _VectorGroup:
                 unique[signature] = len(policies)
                 policies.append(policy)
             policy_of_lane.append(unique[signature])
-        self.compiled = CompiledPolicyBatch.compile(first.system, policies)
-        self.policy_of_lane = np.asarray(policy_of_lane, dtype=np.int64)
         self.n_policies = len(policies)
+        # Timeout lanes step on constant policies stacked after the
+        # policy lanes' ones, one per command their rules issue.  A
+        # rule row is (lane, timeout, active policy, sleep policy).
+        constant: dict[int, int] = {}
+        rules = []
+        for lane in timeout_lanes:
+            device = devices[lane]
+            rule = [lane, device.agent.timeout]
+            for command in (device.agent.active_command, device.agent.sleep_command):
+                if not 0 <= command < system.n_commands:
+                    raise ValidationError(
+                        f"device {device.device_id!r}: agent returned command "
+                        f"{command}, valid range is [0, {system.n_commands})"
+                    )
+                if command not in constant:
+                    constant[command] = len(policies)
+                    policies.append(
+                        MarkovPolicy.constant(
+                            command,
+                            system.n_states,
+                            system.n_commands,
+                            system.command_names,
+                        )
+                    )
+                rule.append(constant[command])
+            policy_of_lane[lane] = rule[2]
+            rules.append(rule)
+        self._timeout_rules = np.array(rules, dtype=np.int64).reshape(-1, 4)
+        self.compiled = CompiledPolicyBatch.compile(system, policies)
+        self.policy_of_lane = np.asarray(policy_of_lane, dtype=np.int64)
 
     def step(self, n_slices: int) -> None:
         """Advance every device in the group by ``n_slices`` slices."""
         # The kernel draws (chunk, kinds, lanes) blocks with kinds
-        # fixed by policy determinism; declaring the geometry lets the
-        # source reject a desynchronizing request instead of serving it.
-        n_kinds = 3 if self.compiled.fully_deterministic else 4
+        # fixed by policy determinism and the arrival mode; declaring
+        # the geometry lets the source reject a desynchronizing request
+        # instead of serving it.
+        n_kinds = (
+            3 if self.compiled.fully_deterministic else 4
+        ) - self.stream_driven
         columns = self._columns
         for base in range(0, len(self.devices), FLEET_LANE_BLOCK):
+            devices = self.devices[base : base + FLEET_LANE_BLOCK]
             rows = self._rows[base : base + FLEET_LANE_BLOCK]
             source = self._sources.get(base)
             if source is None:
                 source = _block_uniform_source(
-                    self.devices[base : base + FLEET_LANE_BLOCK],
-                    columns,
-                    rows,
-                    n_kinds,
-                    FLEET_CHUNK_SLICES,
+                    devices, columns, rows, n_kinds, FLEET_CHUNK_SLICES
                 )
                 self._sources[base] = source
             start = columns.state[rows]
             lengths = np.full(len(rows), int(n_slices), dtype=np.int64)
+            # Timeout and stream lanes carry their devices' previous-
+            # slice arrivals (and a timeout lane its idle counter).
+            lanes: dict = {}
+            carried: list[Device] = []
+            rules = self._timeout_rules
+            if len(rules):
+                rules = rules[(rules[:, 0] >= base) & (rules[:, 0] < base + len(rows))]
+            if len(rules):
+                local = rules[:, 0] - base
+                carried = [devices[lane] for lane in local.tolist()]
+                prev = np.zeros(len(rows), dtype=np.int64)
+                prev[local] = [device.prev_arrivals for device in carried]
+                idle = [device.agent.idle_slices for device in carried]
+                lanes = {
+                    "timeouts": TimeoutLanes(
+                        local, rules[:, 1], rules[:, 2], rules[:, 3],
+                        np.asarray(idle, dtype=np.int64),
+                    ),
+                    "prev_arrivals": prev,
+                }
+            elif self.stream_driven:
+                local = np.arange(len(rows))
+                carried = devices
+                # Each stream draws its tick from the device's generator
+                # before the kernel's uniforms do, as on the loop.
+                lanes = {
+                    "counts": np.stack(
+                        [device.stream.next_counts(n_slices) for device in devices],
+                        axis=1,
+                    ),
+                    "count_states": self._count_states,
+                    "prev_arrivals": np.asarray(
+                        [device.prev_arrivals for device in devices],
+                        dtype=np.int64,
+                    ),
+                }
             acc = _KERNEL.step_lanes(
                 self.tables,
                 self.compiled,
@@ -208,6 +349,7 @@ class _VectorGroup:
                 (start[:, 0], start[:, 1], start[:, 2]),
                 source,
                 chunk_slices=FLEET_CHUNK_SLICES,
+                **lanes,
             )
             # Scatter: each lane's accumulators land on its device's
             # row with the same elementwise adds a per-device loop
@@ -220,6 +362,14 @@ class _VectorGroup:
             columns.counters[rows] += np.column_stack(
                 (acc.arrivals, acc.serviced, acc.lost, acc.loss_events)
             )
+            if carried:
+                for device, prev_arrivals in zip(
+                    carried, acc.prev_arrivals[local].tolist()
+                ):
+                    device.prev_arrivals = prev_arrivals
+            if acc.idle is not None:
+                for device, idle_slices in zip(carried, acc.idle.tolist()):
+                    device.agent.idle_slices = idle_slices
 
 
 def _step_device_loop(
@@ -410,23 +560,15 @@ class FleetController:
     def _refresh_groups(self) -> None:
         if self._groups_version == self._fleet.version:
             return
-        # Content signatures are memoized by object identity for this
-        # regroup: devices of one group share their model and policy
-        # objects, so each distinct one is hashed once.
-        group_keys: dict[tuple, tuple] = {}
+        memos: tuple = ({}, {}, {})
         grouped: dict[tuple, list[Device]] = {}
         loop_devices: list[Device] = []
         for device in self._fleet:
-            if device.vector_eligible:
-                policy = device.agent.stationary_policy(device.system)
-                key = memoized_by_identity(
-                    group_keys,
-                    (device.system, device.costs, policy),
-                    device.group_key,
-                )
-                grouped.setdefault(key, []).append(device)
-            else:
+            key = _lane_key(device, memos)
+            if key is None:
                 loop_devices.append(device)
+            else:
+                grouped.setdefault(key, []).append(device)
         policy_signatures: dict[tuple, tuple] = {}
         self._vector_groups = [
             _VectorGroup(self._fleet, devices, policy_signatures)

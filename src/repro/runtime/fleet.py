@@ -474,11 +474,14 @@ class Device:
     # ------------------------------------------------------------------
     @property
     def vector_eligible(self) -> bool:
-        """True when the joint-state batch kernel can step this device.
+        """True for a *policy lane*: a provably stationary agent *and*
+        model-driven arrivals.
 
-        Requires a provably stationary agent *and* model-driven
-        arrivals — a stream-driven device's workload is exogenous, so
-        it falls back to the per-device loop.
+        The batch kernel also steps fixed-timeout and stream-driven
+        devices, as other lane kinds (see
+        :mod:`repro.runtime.controller`); this property, and
+        :meth:`group_key`, which the service's partitioner keys on,
+        name policy lanes only.
         """
         return isinstance(self.agent, StationaryAgent) and self.stream is None
 

@@ -32,6 +32,22 @@ Within one slice the batch consumes uniforms in the same order as the
 reference loop (policy, SP, SR, service), which the seeded-equivalence
 suite exploits: with one lane, an always-issuing workload and a fully
 randomized policy, loop and vector trajectories coincide draw for draw.
+
+Two lane kinds beyond stationary policies let the fleet runtime keep
+its fixed-timeout and stream-driven devices off the per-device loop:
+
+* *timeout lanes* (:class:`TimeoutLanes`) issue
+  :class:`~repro.policies.timeout.TimeoutAgent`'s command: each slice
+  the lane's policy row switches between two constant policies of the
+  batch (always-active, always-sleep) by the agent's idle-counter rule,
+  so the deterministic lookups and the cost fold serve them unchanged;
+* a *counts-driven* batch (``counts=``) takes each slice's arrivals
+  from a ``(slices, lanes)`` block instead of the SR chain and tracks
+  the SR state through a count -> state table
+  (:meth:`~repro.sim.trace_sim.NearestArrivalTracker.state_table`),
+  the trace-driven mode of :func:`~repro.sim.trace_sim.simulate_trace`.
+  It draws no SR uniform, so its batches draw 2 (deterministic) or 3
+  uniform kinds per slice.
 """
 
 from __future__ import annotations
@@ -185,6 +201,37 @@ class CompiledPolicyBatch:
 
 
 @dataclass(frozen=True)
+class TimeoutLanes:
+    """Lanes commanded by :class:`~repro.policies.timeout.TimeoutAgent`'s rule.
+
+    Each slice, work is pending when the lane's queue is non-empty or
+    its previous slice had arrivals; pending work resets the lane's
+    idle counter, otherwise the counter grows by one.  The lane then
+    steps on its ``sleep`` policy once the counter exceeds ``timeout``,
+    else on its ``active`` policy.  All arrays hold one entry per
+    timeout lane.
+
+    Attributes
+    ----------
+    lanes:
+        The timeout lanes' indices in the batch.
+    timeout:
+        Idle slices each lane waits before its sleep command.
+    active / sleep:
+        Indices, in the compiled batch, of the constant policies issuing
+        the lane's active and sleep commands.
+    idle:
+        Idle counters at the first slice.
+    """
+
+    lanes: np.ndarray
+    timeout: np.ndarray
+    active: np.ndarray
+    sleep: np.ndarray
+    idle: np.ndarray
+
+
+@dataclass(frozen=True)
 class _CompiledSystem:
     """System arrays flattened for the batched stepper."""
 
@@ -306,6 +353,11 @@ class VectorBackend:
         start: tuple,
         rng,
         chunk_slices: int | None = None,
+        *,
+        timeouts: TimeoutLanes | None = None,
+        counts: np.ndarray | None = None,
+        count_states: np.ndarray | None = None,
+        prev_arrivals: np.ndarray | None = None,
     ) -> "_LaneAccumulators":
         """Advance every lane; see :func:`_step_lanes` for the contract.
 
@@ -321,6 +373,10 @@ class VectorBackend:
             start,
             rng,
             chunk_slices=chunk_slices,
+            timeouts=timeouts,
+            counts=counts,
+            count_states=count_states,
+            prev_arrivals=prev_arrivals,
         )
 
 
@@ -336,6 +392,11 @@ class _LaneAccumulators:
     lost: np.ndarray  # (n_lanes,)
     loss_events: np.ndarray  # (n_lanes,)
     final_state: np.ndarray  # (n_lanes, 3)
+    # Resumable runs only (timeout lanes, counts, or prev_arrivals
+    # given): the last slice's arrivals per lane, and the timeout
+    # lanes' idle counters after the last slice.
+    prev_arrivals: np.ndarray | None = None  # (n_lanes,)
+    idle: np.ndarray | None = None  # (n_timeout_lanes,)
 
 
 def _lane_result(
@@ -367,12 +428,30 @@ def _step_lanes(
     start: tuple,
     rng: np.random.Generator,
     chunk_slices: int | None = None,
+    *,
+    timeouts: TimeoutLanes | None = None,
+    counts: np.ndarray | None = None,
+    count_states: np.ndarray | None = None,
+    prev_arrivals: np.ndarray | None = None,
 ) -> _LaneAccumulators:
     """Advance every lane through its own number of slices.
 
     Equal lengths run with no masking; ragged lengths (session mode)
     mask finished lanes within a chunk and compact them away between
     chunks, so wasted work is bounded by one chunk per lane.
+
+    A *resumable* run carries a trajectory across calls the way the
+    fleet steps a device tick by tick; it steps equal lengths only.
+    ``prev_arrivals`` (one per lane, default zeros) holds the arrivals
+    of the slice before the first.  ``timeouts`` marks
+    :class:`TimeoutLanes`.  ``counts``, a ``(slices, lanes)`` block of
+    non-negative arrival counts, drives every lane's arrivals instead
+    of the SR chain; the SR state after a slice with ``z`` arrivals is
+    ``count_states[min(z, len(count_states) - 1)]``, and a loss event
+    is a slice that starts with a full queue after a slice with
+    arrivals, as in the reference loop's counts-driven mode.  The
+    returned accumulators then also hold each lane's last-slice
+    arrivals and the timeout lanes' idle counters.
 
     ``start`` may hold scalars (every lane begins in the same
     ``(provider, requester, queue)`` state) or int arrays of one entry
@@ -415,8 +494,42 @@ def _step_lanes(
     q = np.broadcast_to(np.asarray(start[2], dtype=np.int64), (n_total,))
     x = (s0 * n_sr + r) * n_sq + q
 
+    driven = counts is not None
+    resumable = driven or timeouts is not None or prev_arrivals is not None
+    if resumable and n_total and (remaining != remaining[0]).any():
+        raise ValidationError(
+            "timeout lanes, counts and prev_arrivals need equal lane lengths"
+        )
+    # Arrivals of the slice before the next one, per lane.
+    prev = np.zeros(n_total, dtype=np.int64)
+    if prev_arrivals is not None:
+        prev[:] = prev_arrivals
+    if driven:
+        counts = np.asarray(counts, dtype=np.int64)
+        n_slices = int(remaining[0]) if n_total else 0
+        if counts.shape != (n_slices, n_total):
+            raise ValidationError(
+                f"counts must be a ({n_slices}, {n_total}) block, got "
+                f"{counts.shape}"
+            )
+        if counts.size and counts.min() < 0:
+            raise ValidationError("arrival counts must be non-negative")
+        count_states = np.asarray(count_states, dtype=np.int64)
+        top_count = count_states.size - 1
+    if timeouts is not None:
+        t_lanes = np.asarray(timeouts.lanes, dtype=np.int64)
+        t_limit = np.asarray(timeouts.timeout, dtype=np.int64)
+        t_active = np.asarray(timeouts.active, dtype=np.int64) * n_states
+        t_sleep = np.asarray(timeouts.sleep, dtype=np.int64) * n_states
+        idle = np.array(timeouts.idle, dtype=np.int64)
+
     deterministic = compiled.fully_deterministic
-    n_kinds = 3 if deterministic else 4
+    # Uniform kinds per slice: the policy draw (randomized batches),
+    # SP, SR (model-driven batches) and the service Bernoulli.
+    n_kinds = (3 if deterministic else 4) - driven
+    u_sp = 0 if deterministic else 1
+    u_sr = u_sp + 1
+    u_service = n_kinds - 1
     metric_flat = tables.metric_stack.reshape(n_metrics, -1)  # (M, X*A)
     arrivals_of = tables.arrivals_of
     issuing = tables.issuing
@@ -430,10 +543,14 @@ def _step_lanes(
     sp_row_det = compiled.sp_row
     sigma_det = compiled.sigma
     any_det_rows = bool(det_row.any())
+    stepped = 0
 
     while lane_ids.size:
         n_lanes = lane_ids.size
-        single_policy = bool(pol_base[0] == 0 and (pol_base == 0).all())
+        # Timeout lanes switch policy rows every slice.
+        single_policy = timeouts is None and bool(
+            pol_base[0] == 0 and (pol_base == 0).all()
+        )
         chunk = resolve_chunk(
             n_lanes, n_kinds, int(remaining.max()), chunk_slices
         )
@@ -445,9 +562,21 @@ def _step_lanes(
         a_hist = (
             None if deterministic else np.empty((chunk, n_lanes), dtype=np.int64)
         )
+        if timeouts is not None:
+            # The timeout lanes' policy rows, slice by slice.
+            t_hist = np.empty((chunk, t_lanes.size), dtype=np.int64)
+        if driven:
+            z_block = counts[stepped : stepped + chunk]
+            prev_start = prev
 
         for k in range(chunk):
             x_hist[k] = x
+            if timeouts is not None:
+                work = (q[t_lanes] > 0) | (prev[t_lanes] > 0)
+                idle = np.where(work, 0, idle + 1)
+                t_rows = np.where(idle > t_limit, t_sleep, t_active)
+                t_hist[k] = t_rows
+                pol_base[t_lanes] = t_rows
             rowx = x if single_policy else pol_base + x
             if deterministic:
                 sp_row = sp_row_det[rowx]
@@ -470,25 +599,32 @@ def _step_lanes(
                 sigma = rates_flat[sp_row]
             s_next = (
                 np.searchsorted(
-                    sp_offset, sp_row + uniforms[k, n_kinds - 3], side="right"
+                    sp_offset, sp_row + uniforms[k, u_sp], side="right"
                 )
                 - sp_row * n_sp
             )
             np.minimum(s_next, n_sp - 1, out=s_next)
-            r_next = (
-                np.searchsorted(
-                    sr_offset, r + uniforms[k, n_kinds - 2], side="right"
+            if driven:
+                z = z_block[k]
+                r_next = count_states[np.minimum(z, top_count)]
+            else:
+                r_next = (
+                    np.searchsorted(
+                        sr_offset, r + uniforms[k, u_sr], side="right"
+                    )
+                    - r * n_sr
                 )
-                - r * n_sr
-            )
-            np.minimum(r_next, n_sr - 1, out=r_next)
-            pending = q + arrivals_of[r_next]
-            served = (uniforms[k, n_kinds - 1] < sigma) & (pending > 0)
+                np.minimum(r_next, n_sr - 1, out=r_next)
+                z = arrivals_of[r_next]
+            pending = q + z
+            served = (uniforms[k, u_service] < sigma) & (pending > 0)
             served_hist[k] = served
             q = np.minimum(pending - served, capacity)
             x = (s_next * n_sr + r_next) * n_sq + q
             r = r_next
+            prev = z
         x_hist[chunk] = x
+        stepped += chunk
 
         # --- fold the chunk histories into the per-lane accumulators ---
         alive = remaining > np.arange(chunk, dtype=np.int64)[:, None]
@@ -497,6 +633,8 @@ def _step_lanes(
         x_cur = x_hist[:-1]
         if deterministic:
             a_hist = greedy[x_cur if single_policy else pol_base + x_cur]
+            if timeouts is not None:
+                a_hist[:, t_lanes] = greedy[t_hist + x_cur[:, t_lanes]]
         q_cur = x_cur % n_sq
         r_cur = (x_cur // n_sq) % n_sr
         s_cur = x_cur // (n_sr * n_sq)
@@ -529,10 +667,16 @@ def _step_lanes(
             np.int64
         ).reshape(n_lanes, n_sp)
 
-        z = arrivals_of[r_next_h]
+        if driven:
+            z = z_block
+            # Arrivals are at risk after a slice that had some.
+            at_risk = np.vstack((prev_start, z_block))[:-1] > 0
+        else:
+            z = arrivals_of[r_next_h]
+            at_risk = issuing[r_cur]
         pending_h = q_cur + z
         lost_h = pending_h - served_hist - q_next
-        events = issuing[r_cur] & (q_cur == capacity)
+        events = at_risk & (q_cur == capacity)
         if not full:
             z = z * alive
             served_w = served_hist * alive
@@ -565,4 +709,10 @@ def _step_lanes(
             x = x[keep]
             r = r[keep]
             q = q[keep]
+    # A resumable run's lanes all finish in its last chunk, so the
+    # loop's final values are every lane's.
+    if resumable:
+        acc.prev_arrivals = np.array(prev, dtype=np.int64)
+    if timeouts is not None:
+        acc.idle = idle
     return acc

@@ -64,6 +64,15 @@ class NearestArrivalTracker(ArrivalTracker):
     def update(self, arrivals: int) -> int:
         return int(np.argmin(np.abs(self._counts - int(arrivals))))
 
+    def state_table(self) -> np.ndarray:
+        """:meth:`update`'s answer for each count ``0..max`` arrival count.
+
+        A larger count maps to the last entry, as :meth:`update` maps
+        it, so ``table[min(z, len(table) - 1)]`` tracks any count ``z``.
+        """
+        levels = np.arange(int(self._counts.max()) + 1)
+        return np.argmin(np.abs(self._counts[None, :] - levels[:, None]), axis=1)
+
 
 def simulate_trace(
     system: PowerManagedSystem,

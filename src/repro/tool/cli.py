@@ -22,8 +22,9 @@ Subcommands:
   ``--checkpoint`` saves resumable state each run and ``--resume``
   continues a saved campaign (refusing, with exit code 2, one stepped
   at a chunk length other than the fixed fleet one or saved with
-  ``backend: "loop"``); vector-eligible devices step in grouped
-  batches and the rest on the per-device loop, and the run's
+  ``backend: "loop"``); stationary, fixed-timeout and stream-driven
+  devices step in grouped kernel batches and the rest (adaptive and
+  other stateful agents) on the per-device loop, and the run's
   wall-clock time is printed, never written to telemetry or
   checkpoints;
 * ``serve SPEC.json --socket /tmp/fleet.sock --shards 4`` — run the

@@ -47,7 +47,7 @@ from repro.runtime import (
     snapshot_from_records,
 )
 from repro.runtime.streams import CallableStream, TraceStream
-from repro.sim.backends import LoopBackend, VectorBackend
+from repro.sim.backends import VectorBackend
 from repro.sim.trace_sim import simulate_trace
 from repro.sim.rng_batched import device_positions, holds_position
 from repro.util.validation import ValidationError
@@ -427,6 +427,76 @@ class TestControllerBackends:
         groups = controller.grouping()["vector_groups"]
         assert len(groups) == 2  # deterministic and randomized never mix
 
+    def test_lane_kinds_route_by_device(self, example_bundle):
+        """A fleet_spec-shaped fleet steps wholly on the kernel: its
+        timeout disks are lanes of the disk group, its MMPP2-driven
+        devices one stream group.  Agents that need Python, and custom
+        trackers, stay on the loop."""
+        from repro.traces.extractor import SRExtractor
+
+        disk_timeout = {"type": "timeout", "timeout": 150,
+                        "active": "go_active", "sleep": "go_standby"}
+        edge_eager = {"type": "eager", "active": "s_on", "sleep": "s_off"}
+        spec = {"groups": [
+            {"id": "disk-opt", "count": 4, "system": "disk_drive",
+             "agent": {"type": "optimal", "penalty_bound": 0.5,
+                       "formulation": "average"},
+             "initial_state": ["active", "0", 0]},
+            {"id": "disk-eager", "count": 3, "system": "disk_drive",
+             "agent": {"type": "eager", "active": "go_active",
+                       "sleep": "go_standby"}},
+            {"id": "edge", "count": 3, "system": "example",
+             "agent": edge_eager},
+            {"id": "disk-timeout", "count": 2, "system": "disk_drive",
+             "agent": disk_timeout, "initial_state": ["active", "0", 0]},
+            {"id": "edge-mmpp", "count": 2, "system": "example",
+             "agent": edge_eager,
+             "workload": {"type": "mmpp2", "p_stay_idle": 0.95,
+                          "p_stay_busy": 0.85}},
+        ]}
+        fleet, _ = build_fleet(spec, base_seed=1)
+        controller = FleetController(fleet, slices_per_tick=8)
+        controller.step_tick()
+        assert controller.grouping()["loop_devices"] == 0
+
+        def kinds(group):
+            return {device.device_id.rsplit("-", 1)[0] for device in group.devices}
+
+        (timeout_group,) = [
+            group for group in controller._vector_groups if len(group._timeout_rules)
+        ]
+        assert len(timeout_group._timeout_rules) == 2
+        assert {"disk-eager", "disk-timeout"} <= kinds(timeout_group)
+        (stream_group,) = [
+            group for group in controller._vector_groups if group.stream_driven
+        ]
+        assert kinds(stream_group) == {"edge-mmpp"}
+
+        system, costs = example_bundle.system, example_bundle.costs
+        rng = device_rng(2, 0)  # the k-memory device's, shared by its stream
+        for i, (device_id, agent, stream, tracker) in enumerate((
+            ("clocked", _ClockedTimeoutAgent(3, 0, 1), None, None),
+            ("adaptive", build_agent_from_spec(
+                {"type": "adaptive", "window": 50, "refit_every": 30,
+                 "penalty_bound": 0.5}, system, costs,
+            ), None, None),
+            ("k-memory", StationaryPolicyAgent(system, eager_markov_policy(
+                system, "s_on", "s_off",
+            )), MMPP2Stream(0.9, 0.8, rng),
+                SRExtractor(memory=1).fit([0, 1, 1, 0, 1]).tracker()),
+            ("timeout-stream", TimeoutAgent(3, 0, 1),
+             PeriodicBurstStream(2, 3), None),
+        )):
+            fleet.add_device(
+                device_id, system, costs, agent,
+                rng=rng if device_id == "k-memory" else device_rng(2, i + 1),
+                stream=stream, tracker=tracker,
+            )
+        controller.step_tick()
+        assert [device.device_id for device in controller._loop_devices] == [
+            "clocked", "adaptive", "k-memory", "timeout-stream",
+        ]
+
     def test_empty_fleet_rejected(self):
         controller = FleetController(Fleet())
         with pytest.raises(ValidationError, match="empty fleet"):
@@ -721,9 +791,10 @@ class TestBuildFleet:
         controller = FleetController(fleet, slices_per_tick=50)
         controller.run(1)
         grouping = controller.grouping()
-        assert sum(g["devices"] for g in grouping["vector_groups"]) == 8
-        # Timeout heuristics and stream-driven devices ride the loop.
-        assert grouping["loop_devices"] == 4
+        # Timeout disks step as lanes of the disk group and the
+        # stream-driven edge devices as a stream group: nothing loops.
+        assert sum(g["devices"] for g in grouping["vector_groups"]) == 12
+        assert grouping["loop_devices"] == 0
 
     def test_inline_system_spec(self):
         raw = {
@@ -1167,6 +1238,45 @@ class _ClockedTimeoutAgent(TimeoutAgent):
         return self._active if observation.slice_index % 16 == 15 else command
 
 
+def _timeout_lane_run(device, n_slices):
+    """``device`` stepped as one timeout lane of the vector kernel from
+    its current state: the lane's result, its accumulators (final idle
+    counter and previous-slice arrivals) and the generator it drew."""
+    from repro.core.policy import MarkovPolicy
+    from repro.sim.backends.base import SimulationTables
+    from repro.sim.backends.vector import (
+        CompiledPolicyBatch,
+        TimeoutLanes,
+        _lane_result,
+    )
+
+    system, agent = device.system, device.agent
+    tables = SimulationTables.compile(system, device.costs)
+    compiled = CompiledPolicyBatch.compile(
+        system,
+        [
+            MarkovPolicy.constant(command, system.n_states, system.n_commands)
+            for command in (agent.active_command, agent.sleep_command)
+        ],
+    )
+    rng = device.rng
+    lane = np.zeros(1, dtype=np.int64)
+    acc = VectorBackend().step_lanes(
+        tables,
+        compiled,
+        lane,
+        np.full(1, n_slices, dtype=np.int64),
+        device.state,
+        rng,
+        timeouts=TimeoutLanes(
+            lane, np.array([agent.timeout]), lane, lane + 1,
+            np.array([agent.idle_slices]),
+        ),
+        prev_arrivals=np.array([device.prev_arrivals]),
+    )
+    return _lane_result(tables, acc, 0, n_slices), acc, rng
+
+
 @pytest.fixture
 def recipes(example_bundle, disk_bundle, eager_policy):
     """Device kinds by name: both layouts, vector and loop paths."""
@@ -1299,11 +1409,11 @@ class TestColumnarState:
 
     def test_tick_lands_single_run_results_on_rows(self, recipes):
         """One tick puts exactly what a single-run simulation of each
-        device produces into its row: kernel lanes for vector devices,
-        the reference loop for the rest.  A trace-fed device stepped
-        over three ticks, carrying its previous-slice arrivals and slice
-        index across them, lands what one trace-driven run over the
-        concatenated counts produces."""
+        device produces into its row: one-lane kernel runs for policy
+        and timeout devices.  A trace-fed device on the loop (its agent
+        reads the slice index) stepped over three ticks, carrying its
+        previous-slice arrivals and slice index across them, lands what
+        one trace-driven run over the concatenated counts produces."""
         kinds = ["disk-vec", "ex-vec", "disk-loop", "ex-loop", "disk-vec", "ex-trace"]
         fleet, reference = Fleet(), Fleet()
         for i, kind in enumerate(kinds):
@@ -1339,8 +1449,12 @@ class TestColumnarState:
                     twin.system, twin.costs, [policy], self.SLICES, twin.rng
                 )[0][0]
             elif kind.endswith("loop"):
-                result = LoopBackend().simulate(
-                    twin.system, twin.costs, twin.agent, self.SLICES, twin.rng
+                # A model-driven TimeoutAgent steps as a timeout lane.
+                result, acc, rng = _timeout_lane_run(twin, self.SLICES)
+                assert device.agent.idle_slices == int(acc.idle[0])
+                assert device.prev_arrivals == int(acc.prev_arrivals[0])
+                assert (
+                    device.rng.bit_generator.state == rng.bit_generator.state
                 )
             else:
                 continue
@@ -1361,6 +1475,50 @@ class TestColumnarState:
         assert_lands(device, result, 3 * self.SLICES)
         assert device.prev_arrivals == int(twin.stream.counts[-1])
         assert device.rng.bit_generator.state == twin.rng.bit_generator.state
+
+    def test_stream_lane_carries_its_arrivals_across_ticks(
+        self, example_bundle, eager_policy
+    ):
+        """A stream lane stepped over three ticks follows one
+        trace-driven loop run over the concatenated counts draw for
+        draw (every slice has arrivals, so the loop draws its service
+        uniform every slice too).  Loss events at a tick's first slice
+        read the previous tick's last arrivals, so they must carry."""
+        system, costs = example_bundle.system, example_bundle.costs
+        counts = np.random.default_rng(7).integers(1, 3, size=3 * self.SLICES)
+        fleet = Fleet()
+        device = fleet.add_device(
+            "s-0", system, costs, StationaryPolicyAgent(system, eager_policy),
+            rng=device_rng(31, 9), stream=TraceStream(counts, cycle=False),
+        )
+        controller = FleetController(fleet, slices_per_tick=self.SLICES)
+        controller.run(3)
+        assert controller._loop_devices == []
+        twin_rng = device_rng(31, 9)
+        result = simulate_trace(
+            system, costs, StationaryPolicyAgent(system, eager_policy),
+            counts, twin_rng,
+        )
+        assert result.loss_event_slices > 0
+        assert device.state == result.final_state
+        assert (
+            device.slices, device.arrivals, device.serviced, device.lost,
+            device.loss_event_slices,
+        ) == (
+            result.n_slices, result.arrivals, result.serviced, result.lost,
+            result.loss_event_slices,
+        )
+        assert device.command_counts.tolist() == result.command_counts.tolist()
+        assert (
+            device.provider_occupancy.tolist()
+            == result.provider_occupancy.tolist()
+        )
+        # The kernel adds a chunk's costs at a time, the loop a slice's.
+        assert device.totals.tolist() == pytest.approx(
+            [result.totals[name] for name in device.metric_names], rel=1e-12
+        )
+        assert device.prev_arrivals == int(counts[-1])
+        assert device.rng.bit_generator.state == twin_rng.bit_generator.state
 
     def test_device_pickles_as_its_field_mapping(self, recipes):
         fleet = Fleet()
@@ -1736,6 +1894,14 @@ class TestParentCheckpoint:
     def test_resume_continues_this_builds_uninterrupted_run(
         self, tmp_path, capsys
     ):
+        """The parent's model-driven timeout devices stepped on the
+        loop; they now step as kernel timeout lanes, which consume
+        their streams in fixed blocks.  So the per-device records of
+        the kinds whose path is unchanged (opt, eager, and the
+        stream-driven timeout agents of ``mmpp``) continue this build's
+        uninterrupted run byte for byte, and the whole fleet continues
+        from the parent checkpoint the same whether stepped in one run
+        or checkpointed and resumed on the way."""
         from repro.tool.cli import main as cli_main
 
         full = tmp_path / "full.jsonl"
@@ -1750,4 +1916,30 @@ class TestParentCheckpoint:
         ]) == 0
         lines = full.read_bytes().splitlines(keepends=True)
         assert len(lines) == 6
-        assert resumed.read_bytes().splitlines(keepends=True) == lines[3:]
+        resumed_lines = resumed.read_bytes().splitlines(keepends=True)
+        assert len(resumed_lines) == 3
+
+        def unchanged_paths(line):
+            return [
+                json.dumps(record)
+                for record in json.loads(line)["devices"]
+                if record["id"].split("-")[0] in ("opt", "eager", "mmpp")
+            ]
+
+        for resumed_line, line in zip(resumed_lines, lines[3:]):
+            assert unchanged_paths(resumed_line) == unchanged_paths(line)
+            assert len(unchanged_paths(line)) == 35
+
+        # Resume == uninterrupted from the parent checkpoint, every
+        # device included.
+        split = tmp_path / "split.jsonl"
+        midway = tmp_path / "midway.ckpt"
+        assert cli_main([
+            "fleet", "--resume", str(self.CHECKPOINT), "--ticks", "1",
+            "--telemetry", str(split), "--checkpoint", str(midway),
+        ]) == 0
+        assert cli_main([
+            "fleet", "--resume", str(midway), "--ticks", "2",
+            "--telemetry", str(split),
+        ]) == 0
+        assert split.read_bytes() == resumed.read_bytes()

@@ -21,6 +21,7 @@ import pickle
 import signal
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +168,35 @@ def test_partitioner_deals_round_robin_per_signature():
     assert first + second == assignment
 
 
+@pytest.mark.parametrize(
+    "spec_name, n_shards, expected",
+    [
+        ("SPEC", 2, [0, 1] * 9),
+        ("SPEC", 3, [0, 1, 2] * 6),
+        ("SPEC", 5, [0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 0, 1, 2, 3, 4, 0]),
+        ("example", 3, [0, 1, 2, 0, 1, 2, 0, 1, 0, 1, 0, 1]),
+        ("example", 5, [0, 1, 2, 3, 4, 0, 1, 2, 0, 1, 0, 1]),
+    ],
+)
+def test_partition_ignores_how_a_shard_steps_its_devices(
+    spec_name, n_shards, expected
+):
+    """The deal keys on the policy-lane signature alone.  Timeout and
+    stream devices step as kernel lanes inside a shard, but they are
+    dealt where the per-device loop's devices were: these lists are
+    the assignments of the build before those lanes existed (SPEC's
+    timeout disks have a stream; the example spec's timeout disks are
+    model-driven and its edge devices stream-driven)."""
+    if spec_name == "SPEC":
+        spec = SPEC
+    else:
+        path = Path(__file__).resolve().parent.parent / "examples"
+        spec = json.loads((path / "fleet_spec.json").read_text())
+    fleet, _ = build_fleet(spec, base_seed=SEED)
+    partitioner = Partitioner(n_shards)
+    assert [partitioner.assign(device) for device in fleet] == expected
+
+
 def test_partitioner_rejects_bad_shard_count():
     with pytest.raises(ValidationError, match="n_shards"):
         Partitioner(0)
@@ -225,6 +255,82 @@ def test_resume_under_repartitioning(reference, tmp_path):
         finally:
             resumed.stop()
         assert suffix == reference[3:], n_shards
+
+
+#: Every lane kind: policy lanes, timeout lanes of their batch, a
+#: stream-driven batch and loop devices (timeout agents on a stream).
+LANES_SPEC = {
+    "name": "lanes-test",
+    "groups": [
+        {
+            "id": "eager",
+            "count": 5,
+            "system": "disk_drive",
+            "agent": {"type": "eager", "active": "go_active",
+                      "sleep": "go_sleep"},
+        },
+        {
+            "id": "tmo",
+            "count": 4,
+            "system": "disk_drive",
+            "agent": {"type": "timeout", "active": "go_active",
+                      "sleep": "go_sleep", "timeout": 15},
+        },
+        {
+            "id": "edge",
+            "count": 4,
+            "system": "example",
+            "agent": {"type": "eager", "active": "s_on", "sleep": "s_off"},
+            "workload": {"type": "mmpp2", "p_stay_idle": 0.9},
+        },
+        {
+            "id": "loop",
+            "count": 2,
+            "system": "example",
+            "agent": {"type": "timeout", "active": "s_on", "sleep": "s_off",
+                      "timeout": 3},
+            "workload": {"type": "mmpp2", "p_stay_idle": 0.9},
+        },
+    ],
+}
+
+
+def test_lane_kinds_keep_the_shard_and_resume_contracts(tmp_path):
+    """Timeout and stream lanes carry per-device state across ticks (an
+    idle counter, the previous slice's arrivals): sharded stepping
+    equals single-process stepping, and a resume on another shard
+    count equals the uninterrupted run, telemetry and checkpoint bytes
+    alike."""
+    controller, sink = _single_process_records(5, LANES_SPEC)
+    assert len(controller._loop_devices) == 2
+    assert [
+        (len(group._timeout_rules), group.stream_driven)
+        for group in controller._vector_groups
+    ] == [(4, False), (0, True)]
+    expected = pickle.dumps(
+        checkpoint_payload(controller.fleet, 5, SLICES, 1, True), protocol=4
+    )
+    fleet, _ = build_fleet(LANES_SPEC, base_seed=SEED)
+    middle = tmp_path / "middle.ckpt"
+    supervisor = _start_supervisor(2, fleet)
+    try:
+        records = _supervisor_records(supervisor, 3)
+        supervisor.save_checkpoint(middle)
+    finally:
+        supervisor.stop()
+    payload = load_checkpoint(middle)
+    resumed = ShardSupervisor(3, slices_per_tick=payload["slices_per_tick"])
+    resumed.start(payload["fleet"], tick=payload["tick"])
+    final = tmp_path / "final.ckpt"
+    try:
+        records += _supervisor_records(resumed, 2)
+        resumed.save_checkpoint(
+            final, telemetry_every=1, telemetry_per_device=True
+        )
+    finally:
+        resumed.stop()
+    assert _dump(records) == _dump(sink.records)
+    assert final.read_bytes() == expected
 
 
 # ----------------------------------------------------------------------

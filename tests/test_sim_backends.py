@@ -53,6 +53,7 @@ from repro.sim import (
 )
 from repro.sim.backends import CompiledPolicyBatch
 from repro.sim.backends.base import SimulationTables
+from repro.sim.backends.vector import TimeoutLanes
 from repro.systems import disk_drive, example_system
 from repro.util.validation import ValidationError
 
@@ -301,6 +302,214 @@ class TestCommonRandomNumbers:
             b.serviced,
             b.lost,
         )
+
+
+def _timeout_batch(system, timeout, active=0, sleep=1):
+    """A batch compiled for timeout lanes: the always-``active`` and
+    always-``sleep`` constant policies, and the lanes' rule."""
+    compiled = CompiledPolicyBatch.compile(
+        system,
+        [
+            MarkovPolicy.constant(command, system.n_states, system.n_commands)
+            for command in (active, sleep)
+        ],
+    )
+
+    def lanes(n_lanes):
+        zeros = np.zeros(n_lanes, dtype=np.int64)
+        return TimeoutLanes(
+            np.arange(n_lanes), zeros + timeout, zeros, zeros + 1, zeros
+        )
+
+    return compiled, lanes
+
+
+def _assert_lane_matches(result, acc, tables):
+    """Lane 0 of ``acc`` follows ``result``'s trajectory exactly."""
+    assert result.final_state == tuple(int(v) for v in acc.final_state[0])
+    assert (
+        result.arrivals, result.serviced, result.lost, result.loss_event_slices
+    ) == (
+        acc.arrivals[0], acc.serviced[0], acc.lost[0], acc.loss_events[0]
+    )
+    assert result.command_counts.tolist() == acc.command_counts[0].tolist()
+    assert (
+        result.provider_occupancy.tolist()
+        == acc.provider_occupancy[0].tolist()
+    )
+    for i, name in enumerate(tables.metric_names):
+        # The loop adds each slice's cost, the kernel a chunk's sum:
+        # equal terms, different association.
+        assert acc.totals[i, 0] == pytest.approx(
+            result.totals[name], rel=1e-12, abs=1e-12
+        )
+
+
+class TestKernelLaneKinds:
+    """Timeout lanes and counts-driven lanes follow the reference loop."""
+
+    N_SLICES = 3_000
+
+    @pytest.mark.parametrize("timeout, seed", [(0, 8), (2, 21), (5, 99)])
+    def test_timeout_lane_follows_the_loop_draw_for_draw(self, timeout, seed):
+        system, costs = _crn_system()
+        tables = SimulationTables.compile(system, costs)
+        agent = TimeoutAgent(timeout, 0, 1)
+        loop_rng, kernel_rng = make_rng(seed), make_rng(seed)
+        result = LoopBackend().simulate(
+            system, costs, agent, self.N_SLICES, loop_rng,
+            initial_state=("on", "lo", 0),
+        )
+        compiled, lanes = _timeout_batch(system, timeout)
+        acc = VectorBackend().step_lanes(
+            tables, compiled, np.zeros(1, dtype=np.int64),
+            np.full(1, self.N_SLICES), (0, 0, 0), kernel_rng,
+            timeouts=lanes(1),
+        )
+        _assert_lane_matches(result, acc, tables)
+        assert acc.idle.tolist() == [agent.idle_slices]
+        assert acc.prev_arrivals.tolist() == [
+            int(system.requester.arrival_counts[result.final_state[1]])
+        ]
+        assert (
+            loop_rng.bit_generator.state == kernel_rng.bit_generator.state
+        )
+
+    @pytest.mark.parametrize("seed", [4, 17])
+    def test_stream_lane_follows_simulate_trace_draw_for_draw(self, seed):
+        from repro.sim.trace_sim import NearestArrivalTracker, simulate_trace
+
+        system, costs = _crn_system()
+        tables = SimulationTables.compile(system, costs)
+        commands = np.random.default_rng(seed).integers(0, 2, system.n_states)
+        policy = MarkovPolicy.deterministic(commands, system.n_commands)
+        # At least one arrival every slice, so the loop draws its service
+        # uniform every slice; 3 is above every SR state's count.
+        trace = np.random.default_rng(seed + 1).integers(
+            1, 4, size=self.N_SLICES
+        )
+        tracker = NearestArrivalTracker(system.requester)
+        loop_rng, kernel_rng = make_rng(seed), make_rng(seed)
+        result = simulate_trace(
+            system, costs, StationaryPolicyAgent(system, policy), trace,
+            loop_rng, tracker=tracker,
+        )
+        acc = VectorBackend().step_lanes(
+            tables,
+            CompiledPolicyBatch.compile(system, [policy]),
+            np.zeros(1, dtype=np.int64),
+            np.full(1, self.N_SLICES),
+            (0, tracker.reset(), 0),
+            kernel_rng,
+            counts=trace[:, None],
+            count_states=tracker.state_table(),
+            prev_arrivals=np.zeros(1, dtype=np.int64),
+        )
+        assert len(set(result.command_counts.tolist())) > 1
+        _assert_lane_matches(result, acc, tables)
+        assert acc.prev_arrivals.tolist() == [int(trace[-1])]
+        assert (
+            loop_rng.bit_generator.state == kernel_rng.bit_generator.state
+        )
+
+    def test_stream_lane_loss_events_follow_the_loop(self):
+        """Idle slices in the trace: the loop then skips service draws,
+        so the draws drift apart, but on a system whose transitions and
+        service are certain the uniforms decide nothing and the paths
+        must agree exactly.  A loss event is a slice that starts full
+        after a slice with arrivals."""
+        from repro.sim.trace_sim import NearestArrivalTracker, simulate_trace
+
+        provider = ServiceProvider.from_tables(
+            states=["on", "off"],
+            commands=["s_on", "s_off"],
+            transitions={
+                "s_on": [[1.0, 0.0], [1.0, 0.0]],
+                "s_off": [[0.0, 1.0], [0.0, 1.0]],
+            },
+            service_rates=[[1.0, 0.0], [0.0, 0.0]],
+            power=[[3.0, 4.0], [4.0, 0.5]],
+        )
+        requester = ServiceRequester(
+            MarkovChain([[0.8, 0.2], [0.3, 0.7]], ["lo", "hi"]), arrivals=[0, 1]
+        )
+        system = PowerManagedSystem(provider, requester, ServiceQueue(2))
+        costs = CostModel.standard(system)
+        tables = SimulationTables.compile(system, costs)
+        # Always on: one service a slice against a mean of one arrival,
+        # so the queue fills and drains.
+        policy = MarkovPolicy.constant(0, system.n_states, system.n_commands)
+        trace = np.random.default_rng(4).integers(0, 3, size=self.N_SLICES)
+        tracker = NearestArrivalTracker(system.requester)
+        result = simulate_trace(
+            system, costs, StationaryPolicyAgent(system, policy), trace,
+            make_rng(0), tracker=tracker,
+        )
+        acc = VectorBackend().step_lanes(
+            tables,
+            CompiledPolicyBatch.compile(system, [policy]),
+            np.zeros(1, dtype=np.int64),
+            np.full(1, self.N_SLICES),
+            (0, tracker.reset(), 0),
+            make_rng(1),
+            counts=trace[:, None],
+            count_states=tracker.state_table(),
+        )
+        assert 0 < result.loss_event_slices < self.N_SLICES // 2
+        _assert_lane_matches(result, acc, tables)
+
+    def test_timeout_lanes_match_the_loop_in_distribution(self):
+        """Idle-heavy work, so the timeout fires and the loop skips the
+        service draw on idle slices: the paths then consume different
+        uniforms, and agree only in distribution."""
+        provider = _crn_system()[0].provider
+        requester = ServiceRequester(
+            MarkovChain([[0.95, 0.05], [0.6, 0.4]], ["idle", "busy"]),
+            arrivals=[0, 1],
+        )
+        system = PowerManagedSystem(provider, requester, ServiceQueue(3))
+        costs = CostModel.standard(system)
+        tables = SimulationTables.compile(system, costs)
+        n_runs, n_slices, timeout = 48, 1_500, 3
+        loop = [
+            LoopBackend().simulate(
+                system, costs, TimeoutAgent(timeout, 0, 1), n_slices, rng
+            )
+            for rng in child_rngs(5, n_runs)
+        ]
+        compiled, lanes = _timeout_batch(system, timeout)
+        acc = VectorBackend().step_lanes(
+            tables, compiled, np.zeros(n_runs, dtype=np.int64),
+            np.full(n_runs, n_slices), (0, 0, 0), make_rng(6),
+            timeouts=lanes(n_runs),
+        )
+        series = {
+            name: (
+                [result.averages[name] for result in loop],
+                acc.totals[i] / n_slices,
+            )
+            for i, name in enumerate(tables.metric_names)
+        }
+        series["sleep_occupancy"] = (
+            [result.provider_occupancy[1] / n_slices for result in loop],
+            acc.provider_occupancy[:, 1] / n_slices,
+        )
+        sleeping = acc.command_counts[:, 1].sum() / (n_runs * n_slices)
+        assert sleeping > 0.3  # the timeout fires
+        for name, (a, b) in series.items():
+            a, b = np.asarray(a), np.asarray(b)
+            se = np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+            assert abs(a.mean() - b.mean()) <= 4 * se + 1e-12, name
+
+    def test_resumable_runs_need_equal_lengths(self):
+        system, costs = _crn_system()
+        compiled, lanes = _timeout_batch(system, 2)
+        with pytest.raises(ValidationError, match="equal lane lengths"):
+            VectorBackend().step_lanes(
+                SimulationTables.compile(system, costs), compiled,
+                np.zeros(2, dtype=np.int64), np.array([5, 6]), (0, 0, 0),
+                make_rng(0), timeouts=lanes(2),
+            )
 
 
 class TestStatisticalEquivalence:

@@ -491,9 +491,18 @@ class TestControllerKnob:
         fleet, _ = build_fleet(json.loads(spec_path.read_text()))
         controller = FleetController(fleet, slices_per_tick=20)
         controller.step_tick()
-        producers = _producers(controller)
-        assert producers
-        assert set(producers) == {"BatchedPCG64Source"}
+        # Every model-driven block is batched.  The stream group's
+        # devices keep the generators their streams draw from, so the
+        # fan-in serves it by design.
+        producers = {
+            (group.stream_driven, type(source).__name__)
+            for group in controller._vector_groups
+            for source in group._sources.values()
+        }
+        assert producers == {
+            (False, "BatchedPCG64Source"),
+            (True, "FanInSource"),
+        }
 
 
 class TestAssignedStreams:
