@@ -68,7 +68,7 @@ from repro.core.policy import MarkovPolicy
 from repro.policies.base import StationaryAgent
 from repro.policies.timeout import TimeoutAgent
 from repro.runtime.fleet import Device, Fleet
-from repro.runtime.policy_cache import memoized_by_identity
+from repro.runtime.policy_cache import memoized_by_identity, policy_signature
 from repro.runtime.telemetry import snapshot
 from repro.sim.backends.base import SimulationTables
 from repro.sim.backends.loop import run_slices
@@ -156,45 +156,61 @@ def _model_key(system, costs) -> tuple:
     return system_signature(system), costs_signature(costs)
 
 
-def _stream_key(system, costs, policy) -> tuple:
-    """A stream lane's batch key, less its tracker's table: the model,
-    the policy's determinism (it fixes the uniform kinds a slice draws)
-    and a stream marker, so stream and model-driven lanes never mix."""
-    return (*_model_key(system, costs), policy.is_deterministic, "stream")
+def _policy_lane(device: Device, policy: MarkovPolicy) -> tuple:
+    """A policy lane's batch key and its policy's content signature."""
+    return device.group_key(), policy_signature(policy)
 
 
-def _lane_key(device: Device, memos: tuple) -> tuple | None:
-    """The key of the batch ``device`` steps in, or ``None`` (the loop).
+def _stream_lane(system, costs, policy) -> tuple:
+    """A stream lane's batch key, less its tracker's table, and its
+    policy's content signature.  The key is the model, the policy's
+    determinism (it fixes the uniform kinds a slice draws) and a stream
+    marker, so stream and model-driven lanes never mix."""
+    key = (*_model_key(system, costs), policy.is_deterministic, "stream")
+    return key, policy_signature(policy)
 
-    Content signatures are memoized by object identity in ``memos``
-    (one dict per lane kind): devices of one group share their model
-    and policy objects, so each distinct one is hashed once.
+
+def _lane_key(device: Device, memos: tuple) -> tuple:
+    """The batch ``device`` steps in: ``(key, lane)``.
+
+    ``key`` is ``None`` for a loop device.  ``lane`` is ``(policy,
+    signature)`` for a policy or stream lane, the device's stationary
+    policy and its content signature, which the group stacks by; it is
+    ``None`` for a timeout lane (and a loop device).  Content
+    signatures are memoized by object identity in ``memos`` (one dict
+    per lane kind): devices of one group share their model and policy
+    objects, so each distinct one is hashed once, and each device's
+    policy is looked up once.
     """
     policy_memo, timeout_memo, stream_memo = memos
     agent, system, costs = device.agent, device.system, device.costs
     if device.stream is None:
         if device.vector_eligible:
             policy = agent.stationary_policy(system)
-            return memoized_by_identity(
-                policy_memo, (system, costs, policy), device.group_key
+            key, signature = memoized_by_identity(
+                policy_memo, (system, costs, policy), _policy_lane,
+                device, policy,
             )
+            return key, (policy, signature)
         if type(agent) is TimeoutAgent:
             # The key of the model's deterministic policy lanes.
-            return memoized_by_identity(
+            key = memoized_by_identity(
                 timeout_memo, (system, costs), _model_key, system, costs
-            ) + (True,)
-        return None
+            )
+            return key + (True,), None
+        return None, None
     if (
         isinstance(agent, StationaryAgent)
         and type(device.tracker) is NearestArrivalTracker
     ):
         policy = agent.stationary_policy(system)
-        key = memoized_by_identity(
-            stream_memo, (system, costs, policy), _stream_key,
+        key, signature = memoized_by_identity(
+            stream_memo, (system, costs, policy), _stream_lane,
             system, costs, policy,
         )
-        return key + (tuple(device.tracker.state_table().tolist()),)
-    return None
+        table = tuple(device.tracker.state_table().tolist())
+        return key + (table,), (policy, signature)
+    return None, None
 
 
 class _VectorGroup:
@@ -208,10 +224,7 @@ class _VectorGroup:
     """
 
     def __init__(
-        self,
-        fleet: Fleet,
-        devices: list[Device],
-        policy_signatures: dict | None = None,
+        self, fleet: Fleet, devices: list[Device], lanes: list[tuple | None]
     ):
         self.devices = devices
         self._columns, self._rows = fleet.rows_of(devices)
@@ -231,27 +244,23 @@ class _VectorGroup:
         )
         # Distinct policies within the group are stacked once; lanes
         # index into the stack (1024 identical devices compile one row).
-        from repro.runtime.policy_cache import policy_signature
-
-        if policy_signatures is None:
-            policy_signatures = {}
+        # ``lanes`` holds each device's (policy, signature) from
+        # _lane_key, or None for a timeout lane.
         unique: dict[str, int] = {}
         policies = []
         policy_of_lane = []
         timeout_lanes = []
-        for lane, device in enumerate(devices):
-            if type(device.agent) is TimeoutAgent:
+        for lane, entry in enumerate(lanes):
+            if entry is None:
                 timeout_lanes.append(lane)
                 policy_of_lane.append(0)  # switched every slice
                 continue
-            policy = device.agent.stationary_policy(device.system)
-            signature = memoized_by_identity(
-                policy_signatures, (policy,), policy_signature, policy
-            )
-            if signature not in unique:
-                unique[signature] = len(policies)
+            policy, signature = entry
+            index = unique.get(signature)
+            if index is None:
+                index = unique[signature] = len(policies)
                 policies.append(policy)
-            policy_of_lane.append(unique[signature])
+            policy_of_lane.append(index)
         self.n_policies = len(policies)
         # Timeout lanes step on constant policies stacked after the
         # policy lanes' ones, one per command their rules issue.  A
@@ -354,14 +363,12 @@ class _VectorGroup:
             # Scatter: each lane's accumulators land on its device's
             # row with the same elementwise adds a per-device loop
             # would do, so every running total keeps its bits.
-            columns.totals[rows] += acc.totals.T
+            columns.totals[rows] += acc.lane_totals
             columns.command_counts[rows] += acc.command_counts
             columns.provider_occupancy[rows] += acc.provider_occupancy
             columns.state[rows] = acc.final_state
             columns.slices[rows] += lengths
-            columns.counters[rows] += np.column_stack(
-                (acc.arrivals, acc.serviced, acc.lost, acc.loss_events)
-            )
+            columns.counters[rows] += acc.counters
             if carried:
                 for device, prev_arrivals in zip(
                     carried, acc.prev_arrivals[local].tolist()
@@ -561,18 +568,21 @@ class FleetController:
         if self._groups_version == self._fleet.version:
             return
         memos: tuple = ({}, {}, {})
-        grouped: dict[tuple, list[Device]] = {}
+        grouped: dict[tuple, tuple[list, list]] = {}
         loop_devices: list[Device] = []
         for device in self._fleet:
-            key = _lane_key(device, memos)
+            key, lane = _lane_key(device, memos)
             if key is None:
                 loop_devices.append(device)
-            else:
-                grouped.setdefault(key, []).append(device)
-        policy_signatures: dict[tuple, tuple] = {}
+                continue
+            group = grouped.get(key)
+            if group is None:
+                group = grouped[key] = ([], [])
+            group[0].append(device)
+            group[1].append(lane)
         self._vector_groups = [
-            _VectorGroup(self._fleet, devices, policy_signatures)
-            for devices in grouped.values()
+            _VectorGroup(self._fleet, devices, lanes)
+            for devices, lanes in grouped.values()
         ]
         self._loop_devices = loop_devices
         # Tables are cached per (system, costs) content and mapped by

@@ -23,6 +23,7 @@ sessions of ``simulate_sessions``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +100,18 @@ class SimulationTables:
             n_sq=system.queue.n_states,
             n_commands=system.n_commands,
         )
+
+    @cached_property
+    def kernel(self):
+        """The vector kernel's flattened form of these tables.
+
+        Compiled on first use and kept for the tables' lifetime, so a
+        fleet group stepping every tick on one set of tables compiles
+        its offset cumsums and cost rows once, not on every call.
+        """
+        from repro.sim.backends.vector import _CompiledSystem
+
+        return _CompiledSystem.compile(self)
 
 
 def resolve_initial_state(
